@@ -2,27 +2,24 @@
 
 The federated fetch path bottoms out in ``DataSource.native_query``;
 this harness proves the layered optimisation (source equality indexes,
-executor batching, columnar batches, stage artifacts, mediator
-enrichment caches) pays off:
+executor batching, stage artifacts, mediator enrichment caches) pays
+off:
 
 1. **equality fetch** — one ``LocusID =`` native query, equality index
    on vs off, swept over corpus size;
 2. **semijoin execution** — the selective-link semijoin query executed
    with batched ``in`` anchor fetch + indexes vs the seed's per-id
    scan loop (N+1);
-3. **columnar sweep** — the same semijoin query at 10k–100k loci (1M
-   behind ``--full``), record-at-a-time vs columnar RecordBatch
-   execution vs columnar with a warm content-addressed stage artifact
-   cache;
+3. **flagship artifact repeat** — the Figure-5(b) query cold vs
+   answered from a warm content-addressed stage artifact store;
 4. **flagship counters** — the Figure-5(b) query run through the
    mediator, asserting nonzero ``index_hits``/``batched_fetches`` on
-   the first execution and ``enrichment_cache_hits`` on the repeat,
-   plus the cold-vs-warm artifact latency ratio.
+   the first execution and ``enrichment_cache_hits`` on the repeat.
 
 Writes ``benchmarks/results/fetchpath.txt`` and the machine-readable
 trajectory ``BENCH_fetchpath.json`` at the repo root.  Run directly
-(``python benchmarks/bench_fetchpath.py [--smoke|--full]``) for the CI
-smoke or the 1M-loci point.
+(``python benchmarks/bench_fetchpath.py [--smoke]``); ``--smoke`` is
+the CI gate and writes nothing.
 """
 
 import argparse
@@ -52,18 +49,14 @@ from repro.util.timer import Timer
 from repro.wrappers import default_wrappers
 
 SIZES = (100, 500, 1000, 2000)
-#: Columnar-vs-record sweep sizes; ``--full`` appends the 1M point.
-COLUMNAR_SIZES = (10_000, 100_000)
-COLUMNAR_SIZES_FULL = COLUMNAR_SIZES + (1_000_000,)
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 #: Equality-fetch repetitions per timing sample (amortizes timer noise).
 EQ_QUERIES = 50
 #: Best-of rounds per measurement.
 ROUNDS = 3
-#: Rounds for the interleaved record/columnar/warm comparison — more
-#: than ROUNDS because the sweep asserts an ordering between modes.
-COLUMNAR_ROUNDS = 5
+#: The acceptance bar every gated speedup must clear.
+MIN_SPEEDUP = 5.0
 
 
 def _corpus(loci):
@@ -167,128 +160,10 @@ def _sweep_semijoin(corpus):
     return n_plus_1, batched
 
 
-def _fetch_layer(corpus):
-    """Source-layer throughput of the anchor in-fetch: record-at-a-time
-    ``native_query`` vs columnar ``native_query_batch`` over the same
-    id probe (the batch side also reads the key column, since that is
-    what the executor's semijoin consumes).  Interleaved best-of, so
-    load drift cannot bias one side."""
-    store = corpus.locuslink
-    ids = store.locus_ids()
-    conditions = [NativeCondition("LocusID", "in", ids[: len(ids) // 2])]
-    store.native_query(conditions)
-    store.native_query_batch(conditions)  # warm index + column caches
-    best_record = best_batch = float("inf")
-    for _ in range(COLUMNAR_ROUNDS):
-        gc.collect()
-        with Timer() as timer:
-            store.native_query(conditions)
-        best_record = min(best_record, timer.elapsed)
-        with Timer() as timer:
-            store.native_query_batch(conditions).values("LocusID")
-        best_batch = min(best_batch, timer.elapsed)
-    return best_record, best_batch
-
-
-def _sweep_columnar(loci):
-    """Record-at-a-time vs columnar vs columnar + warm artifacts, for
-    the semijoin query at one corpus size, plus the source-layer fetch
-    comparison.  Returns one measurement dict (see the trajectory keys
-    in ``_columnar_sweep_rows``)."""
-    corpus = _corpus(loci)
-    mediator = _mediator(corpus, enable_semijoin=True)
-    query = _semijoin_query()
-    plan = mediator.plan(query)
-
-    def run(columnar, artifacts=None):
-        executor = Executor(
-            mediator._wrappers,
-            mediator.mapping_module,
-            mediator.reconciler,
-            enrichment_cache={},
-            columnar=columnar,
-            artifacts=artifacts,
-        )
-        return executor.execute(plan, query, enrich_links=False)
-
-    record_result = run(columnar=False)
-    columnar_result = run(columnar=True)
-    assert record_result.gene_ids() == columnar_result.gene_ids()
-    assert columnar_result.stats.batch_rows > 0
-
-    store = ArtifactStore()
-    run(columnar=True, artifacts=store)  # fill the store (cold)
-    warm_result = run(columnar=True, artifacts=store)
-    assert warm_result.gene_ids() == record_result.gene_ids()
-    assert warm_result.stats.artifact_hits > 0
-
-    # Interleave the three modes round by round: machine-load drift
-    # over the measurement window then biases every mode equally
-    # instead of penalizing whichever block runs last.
-    modes = {
-        "record": lambda: run(columnar=False),
-        "columnar": lambda: run(columnar=True),
-        "warm": lambda: run(columnar=True, artifacts=store),
-    }
-    best = {name: float("inf") for name in modes}
-    for _ in range(COLUMNAR_ROUNDS):
-        for name, mode in modes.items():
-            gc.collect()
-            with Timer() as timer:
-                mode()
-            best[name] = min(best[name], timer.elapsed)
-    fetch_record, fetch_batch = _fetch_layer(corpus)
-    return {
-        "loci": loci,
-        "fetch_record_s": fetch_record,
-        "fetch_batch_s": fetch_batch,
-        "fetch_speedup": fetch_record / max(fetch_batch, 1e-9),
-        "record_s": best["record"],
-        "columnar_s": best["columnar"],
-        "columnar_speedup": (
-            best["record"] / max(best["columnar"], 1e-9)
-        ),
-        "artifact_warm_s": best["warm"],
-        "artifact_warm_speedup": (
-            best["record"] / max(best["warm"], 1e-9)
-        ),
-        "artifact_hits": warm_result.stats.artifact_hits,
-    }
-
-
-def _columnar_sweep_rows(sizes, log=print):
-    rows = []
-    trajectory = []
-    for loci in sizes:
-        log(f"columnar sweep: {loci} loci ...")
-        point = _sweep_columnar(loci)
-        rows.append(
-            [
-                loci,
-                f"{point['fetch_speedup']:.2f}x",
-                f"{point['record_s'] * 1e3:.1f}",
-                f"{point['columnar_s'] * 1e3:.1f}",
-                f"{point['columnar_speedup']:.2f}x",
-                f"{point['artifact_warm_s'] * 1e3:.1f}",
-                f"{point['artifact_warm_speedup']:.2f}x",
-            ]
-        )
-        trajectory.append(point)
-    # The throughput bar lives at the fetch layer, where the columnar
-    # path structurally does less work (no per-record dict copies).
-    # The end-to-end columns are reported data: there OEM answer
-    # construction dominates both modes identically, so the ordering
-    # sits inside scheduler noise at small sizes; the whole-stage
-    # artifact reuse bar is the flagship repeat (_artifact_flagship).
-    for point in trajectory:
-        assert point["fetch_speedup"] >= 1.0, point
-    return rows, trajectory
-
-
 def _artifact_flagship():
     """Cold vs artifact-warm latency for the flagship query: the warm
     repeat must reuse stages (``artifact_hits > 0``) and answer at
-    least 5x faster than the cold run."""
+    least MIN_SPEEDUP times faster than the cold run."""
     corpus = _corpus(2000)
     store = ArtifactStore()
     mediator = Mediator(artifacts=store)
@@ -304,7 +179,7 @@ def _artifact_flagship():
     assert warm.gene_ids() == cold.gene_ids()
     assert warm.stats.artifact_hits > 0
     ratio = cold_timer.elapsed / max(warm_time, 1e-9)
-    assert ratio >= 5.0, (
+    assert ratio >= MIN_SPEEDUP, (
         f"artifact-warm repeat only {ratio:.1f}x faster than cold"
     )
     return {
@@ -317,52 +192,55 @@ def _artifact_flagship():
 
 
 def test_fetchpath_sweep(results_dir):
-    _run(COLUMNAR_SIZES, results_dir, log=lambda *_: None)
+    _run(results_dir, log=lambda *_: None)
 
 
-def _run(columnar_sizes, results_dir, log=print):
+def _sweep_point(loci):
+    """Equality and semijoin timings at one corpus size."""
+    corpus = _corpus(loci)
+    scan, indexed = _sweep_equality(corpus.locuslink)
+    n_plus_1, batched = _sweep_semijoin(corpus)
+    return {
+        "loci": loci,
+        "equality_scan_s": scan,
+        "equality_indexed_s": indexed,
+        "equality_speedup": scan / max(indexed, 1e-9),
+        "semijoin_n_plus_1_s": n_plus_1,
+        "semijoin_batched_s": batched,
+        "semijoin_speedup": n_plus_1 / max(batched, 1e-9),
+    }
+
+
+def _assert_speedups(point):
+    """The acceptance bar: indexed/batched at least MIN_SPEEDUP times
+    faster than the seed's scan/N+1 path."""
+    for name in ("equality_speedup", "semijoin_speedup"):
+        assert point[name] >= MIN_SPEEDUP, (
+            f"{name} only {point[name]:.1f}x at {point['loci']} loci"
+        )
+
+
+def _run(results_dir, log=print):
     rows = []
     trajectory = []
     for loci in SIZES:
         log(f"fetch-path sweep: {loci} loci ...")
-        corpus = _corpus(loci)
-        scan, indexed = _sweep_equality(corpus.locuslink)
-        n_plus_1, batched = _sweep_semijoin(corpus)
-        eq_speedup = scan / max(indexed, 1e-9)
-        semi_speedup = n_plus_1 / max(batched, 1e-9)
+        point = _sweep_point(loci)
         rows.append(
             [
                 loci,
-                f"{scan * 1e3:.2f}",
-                f"{indexed * 1e3:.2f}",
-                f"{eq_speedup:.1f}x",
-                f"{n_plus_1 * 1e3:.2f}",
-                f"{batched * 1e3:.2f}",
-                f"{semi_speedup:.1f}x",
+                f"{point['equality_scan_s'] * 1e3:.2f}",
+                f"{point['equality_indexed_s'] * 1e3:.2f}",
+                f"{point['equality_speedup']:.1f}x",
+                f"{point['semijoin_n_plus_1_s'] * 1e3:.2f}",
+                f"{point['semijoin_batched_s'] * 1e3:.2f}",
+                f"{point['semijoin_speedup']:.1f}x",
             ]
         )
-        trajectory.append(
-            {
-                "loci": loci,
-                "equality_scan_s": scan,
-                "equality_indexed_s": indexed,
-                "equality_speedup": eq_speedup,
-                "semijoin_n_plus_1_s": n_plus_1,
-                "semijoin_batched_s": batched,
-                "semijoin_speedup": semi_speedup,
-            }
-        )
+        trajectory.append(point)
         if loci == max(SIZES):
-            # The acceptance bar: indexed/batched at least 5x faster
-            # than the seed's scan/N+1 path at the 2000-loci corpus.
-            assert eq_speedup >= 5.0, f"equality speedup only {eq_speedup:.1f}x"
-            assert semi_speedup >= 5.0, (
-                f"semijoin speedup only {semi_speedup:.1f}x"
-            )
+            _assert_speedups(point)
 
-    columnar_rows, columnar_trajectory = _columnar_sweep_rows(
-        columnar_sizes, log=log
-    )
     flagship = _flagship_counters()
     log("artifact flagship: cold vs warm ...")
     artifact_flagship = _artifact_flagship()
@@ -379,18 +257,6 @@ def _run(columnar_sizes, results_dir, log=print):
         ],
         rows,
     )
-    columnar_rendered = table(
-        [
-            "loci",
-            "fetch speedup",
-            "record ms",
-            "columnar ms",
-            "columnar speedup",
-            "artifact-warm ms",
-            "warm speedup",
-        ],
-        columnar_rows,
-    )
     counter_lines = "\n".join(
         f"  {name}: {value}" for name, value in sorted(flagship.items())
     )
@@ -398,9 +264,6 @@ def _run(columnar_sizes, results_dir, log=print):
         "Fetch-path optimisation: indexed vs scan, batched vs N+1\n"
         "(identical answers asserted between fast and slow paths)\n\n"
         + rendered
-        + "\n\nColumnar batch execution and stage artifacts "
-        "(semijoin query):\n\n"
-        + columnar_rendered
         + "\n\nFlagship artifact repeat: "
         + f"cold {artifact_flagship['cold_s'] * 1e3:.1f} ms, "
         + f"warm {artifact_flagship['warm_s'] * 1e3:.1f} ms "
@@ -417,7 +280,6 @@ def _run(columnar_sizes, results_dir, log=print):
             {
                 "benchmark": "fetchpath",
                 "sweep": trajectory,
-                "columnar_sweep": columnar_trajectory,
                 "artifact_flagship": artifact_flagship,
                 "flagship": flagship,
             },
@@ -447,7 +309,6 @@ def _flagship_counters():
         "first_scan_fetches": first.stats.scan_fetches,
         "first_batched_fetches": first.stats.batched_fetches,
         "first_enrichment_cache_hits": first.stats.enrichment_cache_hits,
-        "first_batch_rows": first.stats.batch_rows,
         "repeat_index_hits": repeat.stats.index_hits,
         "repeat_scan_fetches": repeat.stats.scan_fetches,
         "repeat_batched_fetches": repeat.stats.batched_fetches,
@@ -456,23 +317,19 @@ def _flagship_counters():
 
 
 def _smoke():
-    """The CI gate: at 10k loci the columnar fetch layer must at least
-    match record-at-a-time throughput, and a warm artifact store must
-    serve stage hits."""
-    point = _sweep_columnar(10_000)
-    assert point["fetch_speedup"] >= 1.0, (
-        f"columnar fetch {point['fetch_batch_s'] * 1e3:.1f} ms slower "
-        f"than record-at-a-time {point['fetch_record_s'] * 1e3:.1f} ms "
-        f"at 10k loci"
-    )
-    assert point["artifact_hits"] > 0
+    """The CI gate: at the largest sweep size the equality index and
+    the batched semijoin must each beat scan / N+1 by MIN_SPEEDUP, and
+    the flagship repeat must answer MIN_SPEEDUP times faster from stage
+    artifacts."""
+    point = _sweep_point(max(SIZES))
+    _assert_speedups(point)
+    flagship = _artifact_flagship()
     print(
-        f"smoke ok: fetch layer {point['fetch_speedup']:.2f}x, "
-        f"end-to-end record {point['record_s'] * 1e3:.1f} ms / "
-        f"columnar {point['columnar_s'] * 1e3:.1f} ms "
-        f"({point['columnar_speedup']:.2f}x), "
-        f"artifact-warm {point['artifact_warm_s'] * 1e3:.1f} ms "
-        f"({point['artifact_hits']} stage hits)"
+        f"smoke ok at {point['loci']} loci: equality index "
+        f"{point['equality_speedup']:.1f}x, batched semijoin "
+        f"{point['semijoin_speedup']:.1f}x, flagship artifact repeat "
+        f"{flagship['speedup']:.1f}x "
+        f"({flagship['warm_artifact_hits']} stage hits)"
     )
 
 
@@ -481,12 +338,7 @@ def main(argv=None):
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="10k-loci columnar-vs-record gate only (CI)",
-    )
-    parser.add_argument(
-        "--full",
-        action="store_true",
-        help="extend the columnar sweep to 1M loci",
+        help="speedup gates only, nothing written (CI)",
     )
     arguments = parser.parse_args(argv)
     if arguments.smoke:
@@ -495,8 +347,7 @@ def main(argv=None):
     from benchmarks.conftest import RESULTS_DIR
 
     RESULTS_DIR.mkdir(exist_ok=True)
-    sizes = COLUMNAR_SIZES_FULL if arguments.full else COLUMNAR_SIZES
-    print(_run(sizes, RESULTS_DIR))
+    print(_run(RESULTS_DIR))
 
 
 if __name__ == "__main__":

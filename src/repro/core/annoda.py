@@ -34,9 +34,6 @@ class AnnodaConfig:
     #: per-attempt timeout, retry budget/backoff, and whether a failed
     #: source degrades the answer (partial result) or aborts the query.
     federation: FederationPolicy = field(default_factory=FederationPolicy)
-    #: Columnar batch execution across the wrapper boundary (the
-    #: default); ``False`` restores record-at-a-time fetches.
-    columnar: bool = True
     #: Enable the content-addressed stage artifact cache (repeated or
     #: overlapping queries skip finished executor stages).
     stage_artifacts: bool = False
@@ -76,7 +73,6 @@ class Annoda:
             optimizer_options=self.config.optimizer,
             reconciler=Reconciler(self.config.reconciliation),
             federation=self.config.federation,
-            columnar=self.config.columnar,
             artifacts=artifacts,
         )
         self.navigator = Navigator(self.mediator)

@@ -19,12 +19,6 @@ import time
 from dataclasses import dataclass, field
 
 from repro.mediator.artifacts import stage_key
-from repro.mediator.columnar import (
-    bind_residual,
-    dedup_rows,
-    filter_positions,
-    merge_rows,
-)
 from repro.mediator.fetch import (
     FederatedFetcher,
     FederationPolicy,
@@ -34,10 +28,25 @@ from repro.mediator.scheduler import StageScheduler
 from repro.oem.graph import OEMGraph
 from repro.oem.types import OEMType
 from repro.sources.base import NativeCondition, _evaluate
-from repro.sources.batch import RecordBatch
 from repro.trace.recorder import NULL_RECORDER
 from repro.util.errors import IntegrationError
 from repro.util.locks import new_lock
+
+
+def _bind_residual(wrapper, residual):
+    """Residual ``(label, op, value)`` triples bound to ``wrapper``'s
+    source fields — resolved once per step, not once per record."""
+    return [
+        (wrapper.source_field(label), NativeCondition(label, op, value))
+        for label, op, value in residual
+    ]
+
+
+def _residual_ok(record, bound):
+    """True when ``record`` satisfies every bound residual condition."""
+    return all(
+        _evaluate(record.get(field), condition) for field, condition in bound
+    )
 
 
 def _delta_counter(span, name, delta):
@@ -101,10 +110,6 @@ class ExecutionStats:
     #: answered from a sibling after the placed replica failed.
     shard_fans: int = 0
     replica_failovers: int = 0
-    #: Rows that crossed the wrapper boundary inside columnar
-    #: :class:`~repro.sources.batch.RecordBatch` replies (0 on the
-    #: record-at-a-time path).
-    batch_rows: int = 0
     #: Stage artifact cache accounting: stages skipped because a
     #: content-addressed artifact existed, stages that had to run, and
     #: artifact bytes moved (read on hits + written on stores).
@@ -217,9 +222,8 @@ class ExecutionReport:
             f"concurrent batches {stats.concurrent_batches}",
             f"  shard fans {stats.shard_fans} / replica failovers "
             f"{stats.replica_failovers}",
-            f"  columnar rows {stats.batch_rows} / artifact hits "
-            f"{stats.artifact_hits} / misses {stats.artifact_misses} / "
-            f"bytes {stats.artifact_bytes}",
+            f"  artifact hits {stats.artifact_hits} / misses "
+            f"{stats.artifact_misses} / bytes {stats.artifact_bytes}",
         ]
         for name in sorted(stats.source_reports):
             report = stats.source_reports[name]
@@ -316,14 +320,9 @@ class Executor:
     owning mediator shares one fetcher (and its thread pool) across
     executions.
 
-    ``columnar`` (the default) requests
-    :class:`~repro.sources.batch.RecordBatch` replies across the
-    wrapper boundary and runs the vectorized residual/semijoin/
-    reconcile operators of :mod:`repro.mediator.columnar`; ``False``
-    restores the record-at-a-time loops (the benchmarks compare the
-    two).  ``artifacts`` (an
-    :class:`~repro.mediator.artifacts.ArtifactStore`, or ``None`` to
-    disable) lets finished stages be skipped by content address.
+    ``artifacts`` (an :class:`~repro.mediator.artifacts.ArtifactStore`,
+    or ``None`` to disable) lets finished stages be skipped by content
+    address.
     """
 
     #: Upper bound on shared-cache entries (stale versions are evicted
@@ -333,12 +332,11 @@ class Executor:
     def __init__(self, wrappers_by_name, mapping_module, reconciler,
                  enrichment_cache=None, enrichment_cache_lock=None,
                  batch_fetch=True, fetcher=None,
-                 policy=None, columnar=True, artifacts=None, budget=None):
+                 policy=None, artifacts=None, budget=None):
         self.wrappers = wrappers_by_name
         self.mapping_module = mapping_module
         self.reconciler = reconciler
         self.batch_fetch = batch_fetch
-        self.columnar = columnar
         self.artifacts = artifacts
         #: Cooperative per-request :class:`~repro.util.cancel.RequestBudget`
         #: stamped onto every fetch this execution issues; an expired
@@ -368,14 +366,9 @@ class Executor:
         # physical requests and shard partials merge back.
         self._scheduler = StageScheduler()
 
-    def _fetch_request(self, conditions, purpose, columnar=None):
+    def _fetch_request(self, conditions, purpose):
         """A :class:`FetchRequest` carrying this execution's budget."""
-        return FetchRequest(
-            conditions,
-            purpose=purpose,
-            columnar=self.columnar if columnar is None else columnar,
-            budget=self.budget,
-        )
+        return FetchRequest(conditions, purpose=purpose, budget=self.budget)
 
     # -- shared version-keyed cache ---------------------------------------------
 
@@ -533,10 +526,8 @@ class Executor:
                 execute_span, "replica_failovers",
                 stats.replica_failovers,
             )
-            # Columnar/artifact accounting is likewise whole-execution:
-            # rows arriving as batches, and stages skipped or run
-            # against the content-addressed artifact store.
-            _delta_counter(execute_span, "batch_rows", stats.batch_rows)
+            # Artifact accounting is likewise whole-execution: stages
+            # skipped or run against the content-addressed store.
             _delta_counter(
                 execute_span, "artifact_hits", stats.artifact_hits
             )
@@ -623,9 +614,7 @@ class Executor:
                 if not reply.ok:
                     self._degrade_or_raise(reply, stats)
                     if step is plan.anchor:
-                        anchor_records = (
-                            RecordBatch.empty() if self.columnar else []
-                        )
+                        anchor_records = []
                     else:
                         self._degraded_steps.add(id(step))
                     continue
@@ -696,16 +685,10 @@ class Executor:
                 report.issues.extend(cached_reconcile["issues"])
             else:
                 issues_before = len(report.issues)
-                if isinstance(anchor_records, RecordBatch):
-                    surviving, matched_links = self._reconcile_columnar(
-                        plan, anchor_wrapper, anchor_records, stats,
-                        report, allowed_by_step,
-                    )
-                else:
-                    surviving, matched_links = self._reconcile_records(
-                        plan, anchor_wrapper, anchor_records, stats,
-                        report, allowed_by_step,
-                    )
+                surviving, matched_links = self._reconcile_records(
+                    plan, anchor_wrapper, anchor_records, report,
+                    allowed_by_step,
+                )
                 if artifact_key is not None:
                     self._artifact_put(
                         artifact_key,
@@ -773,48 +756,15 @@ class Executor:
             reply.raise_if_failed()
         stats.mark_degraded(reply.source)
 
-    def _apply_residual(self, wrapper, step, records, stats):
-        """Mediator-side residual predicates over fetched records."""
-        if not step.residual:
-            return records
-        kept = []
-        for record in records:
-            stats.residual_evaluations += len(step.residual)
-            if self._residual_ok(wrapper, record, step.residual):
-                kept.append(record)
-        return kept
-
     def _ingest_reply(self, wrapper, step, reply, stats):
-        """One ok reply -> residual-filtered records (or batch).
-
-        On the columnar path the reply carries a
-        :class:`RecordBatch`; a plain record list (a wrapper that
-        ignores ``columnar``) is pivoted on arrival so every operator
-        downstream sees one representation.
-        """
-        if not self.columnar and not isinstance(reply.records, RecordBatch):
-            return self._apply_residual(
-                wrapper, step, list(reply.records), stats
-            )
-        batch = self._as_batch(reply.records)
-        stats.batch_rows += len(batch)
-        return self._apply_residual_batch(wrapper, step, batch, stats)
-
-    @staticmethod
-    def _as_batch(records):
-        if isinstance(records, RecordBatch):
-            return records
-        return RecordBatch.from_records(list(records))
-
-    def _apply_residual_batch(self, wrapper, step, batch, stats):
-        """Vectorized residual predicates: each condition walks one
-        column (same per-record accounting as the record path)."""
+        """One ok reply -> its records, filtered by the step's
+        mediator-side residual predicates."""
+        records = list(reply.records)
         if not step.residual:
-            return batch
-        stats.residual_evaluations += len(step.residual) * len(batch)
-        return batch.take(
-            filter_positions(batch, bind_residual(wrapper, step.residual))
-        )
+            return records
+        bound = _bind_residual(wrapper, step.residual)
+        stats.residual_evaluations += len(bound) * len(records)
+        return [record for record in records if _residual_ok(record, bound)]
 
     def _build_symbol_index(self, step, stats):
         """Version-keyed symbol-join index for one step (cached)."""
@@ -871,15 +821,6 @@ class Executor:
         )
         index = {}
         conditioned_keys = set()
-        if isinstance(records, RecordBatch):
-            # Columnar: two column walks instead of per-record lookups.
-            for key, anchor_ref in zip(
-                records.values(key_field), records.values(gene_field)
-            ):
-                conditioned_keys.add(key)
-                if anchor_ref:
-                    index.setdefault(anchor_ref, set()).add(key)
-            return index, conditioned_keys
         for record in records:
             conditioned_keys.add(record[key_field])
             anchor_ref = record.get(gene_field)
@@ -921,7 +862,7 @@ class Executor:
             )
             if not reply.ok:
                 self._degrade_or_raise(reply, stats)
-                return RecordBatch.empty() if self.columnar else []
+                return []
             return self._ingest_reply(wrapper, plan.anchor, reply, stats)
         allowed = allowed_by_step[id(driver_step)]
         # Ensure the anchor source appears in the fetch accounting
@@ -945,12 +886,10 @@ class Executor:
                     (driver_source, driver_wrapper.version),
                     tuple(ordered_ids),
                 ),
-                extra=(via_label, bool(self.columnar)),
+                extra=(via_label,),
             )
             payload = self._artifact_get(artifact_key, stats)
             if payload is not None:
-                if self.columnar:
-                    return RecordBatch.from_payload(payload)
                 return list(payload["records"])
 
         batches = []
@@ -992,17 +931,8 @@ class Executor:
                     break
                 batches.append(reply.records)
         if anchor_failed:
-            return RecordBatch.empty() if self.columnar else []
-        if self.columnar:
-            result = self._dedup_anchor_columnar(
-                plan, wrapper, key_field, batches, stats
-            )
-            if artifact_key is not None:
-                self._artifact_put(
-                    artifact_key, result.to_payload(), stats,
-                    sources=(wrapper.name, driver_source),
-                )
-            return result
+            return []
+        bound = _bind_residual(wrapper, plan.anchor.residual)
         seen = set()
         records = []
         for fetched in batches:
@@ -1011,11 +941,9 @@ class Executor:
                 if key in seen:
                     continue
                 seen.add(key)
-                if plan.anchor.residual:
-                    stats.residual_evaluations += len(plan.anchor.residual)
-                    if not self._residual_ok(
-                        wrapper, record, plan.anchor.residual
-                    ):
+                if bound:
+                    stats.residual_evaluations += len(bound)
+                    if not _residual_ok(record, bound):
                         continue
                 records.append(record)
         records.sort(key=lambda record: record[key_field])
@@ -1026,71 +954,44 @@ class Executor:
             )
         return records
 
-    def _dedup_anchor_columnar(self, plan, wrapper, key_field, batches,
-                               stats):
-        """Columnar dedup + residual + sort over the semijoin's fetch
-        batches (exact twin of the record loop below, including the
-        per-unique-record residual accounting)."""
-        batches = [self._as_batch(fetched) for fetched in batches]
-        for batch in batches:
-            stats.batch_rows += len(batch)
-        unique = dedup_rows(batches, key_field)
-        if plan.anchor.residual:
-            bound = bind_residual(wrapper, plan.anchor.residual)
-            residual_count = len(plan.anchor.residual)
-            kept = []
-            columns_by_batch = {}
-            for key, batch_index, row in unique:
-                stats.residual_evaluations += residual_count
-                columns = columns_by_batch.get(batch_index)
-                if columns is None:
-                    columns = [
-                        (batches[batch_index].values(field), condition)
-                        for field, condition in bound
-                    ]
-                    columns_by_batch[batch_index] = columns
-                if all(
-                    _evaluate(values[row], condition)
-                    for values, condition in columns
-                ):
-                    kept.append((key, batch_index, row))
-            unique = kept
-        unique.sort(key=lambda entry: entry[0])
-        return merge_rows(batches, unique)
-
-    @staticmethod
-    def _residual_ok(wrapper, record, conditions):
-        for label, op, value in conditions:
-            condition = NativeCondition(label, op, value)
-            field_value = record.get(wrapper.source_field(label))
-            if not _evaluate(field_value, condition):
-                return False
-        return True
-
     # -- reconciliation ------------------------------------------------------------
 
     def _reconcile_records(self, plan, anchor_wrapper, anchor_records,
-                           stats, report, allowed_by_step):
+                           report, allowed_by_step):
         """Record-at-a-time link matching with include/exclude break
-        semantics (the pre-columnar reconcile loop)."""
+        semantics.
+
+        Every field a step reads off the anchor records is resolved
+        once per step (:meth:`_link_matcher`), so the per-record work
+        is dict reads plus the reconciler's validations.
+        """
+        anchor_key = self._anchor_field(anchor_wrapper)
+        matchers = [
+            (
+                step,
+                # Degraded source: its constraint cannot be evaluated,
+                # so it is skipped — the YeastMed-style partial answer
+                # is computed from the sources that responded, and the
+                # report marks the gap.
+                None
+                if id(step) in self._degraded_steps
+                else self._link_matcher(
+                    step, anchor_wrapper, allowed_by_step.get(id(step))
+                ),
+            )
+            for step in plan.link_steps
+        ]
         surviving = []
         matched_links = []
         for record in anchor_records:
+            anchor_id = record.get(anchor_key)
             links_for_record = {}
             keep = True
-            for step in plan.link_steps:
-                if id(step) in self._degraded_steps:
-                    # Degraded source: its constraint cannot be
-                    # evaluated, so it is skipped — the
-                    # YeastMed-style partial answer is computed from
-                    # the sources that responded, and the report
-                    # marks the gap.
+            for step, match in matchers:
+                if match is None:
                     links_for_record[step.source_name] = []
                     continue
-                matched = self._match_link(
-                    step, anchor_wrapper, record, stats, report,
-                    allowed_by_step.get(id(step)),
-                )
+                matched = match(record, anchor_id, report)
                 links_for_record[step.source_name] = matched
                 if step.link.mode == "include" and not matched:
                     keep = False
@@ -1102,123 +1003,6 @@ class Executor:
                 surviving.append(record)
                 matched_links.append(links_for_record)
         return surviving, matched_links
-
-    def _reconcile_columnar(self, plan, anchor_wrapper, batch, stats,
-                            report, allowed_by_step):
-        """Vectorized reconcile: label resolution and field extraction
-        hoisted out of the row loop into whole-column gathers.
-
-        The per-row matching (with the record path's exact
-        include/exclude break semantics) still runs row-wise — the
-        reconciler's validations are inherently per anchor — but each
-        row touches pre-gathered columns instead of building and
-        indexing dicts.  Survivors materialize as record dicts only
-        once, at the end.
-        """
-        gathered = self._gather_link_columns(
-            plan, anchor_wrapper, batch
-        )
-        anchor_ids = gathered["anchor_ids"]
-        step_columns = gathered["steps"]
-        surviving_rows = []
-        matched_links = []
-        for row in range(len(batch)):
-            anchor_id = anchor_ids[row]
-            links_for_record = {}
-            keep = True
-            for step in plan.link_steps:
-                if id(step) in self._degraded_steps:
-                    links_for_record[step.source_name] = []
-                    continue
-                columns = step_columns[id(step)]
-                raw = (
-                    None
-                    if columns["via"] is None
-                    else columns["via"][row]
-                )
-                if columns["symbols"] is not None:
-                    values, present = columns["symbols"]
-                    symbol = values[row] if present[row] else ""
-                else:
-                    symbol = ""
-                aliases = (
-                    []
-                    if columns["aliases"] is None
-                    else columns["aliases"][row] or []
-                )
-                matched = self._match_link_values(
-                    step, anchor_id, raw, symbol, aliases, report,
-                    allowed_by_step.get(id(step)),
-                )
-                links_for_record[step.source_name] = matched
-                if step.link.mode == "include" and not matched:
-                    keep = False
-                    break
-                if step.link.mode == "exclude" and matched:
-                    keep = False
-                    break
-            if keep:
-                surviving_rows.append(row)
-                matched_links.append(links_for_record)
-        # Borrow, don't copy: everything downstream (translate,
-        # answer construction, artifact pickling) only reads these.
-        surviving = batch.take(surviving_rows).borrow_records()
-        return surviving, matched_links
-
-    def _gather_link_columns(self, plan, anchor_wrapper, batch):
-        """Per-execution column gather for the reconcile loop: the
-        anchor-id column plus, per link step, its via column and (for
-        symbol joins) the shared symbol/alias columns."""
-        key_field = anchor_wrapper.source_field(
-            self.mapping_module.to_local_label(
-                anchor_wrapper.name, "GeneID"
-            )
-        )
-        steps = {}
-        symbol_pair = None
-        alias_values = None
-        symbol_gathered = False
-        for step in plan.link_steps:
-            if id(step) in self._degraded_steps:
-                steps[id(step)] = {
-                    "via": None, "symbols": None, "aliases": None
-                }
-                continue
-            via = None
-            if not step.link.reverse_join:
-                via_field = anchor_wrapper.source_field(
-                    self.mapping_module.to_local_label(
-                        anchor_wrapper.name, step.link.via
-                    )
-                )
-                via = batch.values(via_field)
-            symbols = None
-            aliases = None
-            if (
-                step.link.symbol_join
-                and step.source_name in self._symbol_indexes
-            ):
-                if not symbol_gathered:
-                    symbol_field = anchor_wrapper.source_field(
-                        self.mapping_module.to_local_label(
-                            anchor_wrapper.name, "GeneSymbol"
-                        )
-                    )
-                    symbol_pair = batch.column_pair(symbol_field)
-                    alias_local = self.mapping_module.correspondences(
-                        anchor_wrapper.name
-                    ).to_local("AliasSymbol")
-                    if alias_local is not None:
-                        alias_values = batch.values(
-                            anchor_wrapper.source_field(alias_local)
-                        )
-                    symbol_gathered = True
-                symbols = symbol_pair
-                aliases = alias_values
-            steps[id(step)] = {
-                "via": via, "symbols": symbols, "aliases": aliases
-            }
-        return {"anchor_ids": batch.values(key_field), "steps": steps}
 
     def _step_fingerprints(self, plan, degraded=None):
         """One stable tuple per link stage — each stage's own
@@ -1270,7 +1054,6 @@ class Executor:
             extra=(
                 plan.anchor.semijoin,
                 repr(self.reconciler.policy),
-                bool(self.columnar),
             ),
         )
 
@@ -1300,7 +1083,6 @@ class Executor:
             extra=(
                 plan.anchor.semijoin,
                 repr(self.reconciler.policy),
-                bool(self.columnar),
                 bool(enrich_links),
                 tuple(query.select),
             ),
@@ -1342,82 +1124,89 @@ class Executor:
 
     # -- link matching -------------------------------------------------------------
 
-    def _match_link(self, step, anchor_wrapper, record, stats, report,
-                    allowed):
-        """The linked ids of one anchor record that satisfy one link step.
+    def _link_matcher(self, step, anchor_wrapper, allowed):
+        """``match(record, anchor_id, report)``: the linked ids of one
+        anchor record that satisfy one link step.
 
+        The anchor fields the step reads (via, symbol, alias), its
+        reverse or symbol index and its reconciler validation
+        (dispatched on the link wrapper's capabilities) are resolved
+        here, once per step; the returned closure only reads records.
         ``allowed`` is the precomputed id set of the step's conditioned
         fetch (``None`` for pruned steps: any valid id counts).
         """
         link = step.link
-        anchor_id = self._anchor_id(anchor_wrapper, record)
-        raw = None
-        if not link.reverse_join:
+        link_wrapper = self.wrappers[step.source_name]
+        validate = None
+        if hasattr(link_wrapper, "is_obsolete"):
+            validate = self.reconciler.valid_annotation_ids
+        elif hasattr(link_wrapper, "entries_for_symbol"):
+            validate = self.reconciler.valid_disease_ids
+        reverse = via_field = None
+        if link.reverse_join:
+            reverse = self._reverse_indexes[id(step)]
+        else:
             via_field = anchor_wrapper.source_field(
                 self.mapping_module.to_local_label(
                     anchor_wrapper.name, link.via
                 )
             )
-            raw = record.get(via_field)
-        symbol = ""
-        aliases = []
-        if link.symbol_join and step.source_name in self._symbol_indexes:
+        symbol_index = (
+            self._symbol_indexes.get(step.source_name)
+            if link.symbol_join
+            else None
+        )
+        symbol_field = alias_field = None
+        if symbol_index is not None:
             symbol_field = anchor_wrapper.source_field(
                 self.mapping_module.to_local_label(
                     anchor_wrapper.name, "GeneSymbol"
                 )
             )
-            symbol = record.get(symbol_field, "")
             alias_local = self.mapping_module.correspondences(
                 anchor_wrapper.name
             ).to_local("AliasSymbol")
             if alias_local is not None:
-                aliases = record.get(
-                    anchor_wrapper.source_field(alias_local)
-                ) or []
-        return self._match_link_values(
-            step, anchor_id, raw, symbol, aliases, report, allowed
-        )
+                alias_field = anchor_wrapper.source_field(alias_local)
 
-    def _match_link_values(self, step, anchor_id, raw, symbol, aliases,
-                           report, allowed):
-        """The matching core shared by the record and columnar paths:
-        consumes pre-extracted field values, so the columnar reconcile
-        feeds it straight from gathered columns."""
-        link = step.link
-        link_wrapper = self.wrappers[step.source_name]
+        def match(record, anchor_id, report):
+            if reverse is not None:
+                matched = sorted(reverse.get(anchor_id, ()), key=str)
+            else:
+                raw_ids = record.get(via_field) or []
+                if not isinstance(raw_ids, list):
+                    raw_ids = [raw_ids]
+                if validate is not None:
+                    raw_ids = validate(
+                        anchor_id, raw_ids, link_wrapper, report
+                    )
+                matched = [
+                    link_id
+                    for link_id in raw_ids
+                    if allowed is None or link_id in allowed
+                ]
+            if symbol_index is not None:
+                aliases = (
+                    []
+                    if alias_field is None
+                    else record.get(alias_field) or []
+                )
+                via_symbols = self.reconciler.disease_ids_via_symbols(
+                    anchor_id,
+                    record.get(symbol_field, ""),
+                    aliases,
+                    link_wrapper,
+                    report,
+                    index=symbol_index,
+                )
+                for mim in sorted(via_symbols):
+                    if allowed is not None and mim not in allowed:
+                        continue
+                    if mim not in matched:
+                        matched.append(mim)
+            return matched
 
-        if link.reverse_join:
-            reverse = self._reverse_indexes[id(step)]
-            matched = sorted(reverse.get(anchor_id, ()), key=str)
-        else:
-            raw_ids = raw or []
-            if not isinstance(raw_ids, list):
-                raw_ids = [raw_ids]
-            valid = self._validated_ids(
-                anchor_id, raw_ids, link_wrapper, report
-            )
-            matched = [
-                link_id
-                for link_id in valid
-                if allowed is None or link_id in allowed
-            ]
-
-        if link.symbol_join and step.source_name in self._symbol_indexes:
-            via_symbols = self.reconciler.disease_ids_via_symbols(
-                anchor_id,
-                symbol,
-                aliases,
-                link_wrapper,
-                report,
-                index=self._symbol_indexes.get(step.source_name),
-            )
-            for mim in sorted(via_symbols):
-                if allowed is not None and mim not in allowed:
-                    continue
-                if mim not in matched:
-                    matched.append(mim)
-        return matched
+        return match
 
     def _allowed_ids(self, step, link_wrapper, records):
         """Key ids of linked-source records satisfying the step's
@@ -1426,10 +1215,7 @@ class Executor:
             step.source_name, step.link.via
         )
         key_field = link_wrapper.source_field(key_local)
-        if isinstance(records, RecordBatch):
-            allowed = set(records.values(key_field))
-        else:
-            allowed = {record[key_field] for record in records}
+        allowed = {record[key_field] for record in records}
         for label, _op, value in step.closure:
             if label != key_local:
                 raise IntegrationError(
@@ -1440,23 +1226,11 @@ class Executor:
             allowed &= within
         return allowed
 
-    def _validated_ids(self, anchor_id, raw_ids, link_wrapper, report):
-        """Reconciler validation, dispatched on wrapper capabilities."""
-        if hasattr(link_wrapper, "is_obsolete"):
-            return self.reconciler.valid_annotation_ids(
-                anchor_id, raw_ids, link_wrapper, report
-            )
-        if hasattr(link_wrapper, "entries_for_symbol"):
-            return self.reconciler.valid_disease_ids(
-                anchor_id, raw_ids, link_wrapper, report
-            )
-        return list(raw_ids)
-
-    def _anchor_id(self, anchor_wrapper, record):
-        key_local = self.mapping_module.to_local_label(
-            anchor_wrapper.name, "GeneID"
+    def _anchor_field(self, anchor_wrapper):
+        """The anchor records' GeneID field."""
+        return anchor_wrapper.source_field(
+            self.mapping_module.to_local_label(anchor_wrapper.name, "GeneID")
         )
-        return record.get(anchor_wrapper.source_field(key_local))
 
     # -- combination into the integrated OEM view --------------------------------------
 
@@ -1590,7 +1364,6 @@ class Executor:
             request = self._fetch_request(
                 ((key_local, "in", ordered),) if batched else (),
                 purpose="enrichment" if batched else "enrichment-full",
-                columnar=False,
             )
             pending.append(
                 (step, wrapper, cached, missing, key_field, request,
@@ -1675,7 +1448,7 @@ class Executor:
         from repro.navigation.links import url_for
 
         links_object = graph.attach_complex(gene, "Links")
-        anchor_id = self._anchor_id(anchor_wrapper, record)
+        anchor_id = record.get(self._anchor_field(anchor_wrapper))
         graph.attach_atomic(
             links_object,
             "Self",

@@ -36,7 +36,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from repro.sources.batch import RecordBatch
 from repro.trace.recorder import NULL_RECORDER
 from repro.util.cancel import RequestBudget
 from repro.util.clock import default_clock
@@ -91,10 +90,6 @@ class FetchRequest:
     deadline: Optional[float] = None
     retries: Optional[int] = None
     backoff: Optional[float] = None
-    #: Ask the wrapper for a columnar
-    #: :class:`~repro.sources.batch.RecordBatch` instead of a record
-    #: list (the reply's ``records`` carries the batch).
-    columnar: bool = False
     #: Stage-scheduler shard pin ``(index, count)``: the wrapper
     #: serves only partition ``index`` of a ``count``-way shard grid
     #: (``None`` fetches the whole extent).  Participates in equality
@@ -152,9 +147,7 @@ class FetchReply:
 
     source: str
     request: FetchRequest
-    #: Tuple of record dicts — or one :class:`RecordBatch` for a
-    #: columnar request (``len(reply.records)`` counts rows either
-    #: way).
+    #: Tuple of record dicts.
     records: Any = ()
     status: str = "ok"
     attempts: Tuple[FetchAttempt, ...] = ()
@@ -431,11 +424,7 @@ class FederatedFetcher:
                 FetchAttempt(number + 1, elapsed, outcome, attempt_error)
             )
             if outcome == "ok":
-                records = (
-                    result
-                    if isinstance(result, RecordBatch)
-                    else tuple(result)
-                )
+                records = tuple(result)
                 status, error = "ok", None
                 break
             status, error = outcome, attempt_error

@@ -28,7 +28,7 @@ class Mediator:
 
     def __init__(self, global_schema=None, matcher=None,
                  optimizer_options=None, reconciler=None, federation=None,
-                 columnar=True, artifacts=None):
+                 artifacts=None):
         self.global_schema = global_schema or GlobalSchema()
         self.mapping_module = MappingModule(
             global_schema=self.global_schema,
@@ -41,9 +41,6 @@ class Mediator:
         #: every executor this mediator builds.
         self.federation = federation or FederationPolicy()
         self._fetcher = FederatedFetcher(self.federation)
-        #: Columnar batch execution across the wrapper boundary (the
-        #: default); ``False`` restores record-at-a-time fetches.
-        self.columnar = columnar
         #: Optional content-addressed stage artifact store
         #: (:class:`~repro.mediator.artifacts.ArtifactStore`), shared
         #: by every execution; ``None`` disables stage reuse.
@@ -178,9 +175,7 @@ class Mediator:
         attributes enumerate which rules fired and which were skipped.
         """
         decomposer = QueryDecomposer(self.mapping_module)
-        optimizer = Optimizer(
-            self._wrappers, self.optimizer_options, columnar=self.columnar
-        )
+        optimizer = Optimizer(self._wrappers, self.optimizer_options)
         with recorder.span("decompose") as span:
             subqueries = decomposer.decompose(query)
             logical = decomposer.logical_plan(
@@ -251,8 +246,7 @@ class Mediator:
                 enrichment_cache=fetch_cache,
                 enrichment_cache_lock=self._fetch_cache_lock,
                 fetcher=self._fetcher, policy=self.federation,
-                columnar=self.columnar, artifacts=self.artifacts,
-                budget=budget,
+                artifacts=self.artifacts, budget=budget,
             )
             result = executor.execute(
                 plan, query, enrich_links=enrich_links, recorder=recorder

@@ -59,11 +59,11 @@ def __getattr__(name):
 class Optimizer:
     """Plan subqueries against a registry of wrappers."""
 
-    def __init__(self, wrappers_by_name, options=None, columnar=True):
+    def __init__(self, wrappers_by_name, options=None):
         self.wrappers = wrappers_by_name
         self.options = options or OptimizerOptions()
         self._rules = RuleOptimizer(self.wrappers, self.options)
-        self._planner = PhysicalPlanner(self.wrappers, columnar=columnar)
+        self._planner = PhysicalPlanner(self.wrappers)
 
     def build_logical(self, subqueries, select=()):
         """The unoptimized logical tree for decomposed subqueries."""

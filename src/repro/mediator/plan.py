@@ -20,7 +20,7 @@ three explicit layers instead of one ad-hoc structure:
    (lint rule ANN006 enforces that nothing mutates a node in place).
 3. **Physical plan** — :class:`PhysicalPlanner` lowers the optimized
    tree to a :class:`PhysicalPlan`: a DAG of executable stages on the
-   existing ``RecordBatch``/artifact boundaries.  Each
+   existing fetch/artifact boundaries.  Each
    :class:`FetchStage` carries everything the executor needs (pushed/
    residual/closure conditions, link join shape, semijoin driver), and
    its :meth:`FetchStage.fingerprint` is the exact content-address
@@ -975,10 +975,6 @@ class PhysicalPlan:
     #: Index into ``link_steps`` of the semijoin driving step, when
     #: the anchor carries a semijoin spec.
     driver_index: Optional[int] = None
-    #: Whether execution crosses the wrapper boundary in columnar
-    #: RecordBatch replies (advisory: the executor binds the actual
-    #: mode at run time).
-    columnar: bool = True
 
     def steps(self) -> List[FetchStage]:
         return [self.anchor] + list(self.link_steps)
@@ -1066,7 +1062,6 @@ class PhysicalPlan:
         nodes, edges = self._dag()
         return {
             "estimated_cost": self.estimated_cost,
-            "columnar": self.columnar,
             "logical": (
                 None if self.logical is None else self.logical.to_dict()
             ),
@@ -1117,13 +1112,8 @@ class PhysicalPlanner:
     closure is a planning error, not an execution one.
     """
 
-    def __init__(
-        self,
-        wrappers: Mapping[str, WrapperLike],
-        columnar: bool = True,
-    ) -> None:
+    def __init__(self, wrappers: Mapping[str, WrapperLike]) -> None:
         self.wrappers = wrappers
-        self.columnar = columnar
 
     def lower(
         self,
@@ -1188,7 +1178,6 @@ class PhysicalPlanner:
             logical=logical,
             rules=rules if rules is not None else RuleReport(),
             driver_index=driver_index,
-            columnar=self.columnar,
         )
 
     @staticmethod

@@ -9,9 +9,8 @@ per partition — all shipped through the existing
 :class:`~repro.mediator.fetch.FederatedFetcher` pool, so the fan-out
 inherits its concurrency, retry and deterministic job-order
 semantics — and merges the shard partials back into one reply (record
-tuples concatenate; columnar partials merge via
-:meth:`~repro.sources.batch.RecordBatch.concat`).  Replica placement
-happens below, inside
+tuples concatenate in shard order).  Replica placement happens below,
+inside
 :class:`~repro.mediator.replicas.ReplicaSet`: the scheduler pins the
 shard, the replica set maps ``shard_index % replica_count`` onto a
 replica and fails over to siblings, and only when every replica
@@ -33,7 +32,6 @@ from dataclasses import dataclass, replace
 from typing import Any, List, Sequence
 
 from repro.mediator.fetch import FetchReply, FetchRequest
-from repro.sources.batch import RecordBatch
 
 
 @dataclass(frozen=True)
@@ -150,22 +148,9 @@ class StageScheduler:
         failed = next((part for part in parts if not part.ok), None)
         records: Any = ()
         if failed is None:
-            if any(
-                isinstance(part.records, RecordBatch) for part in parts
-            ):
-                records = RecordBatch.concat(
-                    [
-                        part.records
-                        if isinstance(part.records, RecordBatch)
-                        else RecordBatch.from_records(list(part.records))
-                        for part in parts
-                    ]
-                )
-            else:
-                merged: List[Any] = []
-                for part in parts:
-                    merged.extend(part.records)
-                records = tuple(merged)
+            records = tuple(
+                record for part in parts for record in part.records
+            )
         return FetchReply(
             source=source,
             request=request,

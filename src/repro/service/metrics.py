@@ -39,6 +39,39 @@ SERVICE_COUNTERS = (
 )
 
 
+def execution_counters(stats: Any,
+                       reconciliation: Any = None) -> Dict[str, int]:
+    """One answered request's value for every registered counter.
+
+    ``stats`` is the result's
+    :class:`~repro.mediator.executor.ExecutionStats`.  Each
+    :data:`~repro.trace.metrics.METRICS` name is read from the
+    same-named stats field, so the endpoint's pipeline section reads
+    exactly like a summed trace and a newly registered counter reaches
+    ``/metrics`` without an edit here.  Only the four names without a
+    flat stats field are derived: ``rows`` and ``attempts`` from the
+    per-source reports, ``conflicts`` and ``repaired`` from the
+    reconciliation report.
+    """
+    derived = {
+        "rows": stats.total_rows_fetched(),
+        "attempts": sum(
+            report.attempts for report in stats.source_reports.values()
+        ),
+        "conflicts": (
+            0 if reconciliation is None else reconciliation.count()
+        ),
+        "repaired": (
+            0 if reconciliation is None
+            else reconciliation.repaired_count()
+        ),
+    }
+    return {
+        name: derived[name] if name in derived else getattr(stats, name)
+        for name in METRICS.names()
+    }
+
+
 class ServiceMetrics:
     """Thread-safe accounting behind the ``/metrics`` endpoint."""
 
@@ -68,39 +101,9 @@ class ServiceMetrics:
 
     def merge_execution(self, stats: Any,
                         reconciliation: Any = None) -> None:
-        """Fold one answered request's pipeline accounting in.
-
-        ``stats`` is the result's
-        :class:`~repro.mediator.executor.ExecutionStats`; every value
-        lands under the matching registry name, so the endpoint's
-        pipeline section reads exactly like a summed trace.
-        """
-        attempts = sum(
-            report.attempts for report in stats.source_reports.values()
-        )
-        merged = {
-            "rows": stats.total_rows_fetched(),
-            "attempts": attempts,
-            "retries": stats.retries,
-            "timeouts": stats.timeouts,
-            "residual_evaluations": stats.residual_evaluations,
-            "concurrent_batches": stats.concurrent_batches,
-            "batched_fetches": stats.batched_fetches,
-            "enrichment_cache_hits": stats.enrichment_cache_hits,
-            "anchors_considered": stats.anchors_considered,
-            "anchors_returned": stats.anchors_returned,
-            "index_hits": stats.index_hits,
-            "scan_fetches": stats.scan_fetches,
-            "indexes_rebuilt": stats.indexes_rebuilt,
-            "indexes_adopted": stats.indexes_adopted,
-            "batch_rows": stats.batch_rows,
-            "artifact_hits": stats.artifact_hits,
-            "artifact_misses": stats.artifact_misses,
-            "artifact_bytes": stats.artifact_bytes,
-        }
-        if reconciliation is not None:
-            merged["conflicts"] = reconciliation.count()
-            merged["repaired"] = reconciliation.repaired_count()
+        """Fold one answered request's pipeline accounting in (see
+        :func:`execution_counters`)."""
+        merged = execution_counters(stats, reconciliation)
         with self._lock:
             for name, value in merged.items():
                 self._pipeline[name] += value

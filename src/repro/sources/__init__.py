@@ -22,7 +22,6 @@ reconciliation experiment measures.
 """
 
 from repro.sources.base import DataSource, NativeCondition
-from repro.sources.batch import RecordBatch
 from repro.sources.corpus import AnnotationCorpus, CorpusParameters
 
 __all__ = [
@@ -30,5 +29,4 @@ __all__ = [
     "CorpusParameters",
     "DataSource",
     "NativeCondition",
-    "RecordBatch",
 ]

@@ -42,7 +42,6 @@ import warnings
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.sources.batch import RecordBatch
 from repro.util.errors import QueryError
 from repro.util.locks import make_counters, new_lock
 
@@ -245,100 +244,6 @@ class DataSource(abc.ABC):
                 matched.append(dict(record))
         return matched
 
-    def native_query_batch(
-        self,
-        conditions: Iterable[NativeCondition] = (),
-        use_index: Optional[bool] = None,
-    ) -> RecordBatch:
-        """The columnar twin of :meth:`native_query`.
-
-        Answers the same conditions over the same index/scan decision
-        (and bumps the same fetch counters), but gathers matching row
-        positions out of a columnar materialization of the extent
-        instead of copying one dict per record —
-        ``native_query_batch(cs).to_records() == native_query(cs)``
-        holds for every supported condition list, in the same order.
-
-        Freshness mirrors :meth:`native_query` path by path: the index
-        route reads the per-version column cache (the twin of the
-        index snapshot its positions refer into), while the scan route
-        re-reads ``records()`` on every call and pivots only the
-        records surviving its conditions.  The
-        index, the column cache and the counters are all taken under a
-        single hold of the fetch mutex; the column cache is immutable
-        per version, so the position gather runs outside the lock.
-        """
-        conditions = list(conditions)
-        for condition in conditions:
-            if not self.supports(condition):
-                raise QueryError(
-                    f"source {self.name!r} cannot evaluate "
-                    f"{condition.render()} natively"
-                )
-        counters = self._fetchpath_counters()
-        indexes_on = self.use_indexes if use_index is None else use_index
-        driver: Optional[NativeCondition] = None
-        if indexes_on:
-            indexable = set(self.indexed_fields())
-            driver = next(
-                (
-                    condition
-                    for condition in conditions
-                    if condition.op in ("=", "in")
-                    and condition.field in indexable
-                ),
-                None,
-            )
-        index: Optional[EqualityIndex] = None
-        extent: Optional[RecordBatch] = None
-        with self._fetch_mutex():
-            if driver is not None:
-                index = self._equality_index_locked(driver.field)
-            if index is not None:
-                counters["index_hits"] += 1
-                extent = self._columns_locked()
-            else:
-                counters["scan_queries"] += 1
-        if index is None:
-            # The scan path evaluates conditions per record first —
-            # exactly native_query's scan over ``records()``, so stores
-            # mutated in place (no version bump) stay visible — and
-            # pivots only the survivors: a selective columnar scan
-            # costs the record scan plus a pivot of its result, never a
-            # pivot of the whole extent.
-            matched = [
-                record
-                for record in self.records()
-                if all(
-                    _evaluate(record.get(condition.field), condition)
-                    for condition in conditions
-                )
-            ]
-            return self._extent_batch(matched)
-        assert driver is not None
-        probe_values = (
-            driver.value if driver.op == "in" else (driver.value,)
-        )
-        positions: set = set()
-        for value in probe_values:
-            for key in _probe_keys(value):
-                positions.update(index.get(key, ()))
-        keep = sorted(positions)
-        rest = [
-            condition
-            for condition in conditions
-            if condition is not driver
-        ]
-        assert extent is not None
-        for condition in rest:
-            values = extent.values(condition.field)
-            keep = [
-                position
-                for position in keep
-                if _evaluate(values[position], condition)
-            ]
-        return extent.take(keep)
-
     # -- equality indexes ----------------------------------------------------
 
     def equality_index(self, field: str) -> Optional[EqualityIndex]:
@@ -507,35 +412,6 @@ class DataSource(abc.ABC):
         if state["snapshot"] is None:
             state["snapshot"] = self.records()
         return state["snapshot"]
-
-    def _columns_locked(self) -> RecordBatch:
-        """One columnar extent per version, cached beside the index
-        snapshot (a mutation bumps ``version`` and discards both
-        together); caller holds the fetch mutex.  The batch's content
-        is frozen — its internal pivot cache fills idempotently from
-        the version's snapshot (see :mod:`repro.sources.batch`) — so
-        callers may gather from it outside the lock."""
-        state = self._index_state_locked()
-        extent = state.get("columns")
-        if extent is None:
-            extent = self._extent_batch(self._index_snapshot_locked())
-            state["columns"] = extent
-        return extent
-
-    def _extent_batch(self, snapshot: List[Record]) -> RecordBatch:
-        """``snapshot`` as one RecordBatch, fields in schema order with
-        any extra record keys appended in first-seen order (so the
-        fields cover every record and row views skip projection)."""
-        ordered: Dict[str, None] = {
-            field: None for field in self.fields()
-        }
-        for record in snapshot:
-            for key in record:
-                if key not in ordered:
-                    ordered[key] = None
-        return RecordBatch.from_records(
-            snapshot, fields=tuple(ordered), covering=True
-        )
 
     def _fetchpath_counters(self) -> Dict[str, int]:
         counters = self.__dict__.get("_fetchpath_counts")

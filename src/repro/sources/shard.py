@@ -6,23 +6,22 @@ shape to the flat-file stores without touching their callers:
 
 - :class:`SourceShard` — one frozen key-range partition of a store's
   extent, itself a full :class:`~repro.sources.base.DataSource`, so it
-  inherits the version-keyed equality indexes, the columnar extent
-  cache and the ``export_index_state``/``adopt_index_state`` snapshot
-  machinery per shard for free.
+  inherits the version-keyed equality indexes and the
+  ``export_index_state``/``adopt_index_state`` snapshot machinery per
+  shard for free.
 - :class:`ShardedSource` — the facade a wrapper plugs in instead of
   the base store.  It satisfies the whole contract (``native_query``,
-  ``native_query_batch``, index-state export/adopt, ``fetch_stats``),
-  delegating un-partitioned concerns (``records``, ``count``,
-  ``version``, store mutation, ontology navigation) straight to the
-  base store, so wrappers, artifact keys and the columnar path work
-  unchanged.
+  index-state export/adopt, ``fetch_stats``), delegating
+  un-partitioned concerns (``records``, ``count``, ``version``, store
+  mutation, ontology navigation) straight to the base store, so
+  wrappers and artifact keys work unchanged.
 
 Equivalence guarantee
 ---------------------
 Shards are *contiguous ranges of the store's canonical record order*
 (the flat-file stores enumerate ``records()`` in sorted key order, so
-the ranges are key ranges).  Both native-query paths of the base
-contract preserve that order — the index path returns matches in
+the ranges are key ranges).  Both routes of the base contract's
+``native_query`` preserve that order — the index path returns matches in
 sorted-position order, the scan path in ``records()`` order — so
 concatenating the per-shard results of any condition list in shard
 order reproduces the unsharded result byte for byte.  The shard
@@ -48,7 +47,6 @@ from repro.sources.base import (
     NativeCondition,
     Record,
 )
-from repro.sources.batch import RecordBatch
 
 
 class SourceShard(DataSource):
@@ -58,8 +56,8 @@ class SourceShard(DataSource):
     fixed at partition time and its ``version`` never moves (the
     owning :class:`ShardedSource` replaces the whole shard set when
     the base store mutates).  Inheriting :class:`DataSource` gives it
-    the per-shard equality indexes, columnar extent cache, fetch
-    counters and index-state snapshots.
+    the per-shard equality indexes, fetch counters and index-state
+    snapshots.
     """
 
     def __init__(
@@ -113,10 +111,9 @@ class ShardedSource(DataSource):
     places fetches on:
 
     - :attr:`shard_count` / :meth:`shard` — the partition grid;
-    - :meth:`shard_query` / :meth:`shard_query_batch` — one
-      partition's slice of a native query (the wrapper routes
-      shard-pinned :class:`~repro.mediator.fetch.FetchRequest`\\ s
-      here);
+    - :meth:`shard_query` — one partition's slice of a native query
+      (the wrapper routes shard-pinned
+      :class:`~repro.mediator.fetch.FetchRequest`\\ s here);
     - :meth:`export_index_state` / :meth:`adopt_index_state` — a
       sharded envelope of per-shard snapshots, schema-gated exactly
       like the flat ``*.idx`` machinery it reuses.
@@ -239,17 +236,6 @@ class ShardedSource(DataSource):
             conditions, use_index=self._use_index(use_index)
         )
 
-    def shard_query_batch(
-        self,
-        index: int,
-        conditions: Iterable[NativeCondition] = (),
-        use_index: Optional[bool] = None,
-    ) -> RecordBatch:
-        """One partition's slice of ``native_query_batch``."""
-        return self.shard(index).native_query_batch(
-            conditions, use_index=self._use_index(use_index)
-        )
-
     # -- whole-extent queries (shard-order concatenation) ---------------------
 
     def native_query(
@@ -264,21 +250,6 @@ class ShardedSource(DataSource):
                 self.shard_query(index, conditions, use_index=use_index)
             )
         return matched
-
-    def native_query_batch(
-        self,
-        conditions: Iterable[NativeCondition] = (),
-        use_index: Optional[bool] = None,
-    ) -> RecordBatch:
-        conditions = list(conditions)
-        return RecordBatch.concat(
-            [
-                self.shard_query_batch(
-                    index, conditions, use_index=use_index
-                )
-                for index in range(self.shard_count)
-            ]
-        )
 
     # -- sharded index snapshots ----------------------------------------------
 

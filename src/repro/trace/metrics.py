@@ -142,11 +142,6 @@ METRICS.register(
     description="equality indexes adopted from a persisted snapshot",
 )
 METRICS.register(
-    "batch_rows", stage="execute",
-    description="rows that crossed the wrapper boundary in columnar "
-                "RecordBatch replies",
-)
-METRICS.register(
     "artifact_hits", stage="execute",
     description="executor stages skipped via a content-addressed "
                 "artifact",

@@ -11,30 +11,8 @@ import abc
 from repro.oem.graph import OEMGraph
 from repro.oem.types import OEMType
 from repro.sources.base import NativeCondition
-from repro.sources.batch import RecordBatch
 from repro.util.errors import QueryError
 from repro.wrappers.schema import elements_from_mapping
-
-
-def _batch_capable(source):
-    """True when ``source.native_query_batch`` honours whatever
-    ``native_query`` does.
-
-    The first class on the MRO defining either method decides: if it
-    defines the batch twin, the pair is coherent; if it defines only
-    ``native_query`` (an override without a batch twin — common in
-    test doubles injecting faults), the record path must stay
-    authoritative.  An instance-level ``native_query`` patch always
-    wins over any class-level batch method.
-    """
-    if "native_query" in getattr(source, "__dict__", ()):
-        return False
-    for klass in type(source).__mro__:
-        if "native_query_batch" in vars(klass):
-            return True
-        if "native_query" in vars(klass):
-            return False
-    return False
 
 
 class Wrapper(abc.ABC):
@@ -176,13 +154,8 @@ class Wrapper(abc.ABC):
         ``conditions`` attribute of ``(label, op, value)`` triples —
         duck-typed so this module never imports the mediator layer).
         Raw condition sequences raise ``TypeError``: the pre-request
-        shim is gone.
-
-        A request with ``columnar=True`` returns a
-        :class:`~repro.sources.batch.RecordBatch` instead of a record
-        list.  The dispatch lives *here* — not in the fetcher — so
-        fault-injecting decorators (``FlakyWrapper``) that intercept
-        ``fetch`` stay in the columnar path too.
+        shim is gone.  A shard-pinned request (``request.shard`` set by
+        the stage scheduler) returns that partition's slice.
         """
         conditions = getattr(request, "conditions", None)
         if conditions is None:
@@ -193,11 +166,7 @@ class Wrapper(abc.ABC):
             )
         shard = getattr(request, "shard", None)
         if shard is not None:
-            return self._fetch_shard(
-                shard, conditions, getattr(request, "columnar", False)
-            )
-        if getattr(request, "columnar", False):
-            return self._fetch_native_batch(conditions)
+            return self._fetch_shard(shard, conditions)
         return self._fetch_native(conditions)
 
     @property
@@ -206,7 +175,7 @@ class Wrapper(abc.ABC):
         the stage scheduler reads to plan fan-out."""
         return getattr(self.source, "shard_count", 1)
 
-    def _fetch_shard(self, shard, conditions, columnar):
+    def _fetch_shard(self, shard, conditions):
         """One partition's slice of a shard-pinned request.
 
         A sharded source answers from the pinned partition; an
@@ -220,36 +189,15 @@ class Wrapper(abc.ABC):
             getattr(source, "shard_count", 1) > 1
             and hasattr(source, "shard_query")
         ):
-            if columnar and _batch_capable(source):
-                return source.shard_query_batch(shard[0], translated)
             return source.shard_query(shard[0], translated)
         if shard[0] != 0:
-            return RecordBatch.empty() if columnar else []
-        if columnar:
-            return self._fetch_native_batch(conditions)
+            return []
         return source.native_query(translated)
 
     def _fetch_native(self, conditions):
         """The pushdown fetch behind :meth:`fetch` (no shim, no
         deprecation — internal callers pass condition triples)."""
         return self.source.native_query(self.translate_conditions(conditions))
-
-    def _fetch_native_batch(self, conditions):
-        """Columnar pushdown: the source's ``native_query_batch`` when
-        it can be trusted, else its record list pivoted into a batch
-        (so custom sources stay pluggable without implementing the
-        columnar contract).
-
-        "Trusted" means ``native_query_batch`` is defined at least as
-        derived as ``native_query`` on the source's class — a source
-        (or test double) that overrides only ``native_query`` keeps
-        its behaviour on the columnar path instead of being silently
-        bypassed by an inherited or ``__getattr__``-delegated batch
-        twin."""
-        translated = self.translate_conditions(conditions)
-        if _batch_capable(self.source):
-            return self.source.native_query_batch(translated)
-        return RecordBatch.from_records(self.source.native_query(translated))
 
     def count(self):
         return self.source.count()

@@ -309,7 +309,6 @@ class TestAnswerStage:
         assert warm.stats.artifact_hits == 1
         assert warm.stats.artifact_misses == 0
         # Nothing below the answer stage ran on the repeat.
-        assert warm.stats.batch_rows == 0
         assert warm.stats.anchors_considered == 0
         assert warm.gene_ids() == cold.gene_ids()
 

@@ -61,7 +61,6 @@ GRID_INDEPENDENT_STATS = (
     "enrichment_cache_hits",
     "retries",
     "timeouts",
-    "batch_rows",
     "degraded_sources",
 )
 

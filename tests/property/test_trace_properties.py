@@ -244,7 +244,6 @@ class TestCountersReconcile:
             "concurrent_batches": stats.concurrent_batches,
             "conflicts": result.reconciliation.count(),
             "repaired": result.reconciliation.repaired_count(),
-            "batch_rows": stats.batch_rows,
             "artifact_hits": stats.artifact_hits,
             "artifact_misses": stats.artifact_misses,
             "artifact_bytes": stats.artifact_bytes,

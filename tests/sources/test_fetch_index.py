@@ -176,6 +176,21 @@ class TestInvalidation:
         )
         assert again["Symbol"] == "FOSB"
 
+    def test_scan_path_sees_in_place_mutation(self, store):
+        """Stores mutated in place (no version bump) stay visible to
+        scans: the scan re-reads ``records()`` instead of the
+        per-version index snapshot."""
+        store.native_query(
+            [NativeCondition("LocusID", "=", 2354)], use_index=True
+        )  # warm the per-version index state
+        store.get(2354).pubmed_ids.append(99999)
+        [mutated] = [
+            record
+            for record in store.native_query([])
+            if record["LocusID"] == 2354
+        ]
+        assert 99999 in mutated["PubmedIDs"]
+
 
 class TestAccounting:
     def test_index_hits_counted(self, store):

@@ -52,19 +52,6 @@ class TestQueryEquivalence:
                 conditions, use_index=use_index
             ) == base.native_query(conditions, use_index=use_index)
 
-    @pytest.mark.parametrize("shard_count", [1, 3, 4])
-    @pytest.mark.parametrize(
-        "conditions", CONDITION_SHAPES, ids=lambda c: str(len(c))
-    )
-    def test_batch_twin_matches_base(self, corpus, shard_count,
-                                     conditions):
-        base = corpus.locuslink
-        sharded = ShardedSource(base, shard_count)
-        ours = sharded.native_query_batch(conditions)
-        reference = base.native_query_batch(conditions)
-        assert ours.fields == reference.fields
-        assert ours.to_records() == reference.to_records()
-
     def test_shards_partition_the_extent(self, corpus):
         sharded = ShardedSource(corpus.go, 4)
         pieces = [shard.records() for shard in sharded.shards()]

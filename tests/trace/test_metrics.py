@@ -45,7 +45,7 @@ class TestGlobalRegistry:
         "enrichment_cache_hits", "anchors_considered", "anchors_returned",
         "conflicts", "repaired", "index_hits", "scan_fetches",
         "indexes_rebuilt", "indexes_adopted",
-        "batch_rows", "artifact_hits", "artifact_misses", "artifact_bytes",
+        "artifact_hits", "artifact_misses", "artifact_bytes",
         "shard_fans", "replica_failovers",
     }
 
