@@ -24,11 +24,13 @@ Two tiers back the store:
 A payload stored with ``live=True`` additionally keeps the payload
 *object itself* alongside the blob in the memory tier, and ``get``
 returns that object by reference instead of unpickling a copy.  This
-exists for the answer-construction stage, whose payload (an OEM
-answer graph) is far more expensive to rebuild from bytes than to
-share — the same sharing contract as the mediator's result cache:
-callers treat a returned live payload as immutable.  When the store
-has no disk tier, a live put skips serialization entirely.
+exists for the answer-construction stage, whose payload — the
+translated gene rows, the :class:`~repro.mediator.view.AnswerView`
+the OEM view is built from on first read, and the reconciliation
+issues — is cheaper to share than to rebuild from bytes: the same
+sharing contract as the mediator's result cache, so callers treat a
+returned live payload as immutable.  When the store has no disk tier,
+a live put skips serialization entirely.
 
 Invalidation needs no clocks and no sweeps: a mutated source bumps its
 ``version``, every stage key over that source changes, and stale
@@ -55,11 +57,13 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 from repro.sources.persistence import write_atomic
 from repro.util.locks import make_counters, new_lock
 
-#: Version of the artifact key recipe *and* the on-disk envelope.
-#: Bumped whenever either changes shape, so artifacts written by a
-#: different code line can never be misread — their keys simply never
-#: match.
-ARTIFACT_SCHEMA = 1
+#: Version of the artifact key recipe, the on-disk envelope *and* the
+#: stage payload shapes.  Bumped whenever any of them changes, so
+#: artifacts written by a different code line can never be misread —
+#: their keys simply never match.  Schema 2: the answer payload holds
+#: the view's inputs instead of an OEM graph, and enrichment entries
+#: hold only the detail pairs the view shows.
+ARTIFACT_SCHEMA = 2
 
 #: First line of every on-disk artifact file.
 _MAGIC = b"annoda-artifact/1"

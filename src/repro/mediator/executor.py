@@ -1,10 +1,12 @@
-"""Plan execution: fetch through wrappers, reconcile, combine into OEM.
+"""Plan execution: fetch through wrappers, reconcile, combine.
 
 The executor realizes the federated promise of section 3.1: it ships
 each plan step to the owning wrapper, evaluates residual predicates at
 the mediator, applies the reconciler while joining link constraints,
-and materializes one integrated OEM answer graph — *"their results
-combined before being returned to the user"*.
+and combines the results into one integrated answer — *"their results
+combined before being returned to the user"*.  The answer's OEM view
+is built from its :class:`~repro.mediator.view.AnswerView` when first
+read, not here.
 
 Per-source fetches go through the :mod:`repro.mediator.fetch`
 protocol: independent steps (link-step anchor retrieval, enrichment
@@ -25,8 +27,7 @@ from repro.mediator.fetch import (
     FetchRequest,
 )
 from repro.mediator.scheduler import StageScheduler
-from repro.oem.graph import OEMGraph
-from repro.oem.types import OEMType
+from repro.mediator.view import LINK_CHILD_LABELS, AnswerView, link_detail
 from repro.sources.base import NativeCondition, _evaluate
 from repro.trace.recorder import NULL_RECORDER
 from repro.util.errors import IntegrationError
@@ -241,7 +242,13 @@ class ExecutionReport:
 
 
 class IntegratedResult:
-    """One integrated answer: OEM view + plain records + diagnostics.
+    """One integrated answer: plain records + OEM view + diagnostics.
+
+    ``result.genes`` are the translated gene rows.  ``result.graph``
+    and ``result.root`` are the integrated OEM view, built from
+    ``result.view`` (an :class:`~repro.mediator.view.AnswerView`) on
+    the first read of either — once per result, even when the result
+    cache hands the same result to many threads.
 
     ``result.report`` is the unified :class:`ExecutionReport`;
     ``result.reconciliation`` the
@@ -251,10 +258,11 @@ class IntegratedResult:
     ``result.report``.
     """
 
-    def __init__(self, graph, root, genes, reconciliation, stats, plan):
-        self.graph = graph
-        self.root = root
+    def __init__(self, genes, view, reconciliation, stats, plan):
         self.genes = genes
+        self.view = view
+        self._built = None
+        self._build_lock = new_lock("IntegratedResult._build_lock")
         self.reconciliation = reconciliation
         self.stats = stats
         self.report = ExecutionReport(stats, reconciliation)
@@ -263,9 +271,11 @@ class IntegratedResult:
         #: :class:`~repro.trace.recorder.Span`), set by the mediator
         #: when the query ran with tracing on; ``None`` otherwise.
         self.trace = None
-        #: Set by the mediator when this (shared) result was served
-        #: from its result cache; consumers accounting for execution
-        #: work (e.g. service metrics) use it to skip warm replays.
+        #: Set by the mediator once this (shared) result has been
+        #: served from its result cache.  The flag lives on the shared
+        #: object, so it says nothing about which serving was the
+        #: miss: accounting that must count each execution once (the
+        #: service's ``/metrics``) tracks result objects instead.
         self.from_result_cache = False
         # GeneID -> gene dict, first occurrence winning, so lookups are
         # O(1) instead of a scan per call.
@@ -275,6 +285,22 @@ class IntegratedResult:
 
     def __len__(self):
         return len(self.genes)
+
+    def _graph_and_root(self):
+        with self._build_lock:
+            if self._built is None:
+                self._built = self.view.build(self.genes)
+            return self._built
+
+    @property
+    def graph(self):
+        """The integrated OEM view (an :class:`~repro.oem.graph.OEMGraph`)."""
+        return self._graph_and_root()[0]
+
+    @property
+    def root(self):
+        """The view's ``IntegratedView`` root object."""
+        return self._graph_and_root()[1]
 
     def gene_ids(self):
         return [gene["GeneID"] for gene in self.genes]
@@ -562,8 +588,7 @@ class Executor:
             if answer is not None:
                 report.issues.extend(answer["issues"])
                 return IntegratedResult(
-                    answer["graph"], answer["root"], answer["genes"],
-                    report, stats, plan,
+                    answer["genes"], answer["view"], report, stats, plan,
                 )
 
         # -- stage placement ------------------------------------------------
@@ -717,7 +742,7 @@ class Executor:
         with recorder.span(
             "navigate", attributes={"enrich": bool(enrich_links)}
         ) as navigate_span:
-            genes, graph, root = self._combine(
+            genes, view = self._combine(
                 plan, query, anchor_wrapper, surviving, matched_links,
                 enrich_links, stats, recorder,
             )
@@ -733,15 +758,14 @@ class Executor:
                 answer_key,
                 {
                     "genes": genes,
-                    "graph": graph,
-                    "root": root,
+                    "view": view,
                     "issues": list(report.issues),
                 },
                 stats,
                 sources=self._plan_sources(plan),
                 live=True,
             )
-        return IntegratedResult(graph, root, genes, report, stats, plan)
+        return IntegratedResult(genes, view, report, stats, plan)
 
     # -- fetching ---------------------------------------------------------------
 
@@ -1232,21 +1256,22 @@ class Executor:
             self.mapping_module.to_local_label(anchor_wrapper.name, "GeneID")
         )
 
-    # -- combination into the integrated OEM view --------------------------------------
+    # -- combination into the integrated answer ---------------------------------
 
     def _combine(self, plan, query, anchor_wrapper, records, matched_links,
                  enrich_links, stats, recorder=NULL_RECORDER):
-        graph = OEMGraph("integrated-view")
-        root = graph.new_complex()
-        graph.set_root("IntegratedView", root)
-
-        enrichment = {}
+        """The answer's translated gene rows and its
+        :class:`~repro.mediator.view.AnswerView`; the OEM view itself
+        is built when first read (:attr:`IntegratedResult.graph`)."""
+        details = {}
         if enrich_links:
-            enrichment = self._enrichment_indexes(
+            details = self._enrichment_indexes(
                 plan, matched_links, stats, recorder
             )
 
+        anchor_field = self._anchor_field(anchor_wrapper)
         genes = []
+        anchor_ids = []
         for record, links_for_record in zip(records, matched_links):
             gene_dict = self.mapping_module.translate_record(
                 anchor_wrapper.name, record, anchor_wrapper
@@ -1259,21 +1284,33 @@ class Executor:
                     if key in query.select or key in ("GeneID", "_links")
                 }
             genes.append(gene_dict)
-            gene_object = self._build_gene(
-                graph, gene_dict, record, anchor_wrapper,
-                links_for_record, enrichment, plan,
-            )
-            graph.add_edge(root, "Gene", gene_object)
-        return genes, graph, root
+            anchor_ids.append(record.get(anchor_field))
+        view = AnswerView(
+            anchor_source=anchor_wrapper.name,
+            anchor_ids=tuple(anchor_ids),
+            link_steps=tuple(
+                (
+                    step.source_name,
+                    step.link.via,
+                    LINK_CHILD_LABELS.get(
+                        step.source_name, step.source_name
+                    ),
+                )
+                for step in plan.link_steps
+            ),
+            details=details,
+        )
+        return genes, view
 
     def _enrichment_indexes(self, plan, matched_links, stats,
                             recorder=NULL_RECORDER):
-        """Per link source: id -> translated record, for view detail.
+        """Per link source: matched id -> detail pairs, for the view.
 
         Only the ids the surviving anchors actually matched are needed,
         so the fetch is a single batched ``in`` over that set (full
-        fetch for wrappers without ``in``), and the translated index is
-        cached on the mediator keyed ``(source, wrapper.version)`` —
+        fetch for wrappers without ``in``), and each record's detail
+        pairs (:func:`~repro.mediator.view.link_detail`) are cached on
+        the mediator keyed ``(source, wrapper.version)`` —
         a repeat query over unchanged sources never re-fetches or
         re-translates, while any source mutation bumps the version and
         misses the cache.  The per-source fetches are independent, so
@@ -1307,11 +1344,11 @@ class Executor:
     def _enrichment_fetch(self, plan, matched_links, stats, recorder):
         """The enrichment body, running inside the ``enrichment``
         span."""
-        indexes = {}
+        # source -> (the shared cache's index, ids the answer matched)
+        wanted = {}
         pending = []
         for step in plan.link_steps:
             if id(step) in self._degraded_steps:
-                indexes.setdefault(step.source_name, {})
                 continue
             wrapper = self.wrappers[step.source_name]
             key_local = self.mapping_module.to_local_label(
@@ -1326,6 +1363,7 @@ class Executor:
             if cached is None:
                 cached = {"index": {}, "known": set(), "complete": False}
                 self._cache_store(cache_key, cached)
+            wanted[step.source_name] = (cached["index"], needed)
             missing = (
                 set()
                 if cached["complete"]
@@ -1337,7 +1375,6 @@ class Executor:
             )
             if not missing:
                 stats.enrichment_cache_hits += 1
-                indexes[step.source_name] = cached["index"]
                 continue
             ordered = tuple(sorted(missing, key=str))
             batched = self.batch_fetch and wrapper.supports(key_local, "in")
@@ -1359,7 +1396,6 @@ class Executor:
                         cached["complete"] = True
                     cached["known"].update(missing)
                     cached["known"].update(cached["index"])
-                    indexes[step.source_name] = cached["index"]
                     continue
             request = self._fetch_request(
                 ((key_local, "in", ordered),) if batched else (),
@@ -1369,9 +1405,23 @@ class Executor:
                 (step, wrapper, cached, missing, key_field, request,
                  batched, artifact_key)
             )
-            indexes[step.source_name] = cached["index"]
-        if not pending:
-            return indexes
+        if pending:
+            self._fetch_enrichment(pending, stats, recorder)
+        # The view keeps its own copy of the matched ids' entries: the
+        # shared index keeps growing, and may be evicted, after this
+        # execution, while the view may be built much later.
+        return {
+            source: {
+                link_id: index[link_id]
+                for link_id in needed
+                if link_id in index
+            }
+            for source, (index, needed) in wanted.items()
+        }
+
+    def _fetch_enrichment(self, pending, stats, recorder):
+        """Fetch the enrichment records no cache tier held, as one
+        concurrent batch, and fold them into the shared cache."""
         replies = self._sched_fetch_all(
             [
                 (wrapper, request)
@@ -1396,10 +1446,11 @@ class Executor:
                 cached["complete"] = True
             added = {}
             for record in reply.records:
-                translated = self.mapping_module.translate_record(
-                    step.source_name, record, wrapper
+                added[record[key_field]] = link_detail(
+                    self.mapping_module.translate_record(
+                        step.source_name, record, wrapper
+                    )
                 )
-                added[record[key_field]] = (translated, record)
             cached["index"].update(added)
             # Ids probed but absent from the source are remembered
             # too, so dangling references never re-fetch.
@@ -1412,63 +1463,3 @@ class Executor:
                     stats,
                     sources=(step.source_name,),
                 )
-        return indexes
-
-    def _build_gene(self, graph, gene_dict, record, anchor_wrapper,
-                    links_for_record, enrichment, plan):
-        gene = graph.new_complex()
-        for key, value in gene_dict.items():
-            if key == "_links" or value in (None, "", []):
-                continue
-            values = value if isinstance(value, list) else [value]
-            for item in values:
-                graph.attach_atomic(gene, key, item)
-        # Linked detail objects (Annotation / Disease / Citation).
-        for step in plan.link_steps:
-            source_index = enrichment.get(step.source_name, {})
-            child_label = _LINK_CHILD_LABELS.get(
-                step.source_name, step.source_name
-            )
-            for link_id in links_for_record.get(step.source_name, ()):
-                child = graph.attach_complex(gene, child_label)
-                graph.attach_atomic(child, step.link.via, link_id)
-                entry = source_index.get(link_id)
-                if entry is not None:
-                    translated, _raw = entry
-                    for key in ("Title", "Aspect", "Inheritance",
-                                "Journal", "Year", "SequenceLength"):
-                        if translated.get(key) not in (None, "", []):
-                            graph.attach_atomic(
-                                child, key, translated[key]
-                            )
-        # Web links for interactive navigation.  Built from the
-        # *reconciled* answer (self + matched link ids), never from the
-        # raw record — raw links may dangle, and the integrated view
-        # must only offer links that resolve.
-        from repro.navigation.links import url_for
-
-        links_object = graph.attach_complex(gene, "Links")
-        anchor_id = record.get(self._anchor_field(anchor_wrapper))
-        graph.attach_atomic(
-            links_object,
-            "Self",
-            url_for(anchor_wrapper.name, anchor_id),
-            OEMType.URL,
-        )
-        for step in plan.link_steps:
-            for link_id in links_for_record.get(step.source_name, ()):
-                graph.attach_atomic(
-                    links_object,
-                    step.source_name,
-                    url_for(step.source_name, link_id),
-                    OEMType.URL,
-                )
-        return gene
-
-
-_LINK_CHILD_LABELS = {
-    "GO": "Annotation",
-    "OMIM": "Disease",
-    "PubMed": "Citation",
-    "SwissProt": "Protein",
-}

@@ -227,9 +227,8 @@ class Mediator:
                 with self._result_cache_lock:
                     cached = self._result_cache.get(cache_key)
                 if cached is not None:
-                    # Mark the (shared) result so callers folding
-                    # execution stats into service metrics can tell a
-                    # warm replay from work actually performed.
+                    # Mark the (shared) result as replayed at least
+                    # once (see IntegratedResult.from_result_cache).
                     cached.from_result_cache = True
                     return cached
         with recorder.span(

@@ -112,9 +112,18 @@ class OEMGraph:
     # -- construction ---------------------------------------------------------
 
     def new_atomic(self, value, oem_type=None):
-        """Create an atomic object; the type tag is inferred if omitted."""
-        resolved = oem_type if oem_type is not None else infer_type(value)
-        obj = OEMObject(self._allocator.allocate(), resolved, value)
+        """Create an atomic object; the type tag is inferred if omitted.
+
+        An explicit tag is validated against ``value``; an inferred one
+        fits it by construction and is not checked twice.
+        """
+        if oem_type is None:
+            oem_type = infer_type(value)
+            obj = OEMObject.inferred(
+                self._allocator.allocate(), oem_type, value
+            )
+        else:
+            obj = OEMObject(self._allocator.allocate(), oem_type, value)
         self._objects[obj.oid] = obj
         return obj
 

@@ -27,9 +27,17 @@ class ObjectRef:
     value knows each child's type without dereferencing it.
     """
 
+    # Declared by hand: ``dataclass(slots=True)`` needs Python 3.10.
+    __slots__ = ("label", "oid", "type")
+
     label: str
     oid: int
     type: OEMType
+
+    def __reduce__(self):
+        # The default reduction of a slotted class restores state by
+        # setattr, which a frozen dataclass refuses.
+        return ObjectRef, (self.label, self.oid, self.type)
 
     def render(self):
         """Render as e.g. ``(Symbol, &4, String)``."""
@@ -70,6 +78,27 @@ class OEMObject:
             self.value = validate_value(value, oem_type)
             self._references = None
             self._reference_set = None
+
+    @classmethod
+    def inferred(cls, oid, oem_type, value):
+        """An atomic object whose ``oem_type`` is ``infer_type(value)``.
+
+        Inference accepts exactly the values :func:`validate_value`
+        passes for the inferred type, so the second check is skipped;
+        only its normalizations remain (``bytearray`` is frozen to
+        ``bytes``, a ``float`` subclass becomes ``float``).
+        """
+        obj = cls.__new__(cls)
+        obj.oid = oid
+        obj.type = oem_type
+        if oem_type is OEMType.REAL:
+            value = float(value)
+        elif isinstance(value, bytearray):
+            value = bytes(value)
+        obj.value = value
+        obj._references = None
+        obj._reference_set = None
+        return obj
 
     # -- classification -----------------------------------------------------
 
@@ -193,5 +222,6 @@ class OEMObject:
 
 def atomic_from_python(oid, value, oem_type=None):
     """Build an atomic object, inferring the type tag when not given."""
-    resolved = oem_type if oem_type is not None else infer_type(value)
-    return OEMObject(oid, resolved, value)
+    if oem_type is None:
+        return OEMObject.inferred(oid, infer_type(value), value)
+    return OEMObject(oid, oem_type, value)

@@ -8,9 +8,9 @@ Two layers back the ``/metrics`` endpoint:
   mapping so the racecheck harness audits every write;
 - **pipeline counters** — the federation's own
   :data:`~repro.trace.metrics.METRICS` registry names, accumulated
-  from each answered request's
-  :class:`~repro.mediator.executor.ExecutionStats` (and, for traced
-  requests, reconcilable against
+  from each answered result's
+  :class:`~repro.mediator.executor.ExecutionStats` exactly once per
+  result object (and, for traced requests, reconcilable against
   :func:`~repro.trace.metrics.counter_totals`).
 
 The snapshot is plain data, JSON-ready for the endpoint.
@@ -18,6 +18,7 @@ The snapshot is plain data, JSON-ready for the endpoint.
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, Dict, Optional
 
 from repro.trace.metrics import METRICS
@@ -87,6 +88,9 @@ class ServiceMetrics:
             self._lock,
             "ServiceMetrics._lock",
         )
+        # Results whose accounting is already folded in; weak, so a
+        # result evicted from every cache is not kept alive here.
+        self._folded: weakref.WeakSet[Any] = weakref.WeakSet()
 
     def add(self, name: str, amount: int = 1) -> None:
         """Bump one service counter."""
@@ -99,12 +103,23 @@ class ServiceMetrics:
             if depth > self._service["queue_high_watermark"]:
                 self._service["queue_high_watermark"] = depth
 
-    def merge_execution(self, stats: Any,
-                        reconciliation: Any = None) -> None:
-        """Fold one answered request's pipeline accounting in (see
-        :func:`execution_counters`)."""
-        merged = execution_counters(stats, reconciliation)
+    def observe_result(self, result: Any) -> None:
+        """Account one served
+        :class:`~repro.mediator.executor.IntegratedResult`.
+
+        The first serving of a result object folds its pipeline
+        accounting in (see :func:`execution_counters`); every later
+        serving of the same object — a result-cache replay that did no
+        new pipeline work — counts in ``result_cache_hits``.  The
+        check and the mark happen under one lock, so a replay that
+        races the serving of its miss cannot take the miss's place.
+        """
+        merged = execution_counters(result.stats, result.reconciliation)
         with self._lock:
+            if result in self._folded:
+                self._service["result_cache_hits"] += 1
+                return
+            self._folded.add(result)
             for name, value in merged.items():
                 self._pipeline[name] += value
 

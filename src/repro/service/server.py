@@ -220,13 +220,9 @@ class AnnodaService:
         )
         if ticket.budget.expired:
             self.metrics.add("deadline_expired")
-        if getattr(result, "from_result_cache", False):
-            # A warm replay of a cached IntegratedResult did no new
-            # pipeline work — folding its ExecutionStats in again would
-            # inflate rows/attempts/fetch counters on every repeat.
-            self.metrics.add("result_cache_hits")
-        else:
-            self.metrics.merge_execution(result.stats, result.reconciliation)
+        # A warm replay of a cached result did no new pipeline work:
+        # the metrics fold each result object's stats in only once.
+        self.metrics.observe_result(result)
         body = self._envelope(ticket, outcome=outcome)
         body["result"] = {
             "gene_count": len(result.genes),

@@ -54,11 +54,12 @@ PINNED_KEY_ARGS = dict(
     extra=("include", True),
 )
 
-#: The digest the recipe produced when this test was written.  If this
+#: The digest the recipe produces at ``ARTIFACT_SCHEMA = 2``.  If this
 #: assertion ever fails, the key recipe changed shape — bump
-#: ARTIFACT_SCHEMA so old artifacts can never be misread.
+#: ARTIFACT_SCHEMA so old artifacts can never be misread (and re-pin
+#: this digest with the bump, as schema 2 did).
 PINNED_DIGEST = (
-    "e427c0eaca564170cefc5f68ed27a27434c68d6c03d64aed9d6dcd4e31350e22"
+    "6654d174f7afd1ab67d541667986210032756f792fec1992becc1c4972905e5f"
 )
 
 

@@ -1,5 +1,8 @@
 """Direct tests of less-traveled OEM model APIs."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.oem import OEMGraph, OEMType
@@ -16,6 +19,48 @@ class TestAtomicFromPython:
     def test_explicit_type(self):
         obj = atomic_from_python(1, "http://x", OEMType.URL)
         assert obj.type is OEMType.URL
+
+    def test_inferred_values_keep_the_validation_normalizations(self):
+        class Ratio(float):
+            pass
+
+        graph = OEMGraph()
+        for build in (
+            lambda value: atomic_from_python(1, value),
+            graph.new_atomic,
+        ):
+            gif = build(bytearray(b"ab"))
+            assert gif.type is OEMType.GIF
+            assert gif.value == b"ab" and type(gif.value) is bytes
+            real = build(Ratio(0.5))
+            assert real.type is OEMType.REAL
+            assert real.value == 0.5 and type(real.value) is float
+
+    def test_explicit_types_are_still_validated(self):
+        graph = OEMGraph()
+        with pytest.raises(DataFormatError):
+            graph.new_atomic(7, OEMType.URL)
+        with pytest.raises(DataFormatError):
+            atomic_from_python(1, True, OEMType.INTEGER)
+        with pytest.raises(DataFormatError):
+            graph.new_atomic(object())
+
+
+class TestObjectRef:
+    def test_slotted_frozen_and_picklable(self):
+        graph = OEMGraph()
+        parent = graph.new_complex()
+        ref = graph.add_edge(parent, "Symbol", graph.new_atomic("FOSB"))
+        assert not hasattr(ref, "__dict__")
+        with pytest.raises(AttributeError):
+            ref.label = "Other"
+        for copied in (
+            pickle.loads(pickle.dumps(ref)),
+            copy.copy(ref),
+            copy.deepcopy(ref),
+        ):
+            assert copied == ref
+            assert hash(copied) == hash(ref)
 
 
 class TestReferenceMutation:

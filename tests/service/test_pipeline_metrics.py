@@ -17,7 +17,12 @@ from repro.sources.corpus import AnnotationCorpus, CorpusParameters
 from repro.trace.metrics import METRICS
 from repro.wrappers import default_wrappers
 
-from tests.service.conftest import PARAMETERS, SEED, make_service
+from tests.service.conftest import (
+    PARAMETERS,
+    SEED,
+    build_annoda,
+    make_service,
+)
 
 
 def _dead_primary_federation(shards=2):
@@ -65,5 +70,40 @@ class TestGridCountersReachMetrics:
             pipeline = service.metrics.snapshot()["pipeline"]
             assert pipeline["replica_failovers"] >= 1
             assert pipeline["shard_fans"] >= 1
+        finally:
+            service.shutdown(drain=True, timeout=30)
+
+
+class TestMissAccounting:
+    def test_replay_racing_its_miss_keeps_the_miss_counted(self):
+        """The mediator marks a cached result as replayed on the shared
+        object.  A replay that lands between the miss storing its
+        result and the service accounting that miss must not turn the
+        miss into a hit: its pipeline work is still folded in once."""
+        annoda = build_annoda()
+        real_ask = annoda.ask
+        calls = []
+
+        def ask_then_replay(question, **kwargs):
+            result = real_ask(question, **kwargs)
+            if not calls:
+                calls.append(question)
+                assert real_ask(question, **kwargs) is result
+            return result
+
+        annoda.ask = ask_then_replay
+        service = make_service(annoda=annoda, workers=1)
+        try:
+            response = service.ask(
+                ServiceRequest(question="figure5b"), timeout=30
+            )
+            assert response.status == 200
+            snapshot = service.metrics.snapshot()
+            assert snapshot["pipeline"]["rows"] > 0
+            assert snapshot["service"]["result_cache_hits"] == 0
+            service.ask(ServiceRequest(question="figure5b"), timeout=30)
+            again = service.metrics.snapshot()
+            assert again["pipeline"] == snapshot["pipeline"]
+            assert again["service"]["result_cache_hits"] == 1
         finally:
             service.shutdown(drain=True, timeout=30)
