@@ -2,16 +2,15 @@
 
 The federated fetch path bottoms out in ``DataSource.native_query``;
 this harness proves the layered optimisation (source equality indexes,
-executor batching, stage artifacts, mediator enrichment caches) pays
-off:
+executor batching, the mediator's version-keyed cache) pays off:
 
 1. **equality fetch** — one ``LocusID =`` native query, equality index
    on vs off, swept over corpus size;
 2. **semijoin execution** — the selective-link semijoin query executed
    with batched ``in`` anchor fetch + indexes vs the seed's per-id
    scan loop (N+1);
-3. **flagship artifact repeat** — the Figure-5(b) query cold vs
-   answered from a warm content-addressed stage artifact store;
+3. **flagship cache repeat** — the Figure-5(b) query cold (a cache
+   miss) vs answered from the mediator's cache (warm hits);
 4. **flagship counters** — the Figure-5(b) query run through the
    mediator, asserting nonzero ``index_hits``/``batched_fetches`` on
    the first execution and ``enrichment_cache_hits`` on the repeat.
@@ -145,7 +144,7 @@ def _sweep_semijoin(corpus):
             mediator._wrappers,
             mediator.mapping_module,
             mediator.reconciler,
-            enrichment_cache={},
+            artifacts=ArtifactStore(),
             batch_fetch=batch,
         )
         return executor.execute(plan, query, enrich_links=False)
@@ -160,34 +159,34 @@ def _sweep_semijoin(corpus):
     return n_plus_1, batched
 
 
-def _artifact_flagship():
-    """Cold vs artifact-warm latency for the flagship query: the warm
-    repeat must reuse stages (``artifact_hits > 0``) and answer at
-    least MIN_SPEEDUP times faster than the cold run."""
+def _cache_flagship():
+    """Cold vs cache-warm latency for the flagship query through the
+    mediator's one store: the cold run is an answer miss, every warm
+    repeat must be an answer hit and answer at least MIN_SPEEDUP times
+    faster than the cold run."""
     corpus = _corpus(2000)
-    store = ArtifactStore()
-    mediator = Mediator(artifacts=store)
+    mediator = Mediator()
     for wrapper in default_wrappers(corpus):
         mediator.register_wrapper(wrapper)
     query = QuestionCatalog.figure5b().to_global_query()
     with Timer() as cold_timer:
-        cold = mediator.query(query, use_cache=False)
-    warm = mediator.query(query, use_cache=False)
-    warm_time = _best_of(
-        ROUNDS, lambda: mediator.query(query, use_cache=False)
-    )
+        cold = mediator.query(query)
+    warm = mediator.query(query)
+    warm_time = _best_of(ROUNDS, lambda: mediator.query(query))
+    answers = mediator.artifacts.stats()["answer"]
     assert warm.gene_ids() == cold.gene_ids()
-    assert warm.stats.artifact_hits > 0
+    assert warm.from_result_cache
+    assert answers["misses"] == 1
     ratio = cold_timer.elapsed / max(warm_time, 1e-9)
     assert ratio >= MIN_SPEEDUP, (
-        f"artifact-warm repeat only {ratio:.1f}x faster than cold"
+        f"cache-warm repeat only {ratio:.1f}x faster than cold"
     )
     return {
         "cold_s": cold_timer.elapsed,
         "warm_s": warm_time,
         "speedup": ratio,
-        "warm_artifact_hits": warm.stats.artifact_hits,
-        "cold_artifact_misses": cold.stats.artifact_misses,
+        "answer_hits": answers["hits"],
+        "answer_misses": answers["misses"],
     }
 
 
@@ -242,8 +241,8 @@ def _run(results_dir, log=print):
             _assert_speedups(point)
 
     flagship = _flagship_counters()
-    log("artifact flagship: cold vs warm ...")
-    artifact_flagship = _artifact_flagship()
+    log("cache flagship: cold vs warm ...")
+    cache_flagship = _cache_flagship()
 
     rendered = table(
         [
@@ -264,11 +263,12 @@ def _run(results_dir, log=print):
         "Fetch-path optimisation: indexed vs scan, batched vs N+1\n"
         "(identical answers asserted between fast and slow paths)\n\n"
         + rendered
-        + "\n\nFlagship artifact repeat: "
-        + f"cold {artifact_flagship['cold_s'] * 1e3:.1f} ms, "
-        + f"warm {artifact_flagship['warm_s'] * 1e3:.1f} ms "
-        + f"({artifact_flagship['speedup']:.1f}x, "
-        + f"{artifact_flagship['warm_artifact_hits']} stage hits)\n"
+        + "\n\nFlagship cache repeat: "
+        + f"cold {cache_flagship['cold_s'] * 1e3:.1f} ms, "
+        + f"warm {cache_flagship['warm_s'] * 1e3:.3f} ms "
+        + f"({cache_flagship['speedup']:.0f}x, "
+        + f"{cache_flagship['answer_hits']} answer hits / "
+        + f"{cache_flagship['answer_misses']} miss)\n"
         + "\nFigure-5(b) flagship query counters "
         "(first run / cached repeat):\n"
         + counter_lines
@@ -280,7 +280,7 @@ def _run(results_dir, log=print):
             {
                 "benchmark": "fetchpath",
                 "sweep": trajectory,
-                "artifact_flagship": artifact_flagship,
+                "cache_flagship": cache_flagship,
                 "flagship": flagship,
             },
             indent=2,
@@ -319,17 +319,17 @@ def _flagship_counters():
 def _smoke():
     """The CI gate: at the largest sweep size the equality index and
     the batched semijoin must each beat scan / N+1 by MIN_SPEEDUP, and
-    the flagship repeat must answer MIN_SPEEDUP times faster from stage
-    artifacts."""
+    the flagship repeat must answer MIN_SPEEDUP times faster from the
+    mediator's cache."""
     point = _sweep_point(max(SIZES))
     _assert_speedups(point)
-    flagship = _artifact_flagship()
+    flagship = _cache_flagship()
     print(
         f"smoke ok at {point['loci']} loci: equality index "
         f"{point['equality_speedup']:.1f}x, batched semijoin "
-        f"{point['semijoin_speedup']:.1f}x, flagship artifact repeat "
-        f"{flagship['speedup']:.1f}x "
-        f"({flagship['warm_artifact_hits']} stage hits)"
+        f"{point['semijoin_speedup']:.1f}x, flagship cache repeat "
+        f"{flagship['speedup']:.0f}x "
+        f"({flagship['answer_hits']} answer hits)"
     )
 
 

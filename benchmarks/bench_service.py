@@ -7,8 +7,8 @@ HTTP shell uses, minus socket overhead) across four scenarios:
 1. **cold** — every client bypasses the result cache, so each request
    runs the full mediator pipeline; p50/p99 latency and throughput.
 2. **warm** — the same repeated-question workload after a cache warmup
-   pass (result cache + whole-answer/stage artifacts); the acceptance
-   bar is warm throughput >= ``min_warm_speedup`` x cold.
+   pass (answers from the mediator's cache); the acceptance bar is
+   warm throughput >= ``min_warm_speedup`` x cold.
 3. **shedding** — a burst far beyond a small queue's capacity: some
    requests must shed with 429, every ticket must resolve (no
    deadlock), the backlog never exceeds capacity.
@@ -78,13 +78,12 @@ QUESTIONS = (
 )
 
 
-def _build_annoda(policy=None, latency=0.0, stage_artifacts=False):
+def _build_annoda(policy=None, latency=0.0):
     corpus = AnnotationCorpus.generate(
         seed=SEED, parameters=CorpusParameters(**PARAMETERS)
     )
     annoda = Annoda(config=AnnodaConfig(
         federation=policy or FederationPolicy(on_failure="degrade"),
-        stage_artifacts=stage_artifacts,
     ))
     annoda.corpus = corpus
     for wrapper in default_wrappers(corpus):
@@ -146,7 +145,7 @@ def _latency_stats(outcomes, wall):
 
 def _load_scenarios(config, log=print):
     """Cold vs warm throughput over the repeated-question workload."""
-    annoda = _build_annoda(stage_artifacts=True)
+    annoda = _build_annoda()
     service = AnnodaService(annoda, ServiceConfig(
         queue_capacity=config["clients"], workers=config["workers"],
     )).start()

@@ -63,9 +63,9 @@ def build_parser():
     parser.add_argument(
         "--artifact-dir",
         help=(
-            "enable the content-addressed stage artifact cache and "
-            "persist its artifacts under this directory (repeated "
-            "queries reuse finished executor stages across runs)"
+            "also keep complete answers under this directory, so a "
+            "repeated question is answered from it across runs (any "
+            "source change misses)"
         ),
     )
     parser.add_argument(
@@ -202,9 +202,7 @@ def _build_annoda(args, federation=None):
     config = None
     config_kwargs = {}
     if getattr(args, "artifact_dir", None):
-        config_kwargs.update(
-            stage_artifacts=True, artifact_dir=args.artifact_dir
-        )
+        config_kwargs["artifact_dir"] = args.artifact_dir
     if getattr(args, "shards", 1) > 1:
         config_kwargs["shards"] = args.shards
     if getattr(args, "replicas", 1) > 1:

@@ -34,11 +34,9 @@ class AnnodaConfig:
     #: per-attempt timeout, retry budget/backoff, and whether a failed
     #: source degrades the answer (partial result) or aborts the query.
     federation: FederationPolicy = field(default_factory=FederationPolicy)
-    #: Enable the content-addressed stage artifact cache (repeated or
-    #: overlapping queries skip finished executor stages).
-    stage_artifacts: bool = False
-    #: Directory backing the artifact cache on disk (implies
-    #: ``stage_artifacts``); ``None`` keeps artifacts in memory only.
+    #: Directory where the mediator's cache also keeps complete
+    #: answers, so they survive a restart; ``None`` keeps the cache in
+    #: memory only.
     artifact_dir: Optional[str] = None
     #: Key-range partitions per default source (>1 interposes a
     #: :class:`~repro.sources.shard.ShardedSource` facade; answers
@@ -66,14 +64,11 @@ class Annoda:
 
     def __init__(self, config=None):
         self.config = config or AnnodaConfig()
-        artifacts = None
-        if self.config.stage_artifacts or self.config.artifact_dir:
-            artifacts = ArtifactStore(directory=self.config.artifact_dir)
         self.mediator = Mediator(
             optimizer_options=self.config.optimizer,
             reconciler=Reconciler(self.config.reconciliation),
             federation=self.config.federation,
-            artifacts=artifacts,
+            artifacts=ArtifactStore(directory=self.config.artifact_dir),
         )
         self.navigator = Navigator(self.mediator)
         self.parser = QuestionParser()
@@ -197,7 +192,7 @@ class Annoda:
 
         Convenience over :meth:`ask`: builds a fresh
         :class:`~repro.trace.recorder.TraceRecorder`, runs the query
-        live (traces never replay from the result cache) and returns
+        live (traces never replay from the answer cache) and returns
         the :class:`~repro.mediator.executor.IntegratedResult` whose
         ``trace`` attribute is the recorded span tree — feed it to
         :func:`repro.trace.render_trace` or

@@ -40,7 +40,7 @@ class AnnodaSystem(IntegrationSystem):
 
     def integrated_gene_disease_query(self):
         # Live execution: architecture comparisons measure federated
-        # work, not the result cache.
+        # work, not the answer cache.
         result = self.annoda.ask(
             self.annoda.catalog.figure5b(),
             enrich_links=False,

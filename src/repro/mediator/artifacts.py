@@ -1,69 +1,70 @@
-"""Content-addressed stage artifact cache.
+"""The mediator's one version-keyed cache.
 
-Each executor stage (anchor semijoin, per-source enrichment,
-reconcile, final answer construction) names its finished output by a
-**stable content hash** over
-everything that determines it: the stage kind, its normalized
-conditions, the owning source's name *and version counter*, and the
-upstream artifacts it consumed.  A repeated or overlapping query
-recomputes the same key and skips the stage entirely — the
-"Artifact exists? → reuse cached output" lifecycle of execution-DAG
-engines, applied to the mediator's pipeline.
+Every :class:`~repro.mediator.mediator.Mediator` owns one
+:class:`ArtifactStore`.  Each entry is an **identity** (what was
+computed) plus the **(source, version) pairs** it was built from, and
+belongs to one of three kinds (:data:`KINDS`):
 
-Two tiers back the store:
+- ``answer`` — a whole
+  :class:`~repro.mediator.executor.IntegratedResult`, identified by the
+  query, the link-enrichment flag and the mediator's optimizer,
+  reconciliation and federation policies, built from every registered
+  source's version; the mediator alone decides which answers are
+  stored (the answer rule in :meth:`Mediator.query
+  <repro.mediator.mediator.Mediator.query>`);
+- ``enrichment`` — one link source's matched-id -> detail-pairs index;
+- ``symbols`` — one symbol-joined source's
+  :class:`~repro.mediator.reconcile.SymbolIndex`.
 
-- an **in-memory LRU** (bounded entry count, shared by every
-  execution of the owning mediator) holding pickled payloads;
-- an optional **on-disk directory** (``--artifact-dir``) written with
-  the same atomic temp+rename discipline as the persistence layer's
-  flat files, each artifact digest-gated: the envelope records the
-  payload's sha256, a corrupted or truncated file warns and reads as
-  a miss (the stage recomputes — never a wrong answer, never a
-  crash), mirroring the snapshot corruption contract.
+A lookup hits only when the entry's versions equal the caller's, so a
+hit is always as fresh as a recomputation: a mutated source bumps its
+``version`` and every entry built from it stops matching.  Putting an
+entry replaces any older version of the same identity, so the store
+holds at most one entry per identity, and one LRU bound caps the
+total.  Values are shared by reference: callers treat them as
+immutable, except the enrichment index, which only ever grows by
+entries valid at its version.
 
-A payload stored with ``live=True`` additionally keeps the payload
-*object itself* alongside the blob in the memory tier, and ``get``
-returns that object by reference instead of unpickling a copy.  This
-exists for the answer-construction stage, whose payload — the
-translated gene rows, the :class:`~repro.mediator.view.AnswerView`
-the OEM view is built from on first read, and the reconciliation
-issues — is cheaper to share than to rebuild from bytes: the same
-sharing contract as the mediator's result cache, so callers treat a
-returned live payload as immutable.  When the store has no disk tier,
-a live put skips serialization entirely.
+Source *re-registration* (a different store under the same name,
+possibly at the same version counter) goes through
+:meth:`ArtifactStore.invalidate_source`, which drops every entry built
+from the source, on disk too.
 
-Invalidation needs no clocks and no sweeps: a mutated source bumps its
-``version``, every stage key over that source changes, and stale
-entries age out of the LRU.  Source *re-registration* (a different
-store under the same name, possibly at the same version counter) goes
-through :meth:`ArtifactStore.invalidate_source`, which drops every
-entry tagged with the source.
+The optional **disk tier** (``--artifact-dir``) holds the entries put
+with ``persist=True`` — complete answers — so they survive a restart.
+Each file is named by :func:`stage_key` over the entry's kind,
+identity and versions, and written with the same atomic temp+rename
+discipline as the persistence layer's flat files.  Each file is
+digest-gated: the envelope records the payload's sha256, and a
+corrupted or truncated file warns and reads as a miss (the answer
+recomputes — never a wrong answer, never a crash), mirroring the
+snapshot corruption contract.
 
 Shared state is guarded through the :mod:`repro.util.locks` seam
 (``new_lock``/``make_counters``), so the race checker observes the
-store like any other federation lock; disk I/O happens outside the
-lock (rule ANN004).
+store like any other federation lock; pickling and disk I/O happen
+outside the lock (rule ANN004).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import pathlib
 import pickle
 import warnings
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Hashable, Optional, Tuple
 
 from repro.sources.persistence import write_atomic
 from repro.util.locks import make_counters, new_lock
 
-#: Version of the artifact key recipe, the on-disk envelope *and* the
-#: stage payload shapes.  Bumped whenever any of them changes, so
-#: artifacts written by a different code line can never be misread —
-#: their keys simply never match.  Schema 2: the answer payload holds
-#: the view's inputs instead of an OEM graph, and enrichment entries
-#: hold only the detail pairs the view shows.
-ARTIFACT_SCHEMA = 2
+#: Version of the key recipe, the on-disk envelope *and* the payload
+#: shapes.  Bumped whenever any of them changes, so files written by a
+#: different code line can never be misread — their names simply never
+#: match.  Schema 3: one entry per (kind, identity, versions), and the
+#: disk tier holds whole answers only.
+ARTIFACT_SCHEMA = 3
 
 #: First line of every on-disk artifact file.
 _MAGIC = b"annoda-artifact/1"
@@ -71,16 +72,23 @@ _MAGIC = b"annoda-artifact/1"
 #: File suffix of on-disk artifacts.
 ARTIFACT_SUFFIX = ".artifact"
 
+#: The entry kinds, in the order :meth:`ArtifactStore.stats` lists them.
+KINDS = ("answer", "enrichment", "symbols")
+
+#: ``((source name, version counter), ...)`` an entry was built from.
+Versions = Tuple[Tuple[str, int], ...]
+
 
 def _canon(value: Any) -> str:
     """A deterministic, restart-stable text encoding of one key part.
 
-    Only plain data participates in stage keys: scalars, strings,
-    bytes, and containers thereof (dicts sorted by encoded key, sets
-    sorted).  Condition-like objects (anything with an ``attribute``)
-    normalize to their ``(label, op, value)`` triple.  Anything else
-    raises ``TypeError`` — silently falling back to ``repr`` would
-    embed memory addresses and break hash stability across processes.
+    Only plain data participates in keys: scalars, strings, bytes,
+    containers thereof (dicts sorted by encoded key, sets sorted) and
+    frozen dataclasses (type name plus fields).  Condition-like objects
+    (anything with an ``attribute`` and an ``op``) normalize to their
+    ``(label, op, value)`` triple.  Anything else raises ``TypeError``
+    — silently falling back to ``repr`` would embed memory addresses
+    and break hash stability across processes.
     """
     if value is None or isinstance(value, (bool, int, float, str)):
         return json.dumps(value)
@@ -97,56 +105,49 @@ def _canon(value: Any) -> str:
         return "{" + ",".join(f"{k}:{v}" for k, v in items) + "}"
     if hasattr(value, "attribute") and hasattr(value, "op"):
         return _canon((value.attribute, value.op, value.value))
+    if (
+        dataclasses.is_dataclass(value)
+        and not isinstance(value, type)
+        and value.__dataclass_params__.frozen
+    ):
+        return _canon(
+            [
+                type(value).__qualname__,
+                {
+                    field.name: getattr(value, field.name)
+                    for field in dataclasses.fields(value)
+                },
+            ]
+        )
     raise TypeError(
         f"value of type {type(value).__name__} cannot participate in a "
         f"stage key: {value!r}"
     )
 
 
-def stage_key(
-    kind: str,
-    *,
-    source: Optional[str] = None,
-    version: Optional[int] = None,
-    conditions: Iterable[Any] = (),
-    upstream: Iterable[Any] = (),
-    extra: Iterable[Any] = (),
-) -> str:
-    """The content address of one executor stage: a sha256 hexdigest
-    over (schema, stage kind, source id + version, normalized
-    conditions, upstream artifact hashes/content, extras).
+def stage_key(kind: str, identity: Any, versions: Any = ()) -> str:
+    """The content address of one entry: a sha256 hexdigest over
+    (schema, kind, identity, versions).
 
     Stable across process restarts (no ``hash()``, no ids, no clock)
     and collision-safe by construction: every part goes through
     :func:`_canon`, which is injective on the supported value space.
     """
-    text = _canon(
-        [
-            ARTIFACT_SCHEMA,
-            kind,
-            source,
-            version,
-            list(conditions),
-            list(upstream),
-            list(extra),
-        ]
-    )
+    text = _canon([ARTIFACT_SCHEMA, kind, identity, list(versions)])
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 class ArtifactStore:
-    """Two-tier (memory LRU + optional disk) artifact store.
+    """The version-keyed memory LRU, plus an optional disk tier.
 
-    ``get``/``put`` exchange *payloads* — plain picklable values; the
-    store owns serialization, so the byte size it accounts is the real
-    artifact size.  Thread-safe: the federated fetcher may finish
-    stages on worker threads while another execution probes.
+    Thread-safe: every execution of the owning mediator probes and
+    fills it, concurrently under the service's worker pool.
     """
 
     def __init__(
         self,
         directory: Optional[Any] = None,
-        max_entries: int = 256,
+        max_entries: int = 32,
     ) -> None:
         if max_entries < 1:
             raise ValueError("max_entries must be at least 1")
@@ -155,15 +156,15 @@ class ArtifactStore:
         )
         self.max_entries = max_entries
         self._lock = new_lock("ArtifactStore._lock")
-        #: key -> (blob, sources, live); insertion order is recency
-        #: order (pop + reinsert on hit).  ``blob`` is ``None`` only
-        #: for live entries of a disk-less store; ``live`` is ``None``
-        #: for ordinary pickled entries.
-        self._entries: Dict[
-            str, Tuple[Optional[bytes], Tuple[str, ...], Any]
-        ] = {}
+        #: (kind, identity) -> (versions, value); insertion order is
+        #: recency order (pop + reinsert on hit).
+        self._entries: Dict[Tuple[str, Hashable], Tuple[Versions, Any]] = {}
         self._counters = make_counters(
-            {"hits": 0, "misses": 0, "stores": 0, "invalidations": 0},
+            {
+                f"{kind}.{outcome}": 0
+                for kind in KINDS
+                for outcome in ("hits", "misses")
+            },
             lock=self._lock,
             owner="ArtifactStore",
         )
@@ -172,144 +173,127 @@ class ArtifactStore:
 
     # -- probing -------------------------------------------------------------
 
-    def get(self, key: str) -> Optional[Tuple[Any, int]]:
-        """``(payload, byte_size)`` for a finished stage, or ``None``.
+    def get(self, kind: str, identity: Hashable,
+            versions: Versions) -> Optional[Any]:
+        """The value stored for ``identity`` built from exactly
+        ``versions``, or ``None``.
 
-        Memory first; then the disk tier, whose artifact is only
-        unpickled after its digest gate passes — a corrupted file
-        warns, reads as a miss, and the stage recomputes.  A live
-        entry returns its payload *by reference* (see the module
-        docstring for the immutability contract).
+        Memory first; then the disk tier, whose file is only unpickled
+        after its digest gate passes — a corrupted file warns and reads
+        as a miss.
         """
+        key = (kind, identity)
         with self._lock:
-            entry = self._entries.pop(key, None)
-            if entry is not None:
-                self._entries[key] = entry  # re-insert: most recent
-                self._counters["hits"] += 1
-                blob, _sources, live = entry
+            entry = self._entries.get(key)
+            if entry is not None and entry[0] == versions:
+                self._entries[key] = self._entries.pop(key)  # most recent
+                self._counters[f"{kind}.hits"] += 1
+                return entry[1]
+        value = self._read_disk(kind, identity, versions)
+        with self._lock:
+            if value is None:
+                self._counters[f"{kind}.misses"] += 1
             else:
-                blob, live = None, None
-        if live is not None:
-            return live, 0 if blob is None else len(blob)
-        if blob is not None:
-            return pickle.loads(blob), len(blob)
-        blob_sources = self._read_disk(key)
-        if blob_sources is None:
-            with self._lock:
-                self._counters["misses"] += 1
-            return None
-        blob, sources = blob_sources
-        with self._lock:
-            self._counters["hits"] += 1
-            self._remember_locked(key, blob, sources)
-        return pickle.loads(blob), len(blob)
+                self._counters[f"{kind}.hits"] += 1
+                self._remember_locked(key, versions, value)
+        return value
 
-    def put(
-        self,
-        key: str,
-        payload: Any,
-        sources: Iterable[str] = (),
-        live: bool = False,
-    ) -> int:
-        """Store one finished stage's payload; returns its byte size.
+    def put(self, kind: str, identity: Hashable, versions: Versions,
+            value: Any, persist: bool = False) -> None:
+        """Store ``value`` for ``identity`` at ``versions``, replacing
+        any older version of the same identity.
 
-        ``sources`` tags the entry for :meth:`invalidate_source`.  The
-        pickle and any disk write happen outside the lock.  With
-        ``live=True`` the payload object itself is kept in the memory
-        tier and later handed back by reference; a disk-less store
-        then skips pickling altogether (reported size 0).
+        ``persist`` also writes it to the disk tier (when there is
+        one); the pickle and the write happen outside the lock.
         """
-        blob = (
-            None
-            if live and self.directory is None
-            else pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        )
-        source_tags = tuple(sources)
         with self._lock:
-            self._counters["stores"] += 1
-            self._remember_locked(
-                key, blob, source_tags, payload if live else None
+            self._remember_locked((kind, identity), versions, value)
+        if persist and self.directory is not None:
+            self._write_disk(
+                stage_key(kind, identity, versions),
+                pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL),
+                versions,
             )
-        if self.directory is not None and blob is not None:
-            self._write_disk(key, blob, source_tags)
-        return 0 if blob is None else len(blob)
 
-    def _remember_locked(
-        self,
-        key: str,
-        blob: Optional[bytes],
-        sources: Tuple[str, ...],
-        live: Any = None,
-    ) -> None:
+    def _remember_locked(self, key: Tuple[str, Hashable],
+                         versions: Versions, value: Any) -> None:
         self._entries.pop(key, None)
-        self._entries[key] = (blob, sources, live)
+        self._entries[key] = (versions, value)
         while len(self._entries) > self.max_entries:
-            oldest = next(iter(self._entries))
-            del self._entries[oldest]
+            del self._entries[next(iter(self._entries))]
 
     # -- invalidation --------------------------------------------------------
 
     def invalidate_source(self, source_name: str) -> int:
-        """Drop every artifact tagged with ``source_name`` (memory and
-        disk); returns the number of entries dropped.
+        """Drop every entry built from ``source_name``; returns how
+        many memory entries and disk files it dropped.
 
-        Version bumps invalidate implicitly (the key changes); this
-        handles re-registration — a *different* store under the same
-        name whose version counter may coincide with the old one.
+        Version bumps invalidate implicitly (the versions stop
+        matching); this handles re-registration — a *different* store
+        under the same name whose version counter may coincide with
+        the old one.
         """
         with self._lock:
             stale = [
                 key
-                for key, (_blob, sources, _live) in self._entries.items()
-                if source_name in sources
+                for key, (versions, _value) in self._entries.items()
+                if any(name == source_name for name, _version in versions)
             ]
             for key in stale:
                 del self._entries[key]
-            self._counters["invalidations"] += len(stale)
         dropped = len(stale)
         if self.directory is not None:
-            dropped += self._invalidate_disk(source_name, set(stale))
+            dropped += self._invalidate_disk(source_name)
         return dropped
 
-    def clear(self) -> None:
+    def stats(self) -> Dict[str, Dict[str, int]]:
+        """Per kind: cumulative ``hits`` and ``misses`` plus the live
+        ``entries`` count."""
         with self._lock:
-            self._entries.clear()
-
-    def stats(self) -> Dict[str, int]:
-        """Cumulative store counters (hits/misses/stores/
-        invalidations) plus the live entry count."""
-        with self._lock:
-            snapshot = dict(self._counters)
-            snapshot["entries"] = len(self._entries)
-        return snapshot
+            entries = [kind for kind, _identity in self._entries]
+            return {
+                kind: {
+                    "hits": self._counters[f"{kind}.hits"],
+                    "misses": self._counters[f"{kind}.misses"],
+                    "entries": entries.count(kind),
+                }
+                for kind in KINDS
+            }
 
     # -- disk tier -----------------------------------------------------------
 
-    def _path_for(self, key: str) -> pathlib.Path:
+    def _path_for(self, name: str) -> pathlib.Path:
         assert self.directory is not None
-        return self.directory / f"{key}{ARTIFACT_SUFFIX}"
+        return self.directory / f"{name}{ARTIFACT_SUFFIX}"
 
-    def _write_disk(
-        self, key: str, blob: bytes, sources: Tuple[str, ...]
-    ) -> None:
+    def _write_disk(self, name: str, blob: bytes,
+                    versions: Versions) -> None:
         header = json.dumps(
             {
                 "schema": ARTIFACT_SCHEMA,
                 "digest": hashlib.sha256(blob).hexdigest(),
-                "sources": list(sources),
+                "sources": sorted(source for source, _version in versions),
             },
             sort_keys=True,
         ).encode("utf-8")
         write_atomic(
-            self._path_for(key), _MAGIC + b"\n" + header + b"\n" + blob
+            self._path_for(name), _MAGIC + b"\n" + header + b"\n" + blob
         )
 
-    def _read_disk(
-        self, key: str
-    ) -> Optional[Tuple[bytes, Tuple[str, ...]]]:
+    def _read_disk(self, kind: str, identity: Any,
+                   versions: Versions) -> Optional[Any]:
         if self.directory is None:
             return None
-        path = self._path_for(key)
+        read = self._read_file(
+            self._path_for(stage_key(kind, identity, versions))
+        )
+        return None if read is None else pickle.loads(read[0])
+
+    def _read_file(
+        self, path: pathlib.Path
+    ) -> Optional[Tuple[bytes, Tuple[str, ...]]]:
+        """``(payload blob, source tags)`` of one artifact file, or
+        ``None`` when it is absent or fails its gate (which warns)."""
         try:
             data = path.read_bytes()
         except OSError:
@@ -327,16 +311,14 @@ class ArtifactStore:
         except (KeyError, TypeError, ValueError) as exc:
             warnings.warn(
                 f"artifact {path.name} is corrupted ({exc}); "
-                "recomputing the stage",
+                "recomputing",
                 RuntimeWarning,
-                stacklevel=3,
+                stacklevel=4,
             )
             return None
         return blob, sources
 
-    def _invalidate_disk(
-        self, source_name: str, already_dropped: set
-    ) -> int:
+    def _invalidate_disk(self, source_name: str) -> int:
         assert self.directory is not None
         dropped = 0
         try:
@@ -344,16 +326,15 @@ class ArtifactStore:
         except OSError:
             return 0
         for path in paths:
-            key = path.name[: -len(ARTIFACT_SUFFIX)]
-            read = self._read_disk(key)
+            read = self._read_file(path)
             tagged = read is not None and source_name in read[1]
-            if tagged or read is None or key in already_dropped:
+            if tagged or read is None:
                 # A corrupted artifact is dropped too: it can never be
                 # read back, so keeping it only re-warns forever.
                 try:
                     path.unlink()
                 except OSError:
                     continue
-                if tagged and key not in already_dropped:
+                if tagged:
                     dropped += 1
         return dropped

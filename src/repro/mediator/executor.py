@@ -20,7 +20,6 @@ degraded.
 import time
 from dataclasses import dataclass, field
 
-from repro.mediator.artifacts import stage_key
 from repro.mediator.fetch import (
     FederatedFetcher,
     FederationPolicy,
@@ -111,12 +110,6 @@ class ExecutionStats:
     #: answered from a sibling after the placed replica failed.
     shard_fans: int = 0
     replica_failovers: int = 0
-    #: Stage artifact cache accounting: stages skipped because a
-    #: content-addressed artifact existed, stages that had to run, and
-    #: artifact bytes moved (read on hits + written on stores).
-    artifact_hits: int = 0
-    artifact_misses: int = 0
-    artifact_bytes: int = 0
     #: Sources that failed but were tolerated (degrading policy): the
     #: answer is partial with respect to them.
     degraded_sources: list = field(default_factory=list)
@@ -223,8 +216,6 @@ class ExecutionReport:
             f"concurrent batches {stats.concurrent_batches}",
             f"  shard fans {stats.shard_fans} / replica failovers "
             f"{stats.replica_failovers}",
-            f"  artifact hits {stats.artifact_hits} / misses "
-            f"{stats.artifact_misses} / bytes {stats.artifact_bytes}",
         ]
         for name in sorted(stats.source_reports):
             report = stats.source_reports[name]
@@ -247,7 +238,7 @@ class IntegratedResult:
     ``result.genes`` are the translated gene rows.  ``result.graph``
     and ``result.root`` are the integrated OEM view, built from
     ``result.view`` (an :class:`~repro.mediator.view.AnswerView`) on
-    the first read of either — once per result, even when the result
+    the first read of either — once per result, even when the answer
     cache hands the same result to many threads.
 
     ``result.report`` is the unified :class:`ExecutionReport`;
@@ -272,7 +263,7 @@ class IntegratedResult:
         #: when the query ran with tracing on; ``None`` otherwise.
         self.trace = None
         #: Set by the mediator once this (shared) result has been
-        #: served from its result cache.  The flag lives on the shared
+        #: served from its answer cache.  The flag lives on the shared
         #: object, so it says nothing about which serving was the
         #: miss: accounting that must count each execution once (the
         #: service's ``/metrics``) tracks result objects instead.
@@ -285,6 +276,19 @@ class IntegratedResult:
 
     def __len__(self):
         return len(self.genes)
+
+    def __reduce__(self):
+        # A pickled answer (the cache's disk tier) keeps what it
+        # answered, including the sources it is partial with respect
+        # to, not what it cost: it loads with otherwise empty
+        # execution stats, no trace and no built graph.
+        stats = ExecutionStats(
+            degraded_sources=list(self.stats.degraded_sources)
+        )
+        return (
+            IntegratedResult,
+            (self.genes, self.view, self.reconciliation, stats, self.plan),
+        )
 
     def _graph_and_root(self):
         with self._build_lock:
@@ -333,32 +337,24 @@ class Executor:
     pruning decision, semijoin driver index — so execution only reads
     the plan, never re-derives it.
 
-    ``enrichment_cache`` is a dict the owning mediator shares across
-    executions; entries are keyed on the source *and its version
-    counter*, so a cache hit is always as fresh as a re-fetch and any
-    source mutation invalidates automatically.  ``batch_fetch=False``
-    restores the per-id (N+1) fetch loops — the benchmarks measure the
-    batched path against it.
+    ``artifacts`` is the owning mediator's
+    :class:`~repro.mediator.artifacts.ArtifactStore`, shared across
+    executions; the enrichment and symbol indexes kept there are keyed
+    on their source *and its version counter*, so a cache hit is always
+    as fresh as a re-fetch and any source mutation invalidates
+    automatically.  ``batch_fetch=False`` restores the per-id (N+1)
+    fetch loops — the benchmarks measure the batched path against it.
 
     ``fetcher`` (a :class:`~repro.mediator.fetch.FederatedFetcher`)
     issues the plan's independent per-source fetches concurrently and
     applies the ``policy``'s timeout/retry/degradation semantics; the
     owning mediator shares one fetcher (and its thread pool) across
     executions.
-
-    ``artifacts`` (an :class:`~repro.mediator.artifacts.ArtifactStore`,
-    or ``None`` to disable) lets finished stages be skipped by content
-    address.
     """
 
-    #: Upper bound on shared-cache entries (stale versions are evicted
-    #: eagerly; this bounds distinct live sources x index kinds).
-    CACHE_MAX_ENTRIES = 64
-
     def __init__(self, wrappers_by_name, mapping_module, reconciler,
-                 enrichment_cache=None, enrichment_cache_lock=None,
-                 batch_fetch=True, fetcher=None,
-                 policy=None, artifacts=None, budget=None):
+                 artifacts, batch_fetch=True, fetcher=None,
+                 policy=None, budget=None):
         self.wrappers = wrappers_by_name
         self.mapping_module = mapping_module
         self.reconciler = reconciler
@@ -376,17 +372,6 @@ class Executor:
         else:
             self.fetcher = fetcher
             self.policy = policy or fetcher.policy
-        self._shared_cache = (
-            enrichment_cache if enrichment_cache is not None else {}
-        )
-        # The enrichment/symbol cache is shared by every execution the
-        # owning mediator runs — concurrently, under the service's
-        # worker pool — so its get/evict/store sequences take a lock
-        # (the mediator passes one lock for all executors it builds).
-        self._shared_cache_lock = (
-            enrichment_cache_lock if enrichment_cache_lock is not None
-            else new_lock("Executor._shared_cache_lock")
-        )
         # Places each plan stage's fetch on the wrappers' (shard,
         # replica) grid: logical requests expand to shard-pinned
         # physical requests and shard partials merge back.
@@ -395,31 +380,6 @@ class Executor:
     def _fetch_request(self, conditions, purpose):
         """A :class:`FetchRequest` carrying this execution's budget."""
         return FetchRequest(conditions, purpose=purpose, budget=self.budget)
-
-    # -- shared version-keyed cache ---------------------------------------------
-
-    def _cache_entry(self, key):
-        with self._shared_cache_lock:
-            return self._shared_cache.get(key)
-
-    def _cache_store(self, key, value):
-        """Insert one cache entry, evicting stale versions of the same
-        source/kind first and bounding the total entry count."""
-        kind, source_name = key[0], key[1]
-        with self._shared_cache_lock:
-            stale = [
-                existing
-                for existing in self._shared_cache
-                if existing[0] == kind
-                and existing[1] == source_name
-                and existing != key
-            ]
-            for existing in stale:
-                del self._shared_cache[existing]
-            while len(self._shared_cache) >= self.CACHE_MAX_ENTRIES:
-                oldest = next(iter(self._shared_cache))
-                del self._shared_cache[oldest]
-            self._shared_cache[key] = value
 
     def _failover_snapshot(self):
         """Cumulative replica failovers summed over the federation's
@@ -552,17 +512,6 @@ class Executor:
                 execute_span, "replica_failovers",
                 stats.replica_failovers,
             )
-            # Artifact accounting is likewise whole-execution: stages
-            # skipped or run against the content-addressed store.
-            _delta_counter(
-                execute_span, "artifact_hits", stats.artifact_hits
-            )
-            _delta_counter(
-                execute_span, "artifact_misses", stats.artifact_misses
-            )
-            _delta_counter(
-                execute_span, "artifact_bytes", stats.artifact_bytes
-            )
             stats.wall_seconds = time.perf_counter() - started
             if stats.degraded_sources:
                 execute_span.set(
@@ -573,24 +522,6 @@ class Executor:
     def _execute_traced(self, plan, query, enrich_links, recorder, stats,
                         report, anchor_wrapper):
         """The execute body, running inside the ``execute`` span."""
-        # -- whole-answer artifact ------------------------------------------
-        # The answer key is computable from the plan and the sources'
-        # versions alone, so a repeated query can skip fetch,
-        # reconcile and answer construction in one probe.  Traced
-        # runs never read it (a hit would replay nothing and the
-        # trace would be empty — the same rule as the result cache)
-        # but still store, priming later untraced repeats.
-        answer_key = self._answer_artifact_key(
-            plan, query, anchor_wrapper, enrich_links
-        )
-        if answer_key is not None and not recorder.enabled:
-            answer = self._artifact_get(answer_key, stats)
-            if answer is not None:
-                report.issues.extend(answer["issues"])
-                return IntegratedResult(
-                    answer["genes"], answer["view"], report, stats, plan,
-                )
-
         # -- stage placement ------------------------------------------------
         # Where each plan stage's fetch lands on the (shard, replica)
         # grid — the same placement `explain` prints, preserved in the
@@ -697,36 +628,10 @@ class Executor:
 
         with recorder.span("reconcile") as reconcile_span:
             stats.anchors_considered = len(anchor_records)
-
-            artifact_key = self._reconcile_artifact_key(plan, anchor_wrapper)
-            cached_reconcile = (
-                None
-                if artifact_key is None
-                else self._artifact_get(artifact_key, stats)
+            surviving, matched_links = self._reconcile_records(
+                plan, anchor_wrapper, anchor_records, report,
+                allowed_by_step,
             )
-            if cached_reconcile is not None:
-                surviving = cached_reconcile["surviving"]
-                matched_links = cached_reconcile["matched_links"]
-                report.issues.extend(cached_reconcile["issues"])
-            else:
-                issues_before = len(report.issues)
-                surviving, matched_links = self._reconcile_records(
-                    plan, anchor_wrapper, anchor_records, report,
-                    allowed_by_step,
-                )
-                if artifact_key is not None:
-                    self._artifact_put(
-                        artifact_key,
-                        {
-                            "surviving": surviving,
-                            "matched_links": matched_links,
-                            "issues": list(
-                                report.issues[issues_before:]
-                            ),
-                        },
-                        stats,
-                        sources=self._plan_sources(plan),
-                    )
             stats.anchors_returned = len(surviving)
             reconcile_span.set_counter(
                 "anchors_considered", stats.anchors_considered
@@ -747,24 +652,6 @@ class Executor:
                 enrich_links, stats, recorder,
             )
             navigate_span.set("genes", len(genes))
-        # Only a clean run is a reusable answer: a degraded execution
-        # is missing data that these source versions *can* provide.
-        if (
-            answer_key is not None
-            and not self._degraded_steps
-            and not stats.degraded_sources
-        ):
-            self._artifact_put(
-                answer_key,
-                {
-                    "genes": genes,
-                    "view": view,
-                    "issues": list(report.issues),
-                },
-                stats,
-                sources=self._plan_sources(plan),
-                live=True,
-            )
         return IntegratedResult(genes, view, report, stats, plan)
 
     # -- fetching ---------------------------------------------------------------
@@ -803,14 +690,9 @@ class Executor:
         key_label = self.mapping_module.to_local_label(
             step.source_name, step.link.via
         )
-        cache_key = (
-            "symbols",
-            step.source_name,
-            wrapper.version,
-            key_label,
-            symbol_local,
-        )
-        symbol_index = self._cache_entry(cache_key)
+        identity = (step.source_name, key_label, symbol_local)
+        versions = ((step.source_name, wrapper.version),)
+        symbol_index = self.artifacts.get("symbols", identity, versions)
         if symbol_index is None:
             try:
                 symbol_index = SymbolIndex.from_wrapper(
@@ -828,7 +710,7 @@ class Executor:
                 # Partial answer: the symbol join contributes nothing.
                 stats.mark_degraded(step.source_name)
                 return
-            self._cache_store(cache_key, symbol_index)
+            self.artifacts.put("symbols", identity, versions, symbol_index)
         self._symbol_indexes[step.source_name] = symbol_index
 
     def _reverse_index(self, step, records):
@@ -867,7 +749,7 @@ class Executor:
         anchor falls back to its own conditioned fetch (the constraint
         is skipped — partial answer).
         """
-        driver_source, via_label = plan.anchor.semijoin
+        _driver_source, via_label = plan.anchor.semijoin
         # The planner resolved the driving step at lowering time; the
         # executor never re-infers plan intent.
         driver_step = plan.link_steps[plan.driver_index]
@@ -893,29 +775,6 @@ class Executor:
         # exactly once even when the driving link matched nothing.
         stats.add_fetch(wrapper.name, 0)
         ordered_ids = sorted(allowed, key=str)
-
-        # The stage's content address: the driving link's output (the
-        # id set itself) plus the anchor's version and conditions fully
-        # determine the deduped, residual-filtered, sorted anchor set.
-        artifact_key = None
-        if self.artifacts is not None:
-            driver_wrapper = self.wrappers[driver_source]
-            artifact_key = stage_key(
-                "anchor-semijoin",
-                source=wrapper.name,
-                version=wrapper.version,
-                conditions=tuple(plan.anchor.pushed)
-                + tuple(plan.anchor.residual),
-                upstream=(
-                    (driver_source, driver_wrapper.version),
-                    tuple(ordered_ids),
-                ),
-                extra=(via_label,),
-            )
-            payload = self._artifact_get(artifact_key, stats)
-            if payload is not None:
-                return list(payload["records"])
-
         batches = []
         anchor_failed = False
         if not ordered_ids:
@@ -971,11 +830,6 @@ class Executor:
                         continue
                 records.append(record)
         records.sort(key=lambda record: record[key_field])
-        if artifact_key is not None:
-            self._artifact_put(
-                artifact_key, {"records": records}, stats,
-                sources=(wrapper.name, driver_source),
-            )
         return records
 
     # -- reconciliation ------------------------------------------------------------
@@ -1027,124 +881,6 @@ class Executor:
                 surviving.append(record)
                 matched_links.append(links_for_record)
         return surviving, matched_links
-
-    def _step_fingerprints(self, plan, degraded=None):
-        """One stable tuple per link stage — each stage's own
-        :meth:`~repro.mediator.plan.FetchStage.fingerprint`, the
-        physical plan's content address.
-
-        ``degraded`` (the run's degraded-step set) appends each step's
-        degradation flag — the reconcile key includes it because
-        degradation changes the stage's semantics; the answer key
-        omits it and instead only ever *stores* clean runs.
-        """
-        steps = []
-        for position, step in enumerate(plan.link_steps):
-            wrapper = self.wrappers[step.source_name]
-            steps.append(
-                step.fingerprint(
-                    position,
-                    wrapper.version,
-                    degraded=(
-                        None
-                        if degraded is None
-                        else id(step) in degraded
-                    ),
-                )
-            )
-        return steps
-
-    def _reconcile_artifact_key(self, plan, anchor_wrapper):
-        """The reconcile stage's content address, or ``None`` when the
-        artifact store is off.
-
-        Every input the stage consumes is derived from (source,
-        version, plan conditions): the anchor set, each step's
-        allowed-id set or reverse index, and the symbol indexes.  The
-        reconciler's policy and the run's degraded steps (which change
-        semantics) are part of the key.
-        """
-        if self.artifacts is None:
-            return None
-        return stage_key(
-            "reconcile",
-            source=plan.anchor.source_name,
-            version=anchor_wrapper.version,
-            conditions=tuple(plan.anchor.pushed)
-            + tuple(plan.anchor.residual),
-            upstream=self._step_fingerprints(
-                plan, degraded=self._degraded_steps
-            ),
-            extra=(
-                plan.anchor.semijoin,
-                repr(self.reconciler.policy),
-            ),
-        )
-
-    def _answer_artifact_key(self, plan, query, anchor_wrapper,
-                             enrich_links):
-        """The answer-construction stage's content address, or
-        ``None`` when the artifact store is off.
-
-        The integrated answer is fully determined by the plan (which
-        embeds every pushed/residual condition), the participating
-        sources' versions, the projection, link enrichment, and the
-        reconciler's policy — so the key is computable *before any
-        fetch*, and a hit answers the whole query from the store.
-        Degradation state is deliberately absent: only clean runs are
-        stored, so a hit always serves a complete answer for these
-        exact source versions.
-        """
-        if self.artifacts is None:
-            return None
-        return stage_key(
-            "answer",
-            source=plan.anchor.source_name,
-            version=anchor_wrapper.version,
-            conditions=tuple(plan.anchor.pushed)
-            + tuple(plan.anchor.residual),
-            upstream=self._step_fingerprints(plan),
-            extra=(
-                plan.anchor.semijoin,
-                repr(self.reconciler.policy),
-                bool(enrich_links),
-                tuple(query.select),
-            ),
-        )
-
-    def _plan_sources(self, plan):
-        """Every source participating in a plan (artifact tags)."""
-        names = {plan.anchor.source_name}
-        names.update(step.source_name for step in plan.link_steps)
-        return tuple(sorted(names))
-
-    # -- stage artifacts -----------------------------------------------------------
-
-    def _artifact_get(self, key, stats):
-        """Probe the artifact store (when on), folding hit/miss/byte
-        accounting into ``stats``."""
-        if self.artifacts is None:
-            return None
-        found = self.artifacts.get(key)
-        if found is None:
-            stats.artifact_misses += 1
-            return None
-        payload, size = found
-        stats.artifact_hits += 1
-        stats.artifact_bytes += size
-        return payload
-
-    def _artifact_put(self, key, payload, stats, sources=(), live=False):
-        """Store one finished stage's payload (when the store is on).
-
-        ``live`` passes through to the store: the payload object is
-        kept and later shared by reference (answer stage only).
-        """
-        if self.artifacts is None:
-            return
-        stats.artifact_bytes += self.artifacts.put(
-            key, payload, sources=sources, live=live
-        )
 
     # -- link matching -------------------------------------------------------------
 
@@ -1358,11 +1094,15 @@ class Executor:
             needed = set()
             for links_for_record in matched_links:
                 needed.update(links_for_record.get(step.source_name, ()))
-            cache_key = ("enrichment", step.source_name, wrapper.version)
-            cached = self._cache_entry(cache_key)
+            versions = ((step.source_name, wrapper.version),)
+            cached = self.artifacts.get(
+                "enrichment", step.source_name, versions
+            )
             if cached is None:
                 cached = {"index": {}, "known": set(), "complete": False}
-                self._cache_store(cache_key, cached)
+                self.artifacts.put(
+                    "enrichment", step.source_name, versions, cached
+                )
             wanted[step.source_name] = (cached["index"], needed)
             missing = (
                 set()
@@ -1378,32 +1118,12 @@ class Executor:
                 continue
             ordered = tuple(sorted(missing, key=str))
             batched = self.batch_fetch and wrapper.supports(key_local, "in")
-            artifact_key = None
-            if self.artifacts is not None:
-                artifact_key = stage_key(
-                    "enrichment",
-                    source=step.source_name,
-                    version=wrapper.version,
-                    conditions=(
-                        ((key_local, "in", ordered),) if batched else ()
-                    ),
-                    extra=(ordered, bool(batched)),
-                )
-                payload = self._artifact_get(artifact_key, stats)
-                if payload is not None:
-                    cached["index"].update(payload["index"])
-                    if payload["complete"]:
-                        cached["complete"] = True
-                    cached["known"].update(missing)
-                    cached["known"].update(cached["index"])
-                    continue
             request = self._fetch_request(
                 ((key_local, "in", ordered),) if batched else (),
                 purpose="enrichment" if batched else "enrichment-full",
             )
             pending.append(
-                (step, wrapper, cached, missing, key_field, request,
-                 batched, artifact_key)
+                (step, wrapper, cached, missing, key_field, request, batched)
             )
         if pending:
             self._fetch_enrichment(pending, stats, recorder)
@@ -1420,13 +1140,13 @@ class Executor:
         }
 
     def _fetch_enrichment(self, pending, stats, recorder):
-        """Fetch the enrichment records no cache tier held, as one
-        concurrent batch, and fold them into the shared cache."""
+        """Fetch the enrichment records the shared cache did not hold,
+        as one concurrent batch, and fold them into it."""
         replies = self._sched_fetch_all(
             [
                 (wrapper, request)
-                for _step, wrapper, _cached, _missing, _key, request, _b,
-                _artifact_key in pending
+                for _step, wrapper, _cached, _missing, _key, request, _b
+                in pending
             ],
             stats,
             recorder=recorder,
@@ -1434,7 +1154,7 @@ class Executor:
         if len(pending) > 1 and self.policy.max_workers > 1:
             stats.concurrent_batches += 1
         for (step, wrapper, cached, missing, key_field, _request,
-             batched, artifact_key), reply in zip(pending, replies):
+             batched), reply in zip(pending, replies):
             if not reply.ok:
                 # Enrichment detail is decoration, not correctness: a
                 # degraded source leaves its link children id-only.
@@ -1456,10 +1176,3 @@ class Executor:
             # too, so dangling references never re-fetch.
             cached["known"].update(missing)
             cached["known"].update(cached["index"])
-            if artifact_key is not None:
-                self._artifact_put(
-                    artifact_key,
-                    {"index": added, "complete": not batched},
-                    stats,
-                    sources=(step.source_name,),
-                )

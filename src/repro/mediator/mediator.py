@@ -7,6 +7,7 @@ Figure 1 draws between the user interface and the wrappers.
 
 from repro.lorel.engine import LorelEngine
 from repro.matching.mdsm import MdsmMatcher
+from repro.mediator.artifacts import ArtifactStore
 from repro.mediator.decompose import QueryDecomposer
 from repro.mediator.executor import Executor
 from repro.mediator.fetch import FederatedFetcher, FederationPolicy
@@ -17,14 +18,10 @@ from repro.mediator.optimizer import Optimizer, OptimizerOptions
 from repro.mediator.reconcile import Reconciler
 from repro.trace.recorder import NULL_RECORDER
 from repro.util.errors import IntegrationError
-from repro.util.locks import new_lock
 
 
 class Mediator:
     """Federated query answering over registered wrappers."""
-
-    #: Most recently used query results kept per mediator.
-    RESULT_CACHE_SIZE = 32
 
     def __init__(self, global_schema=None, matcher=None,
                  optimizer_options=None, reconciler=None, federation=None,
@@ -41,23 +38,14 @@ class Mediator:
         #: every executor this mediator builds.
         self.federation = federation or FederationPolicy()
         self._fetcher = FederatedFetcher(self.federation)
-        #: Optional content-addressed stage artifact store
-        #: (:class:`~repro.mediator.artifacts.ArtifactStore`), shared
-        #: by every execution; ``None`` disables stage reuse.
-        self.artifacts = artifacts
+        #: The one version-keyed cache
+        #: (:class:`~repro.mediator.artifacts.ArtifactStore`): whole
+        #: answers, enrichment indexes and symbol indexes, shared by
+        #: every execution and thread querying this mediator.
+        self.artifacts = ArtifactStore() if artifacts is None else artifacts
         self._wrappers = {}
         self._registration_order = []
         self._gml_cache = None
-        # Both caches are shared by every thread querying this
-        # mediator (the service's worker pool drives one mediator), so
-        # their get/evict/store sequences run under a lock.
-        self._result_cache = {}
-        self._result_cache_lock = new_lock("Mediator._result_cache_lock")
-        # Version-keyed fetch-path caches shared across executions:
-        # enrichment indexes and symbol indexes, keyed on (kind, source,
-        # wrapper.version, ...), so freshness is never traded away.
-        self._fetch_cache = {}
-        self._fetch_cache_lock = new_lock("Mediator._fetch_cache_lock")
 
     # -- source registration (paper section 3.1, two-step plug-in) -------------
 
@@ -98,28 +86,8 @@ class Mediator:
         self.mapping_module.unregister(source_name)
         self._gml_cache = None
         # A later re-registration under the same name may reuse version
-        # numbers, so its cache entries must not survive it — neither
-        # the enrichment/symbol indexes nor whole cached results (both
-        # are keyed on (source name, version), which a different store
-        # registered under the same name can collide with).
-        with self._fetch_cache_lock:
-            self._fetch_cache = {
-                key: value
-                for key, value in self._fetch_cache.items()
-                if key[1] != source_name
-            }
-        with self._result_cache_lock:
-            self._result_cache = {
-                key: value
-                for key, value in self._result_cache.items()
-                if all(name != source_name for name, _version in key[2])
-            }
-        # Stage artifacts are tagged with their participating sources
-        # for exactly this hazard: a re-registered store may reuse the
-        # old version counters, so version-keyed content addresses
-        # would collide with the stale entries.
-        if self.artifacts is not None:
-            self.artifacts.invalidate_source(source_name)
+        # numbers, so no entry built from this source may survive it.
+        self.artifacts.invalidate_source(source_name)
 
     def sources(self):
         """Registered source names in registration order."""
@@ -197,35 +165,40 @@ class Mediator:
               recorder=NULL_RECORDER, budget=None):
         """Answer a :class:`~repro.mediator.decompose.GlobalQuery`.
 
-        Results are cached keyed on the query *and every source's
-        version counter*, so a cache hit is always as fresh as a
-        recomputation — a repeat question costs nothing, while any
-        source update invalidates automatically (the federated
-        freshness guarantee is never traded away).
+        Answers are cached in the mediator's one version-keyed store,
+        keyed on the query, ``enrich_links``, the mediator's policies
+        *and every source's version counter*, so a cache hit is always
+        as fresh as a recomputation — a repeat question costs nothing,
+        while any source update invalidates automatically (the
+        federated freshness guarantee is never traded away).  One rule
+        governs answers, here and nowhere else:
+
+        - the answer is looked up before planning, and a hit is shared
+          by reference (callers treat it as read-only);
+        - ``use_cache=False`` neither reads nor writes answers;
+        - a traced run writes its answer but never reads one (a hit
+          would replay nothing and the trace would be empty);
+        - an answer degraded because its own budget expired is never
+          stored — a repeat with a fresh budget must get a full
+          answer — while one degraded by a source fault is stored
+          like any other;
+        - only complete answers are written to the disk tier.
 
         Pass a :class:`~repro.trace.recorder.TraceRecorder` to record
         the query flight: the result's :attr:`IntegratedResult.trace`
-        becomes the closed span tree.  A traced query never reads the
-        result cache (a cache hit would replay nothing and the trace
-        would be empty), but it still populates the cache for later
-        untraced repeats.
+        becomes the closed span tree.
 
         Pass a :class:`~repro.util.cancel.RequestBudget` as ``budget``
         to bound the whole query: once it expires (or is cancelled)
         every outstanding fetch returns a ``timeout`` reply
         immediately and the federation policy decides between a
-        degraded partial answer and an abort.  An answer degraded by
-        budget exhaustion is never stored in the result cache — a
-        later repeat with a fresh budget must get a full answer, not
-        a replay of the truncated one.
+        degraded partial answer and an abort.
         """
-        tracing = recorder.enabled
-        cache_key = None
+        identity = versions = None
         if use_cache:
-            cache_key = self._cache_key(query, enrich_links)
-            if not tracing:
-                with self._result_cache_lock:
-                    cached = self._result_cache.get(cache_key)
+            identity, versions = self._answer_key(query, enrich_links)
+            if not recorder.enabled:
+                cached = self.artifacts.get("answer", identity, versions)
                 if cached is not None:
                     # Mark the (shared) result as replayed at least
                     # once (see IntegratedResult.from_result_cache).
@@ -235,51 +208,41 @@ class Mediator:
             "query", attributes={"anchor": query.anchor_source}
         ) as query_span:
             plan = self.plan(query, recorder=recorder)
-            # Snapshot the cache binding under its lock:
-            # unregister_source rebinds self._fetch_cache concurrently,
-            # and a torn read here would resurrect evicted entries.
-            with self._fetch_cache_lock:
-                fetch_cache = self._fetch_cache
             executor = Executor(
                 self._wrappers, self.mapping_module, self.reconciler,
-                enrichment_cache=fetch_cache,
-                enrichment_cache_lock=self._fetch_cache_lock,
-                fetcher=self._fetcher, policy=self.federation,
-                artifacts=self.artifacts, budget=budget,
+                artifacts=self.artifacts, fetcher=self._fetcher,
+                policy=self.federation, budget=budget,
             )
             result = executor.execute(
                 plan, query, enrich_links=enrich_links, recorder=recorder
             )
             query_span.set("genes", len(result.genes))
-        if tracing:
+        if recorder.enabled:
             result.trace = recorder.root
-        if budget is not None and budget.expired and result.report.degraded:
-            # Only *budget-caused* truncation is uncacheable; an answer
-            # degraded by a source fault is cached exactly as the same
-            # query without a budget would cache it.
-            cache_key = None
-        if cache_key is not None:
-            with self._result_cache_lock:
-                if len(self._result_cache) >= self.RESULT_CACHE_SIZE:
-                    # Drop the oldest entry (insertion order).
-                    oldest = next(iter(self._result_cache))
-                    del self._result_cache[oldest]
-                self._result_cache[cache_key] = result
+        budget_cut = (
+            budget is not None and budget.expired and result.report.degraded
+        )
+        if identity is not None and not budget_cut:
+            self.artifacts.put(
+                "answer", identity, versions, result,
+                persist=result.report.ok,
+            )
         return result
 
-    def _cache_key(self, query, enrich_links):
-        versions = tuple(
-            (name, self._wrappers[name].version)
-            for name in self._registration_order
-        )
-        return (
+    def _answer_key(self, query, enrich_links):
+        """``(identity, versions)`` of the answer to ``query``."""
+        identity = (
             query,
             enrich_links,
-            versions,
             self.optimizer_options,
             self.reconciler.policy,
             self.federation,
         )
+        versions = tuple(
+            (name, self._wrappers[name].version)
+            for name in self._registration_order
+        )
+        return identity, versions
 
     def explain(self, query):
         """The full plan story as human-readable text: logical tree,

@@ -20,11 +20,9 @@ three explicit layers instead of one ad-hoc structure:
    (lint rule ANN006 enforces that nothing mutates a node in place).
 3. **Physical plan** — :class:`PhysicalPlanner` lowers the optimized
    tree to a :class:`PhysicalPlan`: a DAG of executable stages on the
-   existing fetch/artifact boundaries.  Each
-   :class:`FetchStage` carries everything the executor needs (pushed/
-   residual/closure conditions, link join shape, semijoin driver), and
-   its :meth:`FetchStage.fingerprint` is the exact content-address
-   input of the stage artifact keys — lowering never changes what a
+   existing fetch boundaries.  Each :class:`FetchStage` carries
+   everything the executor needs (pushed/residual/closure conditions,
+   link join shape, semijoin driver) — lowering never changes what a
    stage means, only where its description lives.
 
 Lowering invariants (locked in by the property suite):
@@ -32,9 +30,7 @@ Lowering invariants (locked in by the property suite):
 - the multiset of ``(source, purpose)`` fetch stages equals the
   multiset of logical Scans, under every OptimizerOptions ablation;
 - the anchor stage is always first; link stages keep the optimized
-  join-chain order;
-- stage fingerprints are byte-identical to the pre-IR plan encoding,
-  so artifact keys (and the pinned-digest test) survive the refactor.
+  join-chain order.
 """
 
 from __future__ import annotations
@@ -116,7 +112,7 @@ class OptimizerOptions:
 class SemiJoinSpec(NamedTuple):
     """Anchor retrieval strategy: fetch anchors by the driving link's
     ids instead of scanning (a plain 2-tuple, so equality with
-    ``(driver, label)`` pairs and artifact-key encoding both hold)."""
+    ``(driver, label)`` pairs holds)."""
 
     driver_source: str
     via_anchor_label: str
@@ -903,46 +899,6 @@ class FetchStage:
                 )
             parts.append(f"~{self.estimated_rows} rows")
         return " | ".join(parts)
-
-    def fingerprint(
-        self,
-        position: int,
-        version: int,
-        degraded: Optional[bool] = None,
-    ) -> Tuple[Any, ...]:
-        """The stage's stable content-address tuple: every plan input
-        that shapes its output (position, source id + version, link
-        shape, the condition split).  This is the exact per-step
-        encoding the stage artifact keys have always used — the
-        pinned-digest test holds it still.
-
-        ``degraded`` (when not ``None``) appends the run's degradation
-        flag: the reconcile key includes it because degradation changes
-        the stage's semantics; the answer key omits it and instead only
-        ever stores clean runs.
-        """
-        link = self.link
-        if link is None:
-            raise ValueError(
-                "fingerprint() addresses link stages; the anchor is "
-                "keyed by its conditions and semijoin spec directly"
-            )
-        entry: Tuple[Any, ...] = (
-            position,
-            self.source_name,
-            version,
-            link.mode,
-            link.via,
-            bool(link.reverse_join),
-            bool(link.symbol_join),
-            bool(self.pruned),
-            tuple(self.pushed),
-            tuple(self.residual),
-            tuple(self.closure),
-        )
-        if degraded is not None:
-            entry += (degraded,)
-        return entry
 
 
 @dataclass(frozen=True)

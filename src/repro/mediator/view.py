@@ -8,8 +8,8 @@ Citation / Protein) and a ``Links`` object of ``Url`` children.
 Most consumers never read that graph — the service answers with gene
 ids, the benchmarks check gene ids — so the executor does not build
 it.  It returns an :class:`AnswerView`: the plain data the graph is a
-pure function of, small enough to share through the result cache and
-the whole-answer artifact.  :meth:`AnswerView.build` turns
+pure function of, small enough to share through the mediator's answer
+cache and to persist in its disk tier.  :meth:`AnswerView.build` turns
 it (plus the answer's translated gene rows) into the graph;
 :class:`~repro.mediator.executor.IntegratedResult` calls it once, on
 the first read of ``result.graph`` or ``result.root``.

@@ -15,7 +15,8 @@ Endpoints:
   JSON body; answers 200 (full or degraded-partial), 400 (malformed),
   429 + ``Retry-After`` (queue full), 503 (shutting down);
 - ``GET /questions`` — the catalog question names and their params;
-- ``GET /metrics`` — the service + pipeline counter snapshot;
+- ``GET /metrics`` — the service + pipeline counter snapshot, plus
+  the federation cache's per-kind hits, misses and entries;
 - ``GET /requests`` — recent structured request-log records;
 - ``GET /healthz`` — liveness plus queue depth.
 """
@@ -48,6 +49,7 @@ from repro.service.types import (
 from repro.service.workers import WorkerPool
 from repro.trace.export import trace_shape
 from repro.util.cancel import RequestBudget
+from repro.util.errors import QueryError
 from repro.util.locks import new_lock
 
 
@@ -244,9 +246,16 @@ class AnnodaService:
         return response
 
     def _resolve_question(self, request: ServiceRequest) -> Any:
-        """The catalog question object (or raw text) a request names."""
+        """The question object a request names: a catalog question, or
+        its constrained-English text parsed (an unparseable text is
+        the client's mistake, answered 400)."""
         if request.question is None:
-            return request.text
+            try:
+                return self.annoda.parser.parse(request.text)
+            except QueryError as exc:
+                raise BadRequest(
+                    f"unparseable question text: {exc}"
+                ) from None
         name = request.question
         factory = getattr(QuestionCatalog, name, None)
         known = QuestionCatalog.all_names() + ["genes_under_term"]
@@ -317,6 +326,13 @@ class AnnodaService:
             ]
         }
 
+    def metrics_snapshot(self) -> Dict[str, Dict[str, Any]]:
+        """What ``GET /metrics`` reports: the service and pipeline
+        counters, and the federation cache's ``stats()`` per kind."""
+        snapshot = self.metrics.snapshot()
+        snapshot["cache"] = self.annoda.mediator.artifacts.stats()
+        return snapshot
+
     def health(self) -> Dict[str, Any]:
         return {
             "status": "shutting-down" if self._stopped else "ok",
@@ -347,7 +363,7 @@ class AnnodaHTTPHandler(BaseHTTPRequestHandler):
         if path == "/healthz":
             self._send_json(STATUS_OK, service.health())
         elif path == "/metrics":
-            self._send_json(STATUS_OK, service.metrics.snapshot())
+            self._send_json(STATUS_OK, service.metrics_snapshot())
         elif path == "/questions":
             self._send_json(STATUS_OK, service.questions())
         elif path == "/requests":

@@ -15,6 +15,7 @@ exactly that sub-dict.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple
 
@@ -48,8 +49,8 @@ class ServiceRequest:
     ``deadline`` is relative seconds the whole request may take —
     queue wait included; ``None`` inherits the service default.
     ``trace`` opts into flight-recording the query (the response and
-    the request log then carry the trace shape; traced requests bypass
-    the answer caches by design, so tracing is per-request opt-in).
+    the request log then carry the trace shape; traced requests never
+    read the answer cache, so tracing is per-request opt-in).
     """
 
     question: Optional[str] = None
@@ -66,8 +67,10 @@ class ServiceRequest:
                 "exactly one of 'question' (catalog name) or 'text' "
                 "(constrained English) must be given"
             )
-        if self.deadline is not None and self.deadline < 0:
-            raise BadRequest("'deadline' must be >= 0 seconds")
+        if self.deadline is not None and not (
+            math.isfinite(self.deadline) and self.deadline >= 0
+        ):
+            raise BadRequest("'deadline' must be a finite number >= 0")
         object.__setattr__(self, "params", dict(self.params))
 
     @property
@@ -101,8 +104,15 @@ class ServiceRequest:
         params = payload.get("params", {})
         if not isinstance(params, dict):
             raise BadRequest("'params' must be a JSON object")
+        # Every catalog parameter is a string (CATALOG_PARAMS).
+        for name, value in params.items():
+            if not isinstance(value, str):
+                raise BadRequest(f"param {name!r} must be a string")
         deadline = payload.get("deadline")
-        if deadline is not None and not isinstance(deadline, (int, float)):
+        if deadline is not None and (
+            isinstance(deadline, bool)
+            or not isinstance(deadline, (int, float))
+        ):
             raise BadRequest("'deadline' must be a number of seconds")
         for flag in ("enrich_links", "use_cache", "trace"):
             if flag in payload and not isinstance(payload[flag], bool):

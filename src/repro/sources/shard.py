@@ -33,7 +33,7 @@ Partitions are keyed on the *base* store's version counter and rebuilt
 lazily under the facade's fetch mutex whenever it moves, exactly like
 the base contract's index state; ``ShardedSource.version`` delegates
 to the base store, so every version-keyed cache above the wrapper
-boundary (result cache, artifact keys, GML) invalidates unchanged.
+boundary (the mediator's cache, GML) invalidates unchanged.
 """
 
 from __future__ import annotations

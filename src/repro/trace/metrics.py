@@ -142,21 +142,6 @@ METRICS.register(
     description="equality indexes adopted from a persisted snapshot",
 )
 METRICS.register(
-    "artifact_hits", stage="execute",
-    description="executor stages skipped via a content-addressed "
-                "artifact",
-)
-METRICS.register(
-    "artifact_misses", stage="execute",
-    description="executor stages that probed the artifact store and "
-                "had to run",
-)
-METRICS.register(
-    "artifact_bytes", stage="execute",
-    description="artifact bytes moved (read on hits + written on "
-                "stores)",
-)
-METRICS.register(
     "shard_fans", stage="execute",
     description="logical fetches the stage scheduler fanned out "
                 "across a shard grid",

@@ -1,4 +1,4 @@
-"""Tests for the content-addressed stage artifact cache.
+"""Tests for the mediator's one version-keyed cache.
 
 Three contracts pinned here:
 
@@ -6,16 +6,17 @@ Three contracts pinned here:
    inputs agree across processes (and hash seeds), every
    distinguishing input changes it, and unsupported types are
    rejected rather than silently repr-hashed.
-2. **Store behaviour** — memory LRU, disk tier with digest gating
-   (corruption warns and recomputes), source-tag invalidation.
-3. **Executor integration** — a repeated query over an
-   :class:`ArtifactStore`-equipped mediator reuses finished stages
-   (``artifact_hits > 0``, identical answers), while version bumps
-   and source re-registration miss stale artifacts.
+2. **Store behaviour** — memory LRU with one entry per identity, disk
+   tier with digest gating (corruption warns and recomputes),
+   source-tag invalidation.
+3. **Mediator integration** — a repeated query reuses its stored
+   answer (answer hits, identical answers), while version bumps and
+   source re-registration miss stale entries.
 """
 
 import subprocess
 import sys
+from dataclasses import dataclass
 
 import pytest
 
@@ -27,6 +28,9 @@ from repro.mediator.artifacts import (
 )
 from repro.mediator.decompose import Condition
 from repro.wrappers import default_wrappers
+
+#: The (source, version) pairs the store unit tests build entries from.
+VERSIONS = (("GO", 1),)
 
 
 def _flagship_query():
@@ -46,36 +50,48 @@ def _mediator(corpus, artifacts=None):
     return mediator
 
 
+def _probe(mediator, query, **kwargs):
+    """Ask ``query``; returns the result and the answer hits and misses
+    the ask added to the mediator's store."""
+    before = mediator.artifacts.stats()["answer"]
+    result = mediator.query(query, **kwargs)
+    after = mediator.artifacts.stats()["answer"]
+    return result, {
+        outcome: after[outcome] - before[outcome]
+        for outcome in ("hits", "misses")
+    }
+
+
 PINNED_KEY_ARGS = dict(
-    source="LocusLink",
-    version=3,
-    conditions=(Condition("Organism", "=", "Homo sapiens"),),
-    upstream=((("GO", 2), (1, 2, 3)),),
-    extra=("include", True),
+    identity=(
+        (Condition("Organism", "=", "Homo sapiens"),),
+        ("include", True),
+    ),
+    versions=(("LocusLink", 3), ("GO", 2)),
 )
 
-#: The digest the recipe produces at ``ARTIFACT_SCHEMA = 2``.  If this
+#: The digest the recipe produces at ``ARTIFACT_SCHEMA = 3``.  If this
 #: assertion ever fails, the key recipe changed shape — bump
 #: ARTIFACT_SCHEMA so old artifacts can never be misread (and re-pin
-#: this digest with the bump, as schema 2 did).
+#: this digest with the bump, as schema 3 did).
 PINNED_DIGEST = (
-    "6654d174f7afd1ab67d541667986210032756f792fec1992becc1c4972905e5f"
+    "a5d473939f8f8d5e6831baefb7892dfa1646b33feaa5780939aa57ca8c41d0ff"
 )
 
 
 class TestStageKey:
     def test_pinned_digest(self):
-        assert stage_key("reconcile", **PINNED_KEY_ARGS) == PINNED_DIGEST
+        assert stage_key("answer", **PINNED_KEY_ARGS) == PINNED_DIGEST
 
     def test_stable_across_processes_and_hash_seeds(self):
         script = (
             "import sys; sys.path.insert(0, 'src')\n"
             "from repro.mediator.artifacts import stage_key\n"
             "from repro.mediator.decompose import Condition\n"
-            "print(stage_key('reconcile', source='LocusLink', version=3,"
-            " conditions=(Condition('Organism', '=', 'Homo sapiens'),),"
-            " upstream=((('GO', 2), (1, 2, 3)),),"
-            " extra=('include', True)))\n"
+            "print(stage_key('answer',"
+            " identity=((Condition('Organism', '=', 'Homo sapiens'),),"
+            " ('include', True)),"
+            " versions=(('LocusLink', 3), ('GO', 2))))\n"
         )
         for seed in ("0", "12345"):
             out = subprocess.run(
@@ -88,126 +104,176 @@ class TestStageKey:
             assert out.stdout.strip() == PINNED_DIGEST
 
     def test_every_component_distinguishes(self):
-        base = stage_key("reconcile", **PINNED_KEY_ARGS)
+        base = stage_key("answer", **PINNED_KEY_ARGS)
         assert stage_key("enrichment", **PINNED_KEY_ARGS) != base
         for field, changed in [
-            ("source", "GO"),
-            ("version", 4),
-            ("conditions", ()),
-            ("upstream", ()),
-            ("extra", ("exclude", True)),
+            ("identity", ((), ("include", True))),
+            ("identity", ((Condition("Organism", "=", "Mus"),),
+                          ("include", True))),
+            ("identity", (PINNED_KEY_ARGS["identity"][0],
+                          ("exclude", True))),
+            ("versions", (("LocusLink", 4), ("GO", 2))),
+            ("versions", (("LocusLink", 3),)),
         ]:
             args = dict(PINNED_KEY_ARGS)
             args[field] = changed
-            assert stage_key("reconcile", **args) != base, field
+            assert stage_key("answer", **args) != base, field
 
     def test_condition_objects_normalize_to_triples(self):
         as_object = stage_key(
-            "anchor", conditions=(Condition("Symbol", "=", "TP53"),)
+            "answer", (Condition("Symbol", "=", "TP53"),)
         )
         as_triple = stage_key(
-            "anchor", conditions=(("Symbol", "=", "TP53"),)
+            "answer", (("Symbol", "=", "TP53"),)
         )
         assert as_object == as_triple
 
     def test_unsupported_types_rejected(self):
         with pytest.raises(TypeError):
-            stage_key("anchor", extra=(object(),))
+            stage_key("answer", (object(),))
+
+    def test_frozen_dataclasses_participate_by_type_and_fields(self):
+        query = _flagship_query()
+        assert stage_key("answer", query) == stage_key(
+            "answer", _flagship_query()
+        )
+        projected = GlobalQuery(
+            anchor_source=query.anchor_source,
+            links=query.links,
+            select=("GeneID",),
+        )
+        assert stage_key("answer", projected) != stage_key("answer", query)
+
+        @dataclass
+        class Mutable:
+            value: int = 0
+
+        with pytest.raises(TypeError):
+            stage_key("answer", Mutable())
 
 
 class TestMemoryTier:
     def test_put_get_round_trip(self):
         store = ArtifactStore()
-        size = store.put("k1", {"rows": [1, 2]}, sources=("GO",))
-        assert size > 0
-        payload, got_size = store.get("k1")
+        store.put("answer", "k1", VERSIONS, {"rows": [1, 2]})
+        payload = store.get("answer", "k1", VERSIONS)
         assert payload == {"rows": [1, 2]}
-        assert got_size == size
+        assert store.get("answer", "k1", (("GO", 2),)) is None
 
     def test_miss_returns_none_and_counts(self):
         store = ArtifactStore()
-        assert store.get("absent") is None
-        assert store.stats()["misses"] == 1
+        assert store.get("answer", "absent", VERSIONS) is None
+        assert store.stats()["answer"]["misses"] == 1
 
     def test_lru_evicts_oldest_and_hits_refresh(self):
         store = ArtifactStore(max_entries=2)
-        store.put("a", 1)
-        store.put("b", 2)
-        assert store.get("a") is not None  # refresh: "b" is now oldest
-        store.put("c", 3)
-        assert store.get("b") is None
-        assert store.get("a") is not None
-        assert store.get("c") is not None
+        store.put("answer", "a", VERSIONS, 1)
+        store.put("answer", "b", VERSIONS, 2)
+        # refresh: "b" is now oldest
+        assert store.get("answer", "a", VERSIONS) is not None
+        store.put("answer", "c", VERSIONS, 3)
+        assert store.get("answer", "b", VERSIONS) is None
+        assert store.get("answer", "a", VERSIONS) is not None
+        assert store.get("answer", "c", VERSIONS) is not None
+
+    def test_put_replaces_older_versions_of_the_identity(self):
+        store = ArtifactStore()
+        store.put("enrichment", "GO", (("GO", 1),), "old")
+        store.put("enrichment", "GO", (("GO", 2),), "new")
+        store.put("symbols", "GO", (("GO", 1),), "other kind")
+        assert store.get("enrichment", "GO", (("GO", 1),)) is None
+        assert store.get("enrichment", "GO", (("GO", 2),)) == "new"
+        assert store.stats()["enrichment"] == {
+            "hits": 1, "misses": 1, "entries": 1,
+        }
+        assert store.stats()["symbols"]["entries"] == 1
 
     def test_invalidate_source_drops_tagged_entries(self):
         store = ArtifactStore()
-        store.put("a", 1, sources=("GO", "LocusLink"))
-        store.put("b", 2, sources=("OMIM",))
+        store.put("answer", "a", (("GO", 1), ("LocusLink", 1)), 1)
+        store.put("answer", "b", (("OMIM", 1),), 2)
         assert store.invalidate_source("GO") == 1
-        assert store.get("a") is None
-        assert store.get("b") is not None
+        assert store.get("answer", "a", (("GO", 1), ("LocusLink", 1))) is None
+        assert store.get("answer", "b", (("OMIM", 1),)) is not None
 
     def test_live_put_shares_by_reference_without_pickling(self):
         store = ArtifactStore()
         payload = {"callback": lambda: None}  # not even picklable
-        assert store.put("k", payload, live=True) == 0
-        got, size = store.get("k")
+        store.put("answer", "k", VERSIONS, payload)
+        got = store.get("answer", "k", VERSIONS)
         assert got is payload
-        assert size == 0
 
     def test_invalidate_source_drops_live_entries(self):
         store = ArtifactStore()
-        store.put("k", {"x": 1}, sources=("GO",), live=True)
+        store.put("answer", "k", VERSIONS, {"x": 1})
         assert store.invalidate_source("GO") == 1
-        assert store.get("k") is None
+        assert store.get("answer", "k", VERSIONS) is None
+
+
+def _disk_path(tmp_path, identity):
+    return tmp_path / f"{stage_key('answer', identity, VERSIONS)}" \
+        f"{ARTIFACT_SUFFIX}"
 
 
 class TestDiskTier:
     def test_survives_a_fresh_store(self, tmp_path):
         ArtifactStore(directory=tmp_path).put(
-            "k1", {"x": 1}, sources=("GO",)
+            "answer", "k1", VERSIONS, {"x": 1}, persist=True
         )
         reopened = ArtifactStore(directory=tmp_path)
-        payload, _size = reopened.get("k1")
+        payload = reopened.get("answer", "k1", VERSIONS)
         assert payload == {"x": 1}
-        assert reopened.stats()["hits"] == 1
+        assert reopened.stats()["answer"]["hits"] == 1
+
+    def test_only_persisted_entries_reach_disk(self, tmp_path):
+        store = ArtifactStore(directory=tmp_path)
+        store.put("answer", "k1", VERSIONS, {"x": 1})
+        assert list(tmp_path.iterdir()) == []
+        reopened = ArtifactStore(directory=tmp_path)
+        assert reopened.get("answer", "k1", VERSIONS) is None
 
     def test_corrupted_artifact_warns_and_recomputes(self, tmp_path):
         store = ArtifactStore(directory=tmp_path)
-        store.put("k1", {"x": 1})
-        path = tmp_path / f"k1{ARTIFACT_SUFFIX}"
+        store.put("answer", "k1", VERSIONS, {"x": 1}, persist=True)
+        path = _disk_path(tmp_path, "k1")
         data = bytearray(path.read_bytes())
         data[-1] ^= 0xFF  # flip one payload byte: digest gate must trip
         path.write_bytes(bytes(data))
         cold = ArtifactStore(directory=tmp_path)
         with pytest.warns(RuntimeWarning, match="corrupted"):
-            assert cold.get("k1") is None
-        assert cold.stats()["misses"] == 1
+            assert cold.get("answer", "k1", VERSIONS) is None
+        assert cold.stats()["answer"]["misses"] == 1
 
     def test_truncated_artifact_is_a_miss(self, tmp_path):
         store = ArtifactStore(directory=tmp_path)
-        store.put("k1", list(range(100)))
-        path = tmp_path / f"k1{ARTIFACT_SUFFIX}"
+        store.put("answer", "k1", VERSIONS, list(range(100)), persist=True)
+        path = _disk_path(tmp_path, "k1")
         path.write_bytes(path.read_bytes()[:10])
         with pytest.warns(RuntimeWarning):
-            assert ArtifactStore(directory=tmp_path).get("k1") is None
+            assert ArtifactStore(directory=tmp_path).get(
+                "answer", "k1", VERSIONS
+            ) is None
 
     def test_invalidate_source_unlinks_tagged_files(self, tmp_path):
         store = ArtifactStore(directory=tmp_path)
-        store.put("a", 1, sources=("GO",))
-        store.put("b", 2, sources=("OMIM",))
+        store.put("answer", "a", (("GO", 1),), 1, persist=True)
+        store.put("answer", "b", (("OMIM", 1),), 2, persist=True)
         fresh = ArtifactStore(directory=tmp_path)  # memory tier empty
         assert fresh.invalidate_source("GO") == 1
-        assert not (tmp_path / f"a{ARTIFACT_SUFFIX}").exists()
-        assert (tmp_path / f"b{ARTIFACT_SUFFIX}").exists()
+        a_name = stage_key("answer", "a", (("GO", 1),))
+        b_name = stage_key("answer", "b", (("OMIM", 1),))
+        assert not (tmp_path / f"{a_name}{ARTIFACT_SUFFIX}").exists()
+        assert (tmp_path / f"{b_name}{ARTIFACT_SUFFIX}").exists()
 
     def test_live_put_with_disk_still_round_trips(self, tmp_path):
         store = ArtifactStore(directory=tmp_path)
         payload = {"genes": [1, 2]}
-        assert store.put("k", payload, live=True) > 0
-        got, _size = store.get("k")
+        store.put("answer", "k", VERSIONS, payload, persist=True)
+        got = store.get("answer", "k", VERSIONS)
         assert got is payload  # memory tier hands back the object
-        reread, _size = ArtifactStore(directory=tmp_path).get("k")
+        reread = ArtifactStore(directory=tmp_path).get(
+            "answer", "k", VERSIONS
+        )
         assert reread == payload
         assert reread is not payload  # disk tier unpickles a copy
 
@@ -216,12 +282,12 @@ class TestExecutorIntegration:
     def test_repeated_query_hits_artifacts(self, corpus):
         mediator = _mediator(corpus, artifacts=ArtifactStore())
         query = _flagship_query()
-        cold = mediator.query(query, use_cache=False)
-        assert cold.stats.artifact_hits == 0
-        assert cold.stats.artifact_misses > 0
-        warm = mediator.query(query, use_cache=False)
-        assert warm.stats.artifact_hits > 0
-        assert warm.stats.artifact_misses == 0
+        cold, cold_probe = _probe(mediator, query)
+        assert cold_probe["hits"] == 0
+        assert cold_probe["misses"] > 0
+        warm, warm_probe = _probe(mediator, query)
+        assert warm_probe["hits"] > 0
+        assert warm_probe["misses"] == 0
         assert warm.gene_ids() == cold.gene_ids()
 
     def test_artifacts_change_no_answers(self, corpus):
@@ -229,8 +295,8 @@ class TestExecutorIntegration:
         cached = _mediator(corpus, artifacts=ArtifactStore())
         query = _flagship_query()
         expected = plain.query(query, use_cache=False).gene_ids()
-        assert cached.query(query, use_cache=False).gene_ids() == expected
-        assert cached.query(query, use_cache=False).gene_ids() == expected
+        assert cached.query(query).gene_ids() == expected
+        assert cached.query(query).gene_ids() == expected
 
     def test_version_bump_misses_stale_artifacts(self):
         """A mutated source changes its version counter, so every
@@ -247,14 +313,14 @@ class TestExecutorIntegration:
         )
         mediator = _mediator(private, artifacts=ArtifactStore())
         query = _flagship_query()
-        mediator.query(query, use_cache=False)
-        warm = mediator.query(query, use_cache=False)
-        assert warm.stats.artifact_misses == 0
+        mediator.query(query)
+        _warm, warm_probe = _probe(mediator, query)
+        assert warm_probe["misses"] == 0
         private.omim.add(
             OmimRecord(mim_number=999999, title="synthetic delta")
         )
-        bumped = mediator.query(query, use_cache=False)
-        assert bumped.stats.artifact_misses > 0
+        bumped, bumped_probe = _probe(mediator, query)
+        assert bumped_probe["misses"] > 0
         plain = _mediator(private)
         assert bumped.gene_ids() == plain.query(
             query, use_cache=False
@@ -267,7 +333,7 @@ class TestExecutorIntegration:
 
         mediator = _mediator(corpus, artifacts=ArtifactStore())
         query = _flagship_query()
-        mediator.query(query, use_cache=False)
+        mediator.query(query)
         other_corpus = AnnotationCorpus.generate(
             seed=99,
             parameters=CorpusParameters(
@@ -281,34 +347,43 @@ class TestExecutorIntegration:
         )
         mediator.unregister_source("OMIM")
         mediator.register_wrapper(replacement)
-        rerun = mediator.query(query, use_cache=False)
-        assert rerun.stats.artifact_hits == 0
+        _rerun, rerun_probe = _probe(mediator, query)
+        assert rerun_probe["hits"] == 0
 
     def test_disk_artifacts_survive_a_new_mediator(self, corpus, tmp_path):
         query = _flagship_query()
         first = _mediator(corpus, artifacts=ArtifactStore(directory=tmp_path))
-        expected = first.query(query, use_cache=False).gene_ids()
+        expected = first.query(query).gene_ids()
         second = _mediator(
             corpus, artifacts=ArtifactStore(directory=tmp_path)
         )
-        warm = second.query(query, use_cache=False)
-        assert warm.stats.artifact_hits > 0
+        warm, warm_probe = _probe(second, query)
+        assert warm_probe["hits"] > 0
         assert warm.gene_ids() == expected
 
 
 class TestAnswerStage:
-    """The whole-answer artifact: a clean execution stores its
-    constructed answer as a live payload, and an untraced repeat at
-    the same source versions answers straight from the store —
-    skipping fetch, reconcile and answer construction."""
+    """Whole answers: a clean execution stores its answer, and an
+    untraced repeat at the same source versions answers straight from
+    the store — skipping planning, fetch, reconcile and answer
+    construction."""
 
-    def test_warm_repeat_skips_every_stage(self, corpus):
-        mediator = _mediator(corpus, artifacts=ArtifactStore())
+    def test_warm_repeat_skips_every_stage(self, corpus, tmp_path):
+        # The warm repeat runs in a second mediator over the same disk
+        # tier: a reloaded answer carries empty execution stats, so
+        # they show that nothing ran (a memory hit shares the cold
+        # run's result object, stats included).
+        cold_mediator = _mediator(
+            corpus, artifacts=ArtifactStore(directory=tmp_path)
+        )
+        mediator = _mediator(
+            corpus, artifacts=ArtifactStore(directory=tmp_path)
+        )
         query = _flagship_query()
-        cold = mediator.query(query, use_cache=False)
-        warm = mediator.query(query, use_cache=False)
-        assert warm.stats.artifact_hits == 1
-        assert warm.stats.artifact_misses == 0
+        cold = cold_mediator.query(query)
+        warm, warm_probe = _probe(mediator, query)
+        assert warm_probe["hits"] == 1
+        assert warm_probe["misses"] == 0
         # Nothing below the answer stage ran on the repeat.
         assert warm.stats.anchors_considered == 0
         assert warm.gene_ids() == cold.gene_ids()
@@ -320,13 +395,13 @@ class TestAnswerStage:
 
         mediator = _mediator(corpus, artifacts=ArtifactStore())
         full = _flagship_query()
-        mediator.query(full, use_cache=False)
+        mediator.query(full)
         projected = GlobalQuery(
             anchor_source=full.anchor_source,
             links=full.links,
             select=("GeneID",),
         )
-        narrow = mediator.query(projected, use_cache=False)
+        narrow = mediator.query(projected)
         assert narrow.genes
         assert all(
             set(gene) <= {"GeneID", "_links"} for gene in narrow.genes
@@ -340,34 +415,38 @@ class TestAnswerStage:
 
         mediator = _mediator(corpus, artifacts=ArtifactStore())
         query = _flagship_query()
-        mediator.query(query, use_cache=False)
+        mediator.query(query)
         recorder = TraceRecorder()
-        traced = mediator.query(
-            query, use_cache=False, recorder=recorder
-        )
+        traced = mediator.query(query, recorder=recorder)
         assert traced.trace.find("fetch") is not None
         assert traced.trace.find("reconcile") is not None
 
-    def test_degraded_runs_are_not_reusable(self, corpus):
+    def test_degraded_runs_are_not_reusable(self, corpus, tmp_path):
         """A degraded answer is missing data its source versions can
-        provide — it must never be stored, so a later healthy run
-        over the same store recomputes a complete answer."""
+        provide — it must never reach the disk tier, so a later
+        healthy run over the same directory (same policies, same
+        versions: the same answer key) recomputes a complete
+        answer."""
         from repro.mediator.fetch import FederationPolicy, FlakyWrapper
 
-        store = ArtifactStore()
+        policy = FederationPolicy(on_failure="degrade")
         flaky = Mediator(
-            artifacts=store,
-            federation=FederationPolicy(on_failure="degrade"),
+            artifacts=ArtifactStore(directory=tmp_path),
+            federation=policy,
         )
         for wrapper in default_wrappers(corpus):
             if wrapper.name == "GO":
                 wrapper = FlakyWrapper(wrapper, blackout=True)
             flaky.register_wrapper(wrapper)
         query = _flagship_query()
-        partial = flaky.query(query, use_cache=False)
+        partial = flaky.query(query)
         assert not partial.report.ok
-        healthy = _mediator(corpus, artifacts=store)
-        complete = healthy.query(query, use_cache=False)
+        healthy = Mediator(
+            artifacts=ArtifactStore(directory=tmp_path), federation=policy
+        )
+        for wrapper in default_wrappers(corpus):
+            healthy.register_wrapper(wrapper)
+        complete = healthy.query(query)
         assert complete.report.ok
         # The degraded include-constraint was skipped, so the partial
         # answer is a superset; a complete recomputation narrows it.

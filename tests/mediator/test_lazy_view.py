@@ -144,16 +144,13 @@ class TestSameView:
         assert view_digests(result) == PINNED[name]
 
     def test_whole_answer_artifact_serves_the_same_view(self):
-        """A repeat answered from the whole-answer artifact (its
-        payload is the view's inputs, not a graph) builds the same
-        view as the execution that stored it."""
-        annoda = build_federation(
-            config=AnnodaConfig(stage_artifacts=True)
-        )
+        """A repeat answered from the cache's answer entry builds the
+        same view as the execution that stored it."""
+        annoda = build_federation()
         question = annoda.catalog.figure5b()
-        cold = annoda.ask(question, use_cache=False)
-        warm = annoda.ask(question, use_cache=False)
-        assert warm.stats.artifact_hits == 1
+        cold = annoda.ask(question)
+        warm = annoda.ask(question)
+        assert annoda.mediator.artifacts.stats()["answer"]["hits"] == 1
         assert warm.view is cold.view
         assert view_digests(warm) == PINNED["figure5b"]
 
@@ -161,10 +158,10 @@ class TestSameView:
         question = QUESTIONS["cited_disease_genes"]
         config = AnnodaConfig(artifact_dir=str(tmp_path))
         first = build_federation(config=config)
-        first.ask(question(first.catalog), use_cache=False)
+        first.ask(question(first.catalog))
         second = build_federation(config=config)
-        warm = second.ask(question(second.catalog), use_cache=False)
-        assert warm.stats.artifact_hits == 1
+        warm = second.ask(question(second.catalog))
+        assert second.mediator.artifacts.stats()["answer"]["hits"] == 1
         assert view_digests(warm) == PINNED["cited_disease_genes"]
 
 

@@ -436,35 +436,6 @@ class TestPhysicalSurface:
         assert [r["rule"] for r in payload["rules"]] == list(RULE_NAMES)
         assert len(payload["steps"]) == 3
 
-    def test_fingerprint_matches_legacy_encoding(self, mediator):
-        plan = optimizer_for(mediator).plan(
-            subqueries_for(mediator, conditioned_query())
-        )
-        step = plan.link_steps[0]
-        fingerprint = step.fingerprint(0, 7, degraded=False)
-        assert fingerprint == (
-            0,
-            step.source_name,
-            7,
-            step.link.mode,
-            step.link.via,
-            bool(step.link.reverse_join),
-            bool(step.link.symbol_join),
-            bool(step.pruned),
-            tuple(step.pushed),
-            tuple(step.residual),
-            tuple(step.closure),
-            False,
-        )
-        assert len(step.fingerprint(0, 7)) == len(fingerprint) - 1
-
-    def test_anchor_stage_has_no_fingerprint(self, mediator):
-        plan = optimizer_for(mediator).plan(
-            subqueries_for(mediator, conditioned_query())
-        )
-        with pytest.raises(ValueError):
-            plan.anchor.fingerprint(0, 1)
-
 
 class TestDeprecatedAliases:
     def test_execution_plan_alias_warns_and_resolves(self):

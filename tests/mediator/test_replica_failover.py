@@ -233,9 +233,9 @@ class TestNoPoisoning:
         assert degraded.report.degraded == ("GO",)
 
         # Heal every replica: the same query (same source versions,
-        # so the same artifact keys) must now produce the complete
-        # answer — a poisoned whole-answer artifact would replay the
-        # degraded one.
+        # so the same answer key) must now produce the complete
+        # answer — a poisoned answer entry would replay the degraded
+        # one.
         flaky.blackout = False
         for wrapper in mediator.wrapper("GO").replicas:
             wrapper.blackout = False

@@ -26,6 +26,11 @@ QUERY = GlobalQuery(
 )
 
 
+def _entries(mediator, kind):
+    """How many ``kind`` entries the mediator's cache holds."""
+    return mediator.artifacts.stats()[kind]["entries"]
+
+
 def _fresh_corpus(seed):
     """A corpus no other test has touched: its stores' version
     counters are pristine, so two same-shaped corpora genuinely
@@ -101,7 +106,7 @@ class TestReRegistrationFreshness:
             w.name: w for w in default_wrappers(other)
         }["GO"]
         mediator.unregister_source("GO")
-        assert not mediator._result_cache
+        assert not _entries(mediator, "answer")
         mediator.register_wrapper(go_replacement)
         second = mediator.query(QUERY)
         assert second is not first
@@ -115,13 +120,11 @@ class TestReRegistrationFreshness:
         for wrapper in default_wrappers(corpus):
             mediator.register_wrapper(wrapper)
         mediator.query(QUERY)  # warms the enrichment/symbol caches
-        assert any(
-            key[1] == "GO" for key in mediator._fetch_cache
-        )
+        # GO is the query's only link source: every enrichment entry
+        # is built from it.
+        assert _entries(mediator, "enrichment") > 0
         mediator.unregister_source("GO")
-        assert not any(
-            key[1] == "GO" for key in mediator._fetch_cache
-        )
+        assert not _entries(mediator, "enrichment")
         mediator.register_wrapper(
             {w.name: w for w in default_wrappers(other)}["GO"]
         )

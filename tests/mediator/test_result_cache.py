@@ -1,6 +1,6 @@
-"""Tests for the version-keyed query result cache and the shared
-fetch-path caches (enrichment indexes, symbol indexes) that ride on the
-same invalidation scheme."""
+"""Tests for the mediator's version-keyed cache: whole answers, and the
+fetch-path entries (enrichment indexes, symbol indexes) that ride on
+the same invalidation scheme."""
 
 import pytest
 
@@ -11,6 +11,11 @@ from repro.sources.base import NativeCondition
 from repro.sources.locuslink import LocusRecord
 from repro.sources.omim import OmimRecord
 from repro.wrappers import default_wrappers
+
+
+def entries(mediator, kind):
+    """How many ``kind`` entries the mediator's cache holds."""
+    return mediator.artifacts.stats()[kind]["entries"]
 
 
 def disease_query():
@@ -81,7 +86,8 @@ class TestFreshness:
         assert 955555 not in third.gene_ids()
 
     def test_cache_bounded(self, cached_mediator):
-        for cutoff in range(Mediator.RESULT_CACHE_SIZE + 8):
+        bound = cached_mediator.artifacts.max_entries
+        for cutoff in range(bound + 8):
             cached_mediator.query(
                 GlobalQuery(
                     anchor_source="LocusLink",
@@ -90,8 +96,8 @@ class TestFreshness:
                 enrich_links=False,
             )
         assert (
-            len(cached_mediator._result_cache)
-            <= Mediator.RESULT_CACHE_SIZE
+            entries(cached_mediator, "answer")
+            <= bound
         )
 
 
@@ -187,10 +193,8 @@ class TestFetchPathFreshness:
     def test_unregister_purges_fetch_cache(self, private_federation):
         _corpus, mediator = private_federation
         mediator.query(disease_query(), enrich_links=True, use_cache=False)
-        assert any(
-            key[1] == "OMIM" for key in mediator._fetch_cache
-        )
+        # OMIM is the query's only link source, so it owns every
+        # enrichment entry.
+        assert entries(mediator, "enrichment") > 0
         mediator.unregister_source("OMIM")
-        assert not any(
-            key[1] == "OMIM" for key in mediator._fetch_cache
-        )
+        assert not entries(mediator, "enrichment")

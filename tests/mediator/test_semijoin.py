@@ -8,6 +8,7 @@ from repro.mediator import (
     Mediator,
     OptimizerOptions,
 )
+from repro.mediator.artifacts import ArtifactStore
 from repro.mediator.decompose import Condition
 from repro.mediator.executor import Executor
 from repro.wrappers import default_wrappers
@@ -203,7 +204,7 @@ def _execute(mediator, plan, query, batch_fetch):
         mediator._wrappers,
         mediator.mapping_module,
         mediator.reconciler,
-        enrichment_cache={},
+        artifacts=ArtifactStore(),
         batch_fetch=batch_fetch,
     )
     return executor.execute(plan, query, enrich_links=False)

@@ -21,6 +21,7 @@ from repro.mediator import (
     Mediator,
     OptimizerOptions,
 )
+from repro.mediator.artifacts import ArtifactStore
 from repro.mediator.decompose import Condition
 from repro.mediator.executor import Executor
 from repro.sources import AnnotationCorpus, CorpusParameters
@@ -184,7 +185,7 @@ class TestBatchedFetchEquivalence:
                 semijoin_mediator._wrappers,
                 semijoin_mediator.mapping_module,
                 semijoin_mediator.reconciler,
-                enrichment_cache={},
+                artifacts=ArtifactStore(),
                 batch_fetch=batch_fetch,
             )
             runs[batch_fetch] = executor.execute(

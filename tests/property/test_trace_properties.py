@@ -244,9 +244,6 @@ class TestCountersReconcile:
             "concurrent_batches": stats.concurrent_batches,
             "conflicts": result.reconciliation.count(),
             "repaired": result.reconciliation.repaired_count(),
-            "artifact_hits": stats.artifact_hits,
-            "artifact_misses": stats.artifact_misses,
-            "artifact_bytes": stats.artifact_bytes,
         }
         for name, value in expected.items():
             assert totals.get(name, 0) == value, (

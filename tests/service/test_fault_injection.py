@@ -3,8 +3,7 @@
 Reuses :class:`~repro.mediator.fetch.FlakyWrapper` under the service:
 a flaky source yields HTTP 200 *partial* answers whose body carries
 the degraded-source report fields, retries recover transient faults,
-and — the PR 6 rule, regression-pinned end to end — a degraded answer
-never poisons the artifact cache or the result cache: the next healthy
+and a degraded answer never poisons the answer cache: the next healthy
 request gets the full answer, not a replay of the truncated one.
 """
 
@@ -18,7 +17,7 @@ from repro.wrappers import default_wrappers
 from tests.service.conftest import PARAMETERS, SEED, build_annoda, make_service
 
 
-def _blackout_federation(stage_artifacts=False):
+def _blackout_federation(artifact_dir=None):
     """A degrade-policy federation whose OMIM wrapper can be switched
     dark; returns ``(annoda, omim_flaky)``."""
     corpus = AnnotationCorpus.generate(
@@ -26,7 +25,7 @@ def _blackout_federation(stage_artifacts=False):
     )
     annoda = Annoda(config=AnnodaConfig(
         federation=FederationPolicy(on_failure="degrade"),
-        stage_artifacts=stage_artifacts,
+        artifact_dir=artifact_dir,
     ))
     annoda.corpus = corpus
     omim_flaky = None
@@ -93,10 +92,12 @@ class TestDegradedAnswers:
 
 
 class TestCachesNeverPoisoned:
-    def test_degraded_answer_not_served_to_the_next_healthy_request(self):
-        """Artifact cache end-to-end pin: outage, then recovery — the
+    def test_degraded_answer_not_served_to_the_next_healthy_request(
+        self, tmp_path
+    ):
+        """Answer cache end-to-end pin: outage, then recovery — the
         post-recovery answer is full, not the cached partial."""
-        annoda, omim = _blackout_federation(stage_artifacts=True)
+        annoda, omim = _blackout_federation(artifact_dir=str(tmp_path))
         # The true answer, from an identically-seeded healthy twin.
         twin, _ = _blackout_federation()
         expected = sorted(
