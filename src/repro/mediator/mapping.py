@@ -157,7 +157,8 @@ class MappingModule:
 
         Unmatched local fields are kept under their local names
         prefixed with the source (provenance-preserving, per OEM's
-        tolerance of irregular structure).
+        tolerance of irregular structure).  List values are copied, so
+        answer rows never share a list with the source's extent.
         """
         correspondence_set = self.correspondences(source_name)
         # Prefer the wrapper's memoized specs; plain field_specs() keeps
@@ -178,6 +179,8 @@ class MappingModule:
                     value = [transform(item) for item in value]
                 else:
                     value = transform(value)
+            elif isinstance(value, list):
+                value = list(value)
             translated[key] = value
         return translated
 

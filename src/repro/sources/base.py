@@ -8,12 +8,15 @@ should be wrapped and plugged in as it comes into existence"*.
 Beyond enumeration and native filtering, the contract now carries the
 fetch-path machinery the mediator's hot loop depends on:
 
+- **one extent per version** — ``records()`` built once per
+  ``version``, each record wrapped in a read-only
+  :class:`types.MappingProxyType`; scans and index hits both read it.
 - **equality indexes** — version-keyed hash indexes built lazily per
   field, so ``=`` (and batched ``in``) predicates answer by dict
   lookup instead of scanning the extent.  A mutation bumps ``version``
-  and the stale index is discarded wholesale, preserving the federated
-  freshness guarantee: an indexed answer is always identical to a
-  fresh scan.
+  and the stale extent and indexes are discarded wholesale, preserving
+  the federated freshness guarantee: an indexed answer is always
+  identical to a fresh scan.
 - **the ``in`` operator** — one native call fetching many keys at
   once, which the executor uses to collapse N+1 per-id fetches into a
   single batched fetch.
@@ -26,6 +29,11 @@ fetch-path machinery the mediator's hot loop depends on:
   across processes, so a store reloaded from disk
   (:mod:`repro.sources.persistence`) answers its first indexed query
   without any extent scan.
+
+Record contract: records crossing the wrapper boundary
+(``native_query``, so ``Wrapper.fetch``) are read-only mappings shared
+by every caller; ``dict(record)`` gives a mutable copy.  Content
+changes only through version-bumping store methods (``add``/``remove``).
 
 Concurrency contract (machine-checked by ``repro.tools``): all
 indexed-state mutation happens either under the per-source
@@ -40,13 +48,15 @@ from __future__ import annotations
 import abc
 import warnings
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.util.errors import QueryError
 from repro.util.locks import make_counters, new_lock
 
-#: One source record, as exchanged across the wrapper boundary.
-Record = Dict[str, Any]
+#: One source record, as exchanged across the wrapper boundary: a
+#: read-only mapping (``dict(record)`` gives a mutable copy).
+Record = Mapping[str, Any]
 
 #: A built equality index: normalized key -> record positions.
 EqualityIndex = Dict[Tuple[str, Any], List[int]]
@@ -125,8 +135,9 @@ class DataSource(abc.ABC):
         """Set of (field, op) pairs the source evaluates natively."""
 
     @abc.abstractmethod
-    def records(self) -> List[Record]:
-        """All records as a list of plain dicts (field -> value)."""
+    def records(self) -> List[Dict[str, Any]]:
+        """All records as fresh plain dicts, in a stable order (the
+        extent builder; must tolerate a concurrent ``add``/``remove``)."""
 
     @abc.abstractmethod
     def count(self) -> int:
@@ -167,17 +178,16 @@ class DataSource(abc.ABC):
     ) -> List[Record]:
         """Records satisfying every condition, evaluated at the source.
 
-        Equality and ``in`` predicates on indexed fields answer from
-        the version-keyed hash index (dict lookup); everything else
-        falls back to the linear scan.  Both paths return the same
-        record set in the same (``records()``) order.  ``use_index``
-        overrides :attr:`use_indexes` for one call — the equivalence
-        property tests and benchmarks pin it.
-
-        The index, its backing snapshot, and the hit counter are all
-        read under a *single* hold of the per-source fetch mutex, so a
-        concurrent mutation can never pair one version's index with
-        another version's snapshot.
+        One candidate loop over the version's extent: an ``=``/``in``
+        predicate on an indexed field narrows the candidates to its hash
+        index's positions, else every record is one; the other
+        conditions filter them.  Both routes return the extent's own
+        read-only records in ``records()`` order.  ``use_index``
+        overrides :attr:`use_indexes` for one call (property tests and
+        benchmarks pin it).  The extent, its index and the hit/scan
+        counter come from one version's state under a *single* hold of
+        the fetch mutex, so a concurrent mutation can never pair one
+        version's index with another version's extent.
 
         Raises
         ------
@@ -192,7 +202,6 @@ class DataSource(abc.ABC):
                     f"source {self.name!r} cannot evaluate "
                     f"{condition.render()} natively"
                 )
-        counters = self._fetchpath_counters()
         indexes_on = self.use_indexes if use_index is None else use_index
         driver: Optional[NativeCondition] = None
         if indexes_on:
@@ -207,60 +216,46 @@ class DataSource(abc.ABC):
                 None,
             )
         index: Optional[EqualityIndex] = None
-        snapshot: List[Record] = []
-        if driver is not None:
-            with self._fetch_mutex():
-                index = self._equality_index_locked(driver.field)
-                if index is not None:
-                    counters["index_hits"] += 1
-                    snapshot = self._index_snapshot_locked()
-        if index is None:
-            with self._fetch_mutex():
+        with self._fetch_mutex():
+            state = self._index_state_locked()
+            extent = self._extent_locked(state)
+            if driver is not None:
+                index = self._equality_index_locked(driver.field, state)
+            counters = self._fetchpath_counters()
+            if index is None:
                 counters["scan_queries"] += 1
-            matched = []
-            for record in self.records():
-                if all(
-                    _evaluate(record.get(condition.field), condition)
-                    for condition in conditions
-                ):
-                    matched.append(record)
-            return matched
-        assert driver is not None
-        probe_values = driver.value if driver.op == "in" else (driver.value,)
-        positions: set = set()
-        for value in probe_values:
-            for key in _probe_keys(value):
-                positions.update(index.get(key, ()))
-        rest = [condition for condition in conditions if condition is not driver]
-        matched = []
-        for position in sorted(positions):
-            record = snapshot[position]
+            else:
+                counters["index_hits"] += 1
+        candidates: Iterable[Record] = extent
+        rest = conditions
+        if index is not None and driver is not None:
+            probe_values = driver.value if driver.op == "in" else (driver.value,)
+            positions: set = set()
+            for value in probe_values:
+                for key in _probe_keys(value):
+                    positions.update(index.get(key, ()))
+            candidates = [extent[position] for position in sorted(positions)]
+            rest = [condition for condition in conditions if condition is not driver]
+        if not rest:
+            return list(candidates)
+        return [
+            record
+            for record in candidates
             if all(
                 _evaluate(record.get(condition.field), condition)
                 for condition in rest
-            ):
-                # Callers receive copies: the snapshot backing the
-                # index must never alias records callers may mutate.
-                matched.append(dict(record))
-        return matched
+            )
+        ]
 
     # -- equality indexes ----------------------------------------------------
 
-    def equality_index(self, field: str) -> Optional[EqualityIndex]:
-        """The hash index of ``field``: normalized key -> positions.
-
-        Built lazily on first use, shared until the next mutation
-        (``version`` keys the whole index state), and ``None`` when the
-        field holds unhashable values — the caller scans instead.
-        Serialized under the per-source fetch mutex: the executor's
-        federated fetcher may probe one source from several worker
-        threads at once.
-        """
-        with self._fetch_mutex():
-            return self._equality_index_locked(field)
-
-    def _equality_index_locked(self, field: str) -> Optional[EqualityIndex]:
-        state = self._index_state_locked()
+    def _equality_index_locked(
+        self, field: str, state: Dict[str, Any]
+    ) -> Optional[EqualityIndex]:
+        """The hash index of ``field`` over ``state``'s extent (key ->
+        positions), built lazily and shared until the next mutation;
+        ``None`` when the field holds unhashable values, so the caller
+        scans.  Caller holds the fetch mutex."""
         if field in state["unindexable"]:
             return None
         index = state["fields"].get(field)
@@ -268,7 +263,7 @@ class DataSource(abc.ABC):
             index = {}
             try:
                 for position, record in enumerate(
-                    self._index_snapshot_locked()
+                    self._extent_locked(state)
                 ):
                     value = record.get(field)
                     if value is None:
@@ -303,9 +298,9 @@ class DataSource(abc.ABC):
         :meth:`adopt_index_state` validates.
         """
         with self._fetch_mutex():
-            for field in self.indexed_fields():
-                self._equality_index_locked(field)
             state = self._index_state_locked()
+            for field in self.indexed_fields():
+                self._equality_index_locked(field, state)
             return {
                 "schema": INDEX_STATE_SCHEMA,
                 "counter_schema": FETCH_COUNTER_SCHEMA,
@@ -361,7 +356,7 @@ class DataSource(abc.ABC):
             return False
         self._fetch_index_state = {
             "version": self.version,
-            "snapshot": None,
+            "extent": None,
             "fields": fields,
             "unindexable": unindexable,
         }
@@ -396,22 +391,20 @@ class DataSource(abc.ABC):
         if state is None or state["version"] != self.version:
             state = {
                 "version": self.version,
-                "snapshot": None,
+                "extent": None,
                 "fields": {},
                 "unindexable": set(),
             }
             self._fetch_index_state = state
         return state
 
-    def _index_snapshot_locked(self) -> List[Record]:
-        """One ``records()`` materialization per version, shared by all
-        field indexes (positions refer into it); caller holds the
-        fetch mutex, so an index and the snapshot it was built over
-        are always taken from the same version."""
-        state = self._index_state_locked()
-        if state["snapshot"] is None:
-            state["snapshot"] = self.records()
-        return state["snapshot"]
+    def _extent_locked(self, state: Dict[str, Any]) -> List[Record]:
+        """``state``'s extent: one ``records()`` materialization, each
+        record wrapped read-only, shared by scans, index hits and field
+        indexes (positions refer into it); caller holds the mutex."""
+        if state["extent"] is None:
+            state["extent"] = [MappingProxyType(record) for record in self.records()]
+        return state["extent"]
 
     def _fetchpath_counters(self) -> Dict[str, int]:
         counters = self.__dict__.get("_fetchpath_counts")

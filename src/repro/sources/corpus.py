@@ -20,7 +20,7 @@ scoring, and can inject the *semantic conflicts and contradictions*
     LocusLink references a MIM number that does not exist in OMIM.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.sources.go.generator import GoGenerator
 from repro.sources.go.ontology import GoOntology
@@ -295,7 +295,8 @@ class AnnotationCorpus:
 
         Wiring is bidirectional, like the OMIM links: each generated
         citation lists the loci it annotates, and those locus records
-        gain the citation's PMID.
+        gain the citation's PMID — through the store's ``remove``/``add``,
+        so LocusLink's ``version`` moves with its content.
         """
         rng = DeterministicRng(self.seed).substream("citations")
         citations = CitationGenerator(rng).generate(
@@ -307,7 +308,9 @@ class AnnotationCorpus:
                 if record is not None and citation.pmid not in (
                     record.pubmed_ids
                 ):
-                    record.pubmed_ids.append(citation.pmid)
+                    pmids = [*record.pubmed_ids, citation.pmid]
+                    self.locuslink.remove(locus_id)
+                    self.locuslink.add(replace(record, pubmed_ids=pmids))
         return CitationStore(citations)
 
     def make_protein_store(self, coverage=0.6, uncurated_rate=0.3):

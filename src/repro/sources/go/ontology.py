@@ -67,7 +67,7 @@ class GoOntology(DataSource):
         return self._CAPABILITIES
 
     def records(self):
-        return [self._terms[key].as_dict() for key in sorted(self._terms)]
+        return [term.as_dict() for _, term in sorted(self._terms.items())]
 
     def count(self):
         return len(self._terms)

@@ -79,7 +79,7 @@ class LocusLinkStore(DataSource):
         return self._CAPABILITIES
 
     def records(self):
-        return [self._by_id[key].as_dict() for key in sorted(self._by_id)]
+        return [record.as_dict() for _, record in sorted(self._by_id.items())]
 
     def count(self):
         return len(self._by_id)

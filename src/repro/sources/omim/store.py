@@ -49,7 +49,7 @@ class OmimStore(DataSource):
         return self._CAPABILITIES
 
     def records(self):
-        return [self._by_mim[key].as_dict() for key in sorted(self._by_mim)]
+        return [record.as_dict() for _, record in sorted(self._by_mim.items())]
 
     def count(self):
         return len(self._by_mim)

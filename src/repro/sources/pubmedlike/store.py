@@ -145,7 +145,7 @@ class CitationStore(DataSource):
         return self._CAPABILITIES
 
     def records(self):
-        return [self._by_pmid[key].as_dict() for key in sorted(self._by_pmid)]
+        return [citation.as_dict() for _, citation in sorted(self._by_pmid.items())]
 
     def count(self):
         return len(self._by_pmid)

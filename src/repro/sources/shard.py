@@ -87,10 +87,10 @@ class SourceShard(DataSource):
         # index/scan driver decision matches the unsharded one.
         return self._indexed
 
-    def records(self) -> List[Record]:
-        # Fresh dict copies, exactly the base stores' behaviour: the
-        # partition's backing dicts never alias records a caller may
-        # mutate (the per-shard index snapshot depends on that).
+    def records(self) -> List[Dict[str, Any]]:
+        # Fresh dict copies, exactly the base stores' behaviour: callers
+        # own what ``records()`` returns; native queries read the
+        # per-shard read-only extent built from these copies instead.
         return [dict(record) for record in self._records]
 
     def count(self) -> int:
@@ -156,7 +156,7 @@ class ShardedSource(DataSource):
     def indexed_fields(self) -> Tuple[str, ...]:
         return self._base.indexed_fields()
 
-    def records(self) -> List[Record]:
+    def records(self) -> List[Dict[str, Any]]:
         return self._base.records()
 
     def count(self) -> int:

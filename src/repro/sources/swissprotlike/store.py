@@ -219,8 +219,8 @@ class ProteinStore(DataSource):
 
     def records(self):
         return [
-            self._by_accession[key].as_dict()
-            for key in sorted(self._by_accession)
+            record.as_dict()
+            for _, record in sorted(self._by_accession.items())
         ]
 
     def count(self):

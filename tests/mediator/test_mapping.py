@@ -3,7 +3,10 @@ translation."""
 
 import pytest
 
+from repro.core.annoda import Annoda
 from repro.mediator import GlobalSchema, MappingModule, TransformRegistry
+from repro.questions import QuestionCatalog
+from repro.sources import CorpusParameters
 from repro.util.errors import ConfigurationError, IntegrationError
 from repro.wrappers import LocusLinkWrapper, OmimWrapper
 
@@ -113,6 +116,21 @@ class TestTranslation:
         assert translated["GeneID"] == record["LocusID"]
         assert translated["GeneSymbol"] == record["Symbol"]
         assert translated["Species"] == record["Organism"]
+
+    def test_answer_rows_do_not_alias_the_extent(self):
+        """A caller editing an answer row's list cannot poison a later
+        answer: translated rows copy list values out of the fetched
+        records, which are the source's shared extent."""
+        annoda = Annoda.with_default_sources(
+            seed=23, parameters=CorpusParameters(loci=120)
+        )
+        question = QuestionCatalog.disease_genes(organism="Homo sapiens")
+        first = annoda.ask(question, use_cache=False)
+        assert first.stats.index_hits > 0
+        expected = list(first.genes[0]["AliasSymbol"])
+        first.genes[0]["AliasSymbol"].append("POISON")
+        again = annoda.ask(question, use_cache=False)
+        assert again.genes[0]["AliasSymbol"] == expected
 
     def test_label_lookup_errors(self, corpus):
         module = MappingModule()

@@ -4,9 +4,10 @@ Two layers, mirroring ``test_executor_equivalence``:
 
 1. **Source level** — for random native condition lists (equality,
    batched ``in`` with mixed-type candidates, range/substring
-   residuals), ``native_query`` answers identically with the equality
-   index on and off, *including order* (both paths return ``records()``
-   order).
+   residuals), ``native_query`` answers with the equality index on and
+   off both equal an independent reference, a plain filter over a
+   fresh ``records()`` list, *including order*, while loci are removed
+   from and added back to the store between queries.
 2. **Mediator level** — for random semijoin-shaped queries, the
    batched ``in`` anchor fetch and the per-id (N+1) equality loop
    produce the same integrated answer, enriched links included.
@@ -25,7 +26,7 @@ from repro.mediator.artifacts import ArtifactStore
 from repro.mediator.decompose import Condition
 from repro.mediator.executor import Executor
 from repro.sources import AnnotationCorpus, CorpusParameters
-from repro.sources.base import NativeCondition
+from repro.sources.base import NativeCondition, _evaluate
 from repro.wrappers import default_wrappers
 
 CORPUS = AnnotationCorpus.generate(
@@ -106,14 +107,52 @@ def condition_lists(draw):
     return conditions
 
 
+def _reference(conditions):
+    """The independent answer: a plain filter over a fresh
+    ``records()`` list — no extent, no index."""
+    return [
+        record
+        for record in STORE.records()
+        if all(
+            _evaluate(record.get(condition.field), condition)
+            for condition in conditions
+        )
+    ]
+
+
+#: Queries interleaved with store churn: before each condition list,
+#: the drawn loci are toggled out of (or back into) the store through
+#: ``remove``/``add``, so successive queries run at new versions.
+churned_queries = st.lists(
+    st.tuples(
+        condition_lists(), st.lists(st.sampled_from(LOCUS_IDS), max_size=2)
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
 class TestIndexedScanEquivalence:
-    @given(condition_lists())
+    @given(churned_queries)
     @settings(max_examples=150, deadline=None)
-    def test_index_on_equals_index_off(self, conditions):
-        indexed = STORE.native_query(conditions, use_index=True)
-        scan = STORE.native_query(conditions, use_index=False)
-        # Full list equality: same records, same (records()) order.
-        assert indexed == scan
+    def test_index_on_equals_index_off(self, steps):
+        removed = {}
+        try:
+            for conditions, toggled in steps:
+                for locus_id in toggled:
+                    if locus_id in removed:
+                        STORE.add(removed.pop(locus_id))
+                    else:
+                        removed[locus_id] = STORE.get(locus_id)
+                        STORE.remove(locus_id)
+                expected = _reference(conditions)
+                for use_index in (True, False):
+                    hits = STORE.native_query(conditions, use_index=use_index)
+                    # Full list equality: same records, same order.
+                    assert [dict(record) for record in hits] == expected
+        finally:
+            for record in removed.values():
+                STORE.add(record)
 
     @given(st.lists(locus_values, max_size=8))
     @settings(max_examples=60, deadline=None)

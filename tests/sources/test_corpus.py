@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sources import AnnotationCorpus, CorpusParameters
+from repro.sources.base import NativeCondition
 from repro.util.errors import ConfigurationError
 
 
@@ -175,6 +176,32 @@ class TestExtras:
         pool = set(corpus.locuslink.locus_ids())
         for record in citations.all_citations():
             assert set(record.locus_ids) <= pool
+
+    def test_citation_pmids_bump_the_locuslink_version(self):
+        """The PMIDs a citation store wires into LocusLink go through
+        the store's ``remove``/``add``: the version moves, and a warm
+        ``PubmedIDs`` index agrees with a scan afterwards."""
+        corpus = AnnotationCorpus.generate(
+            seed=23, parameters=CorpusParameters(loci=120)
+        )
+        store = corpus.locuslink
+        before = store.version
+        store.native_query(
+            [NativeCondition("PubmedIDs", "=", 1)], use_index=True
+        )  # warm the index at the old version
+        citations = corpus.make_citation_store(40)
+        assert store.version > before
+        cited = 0
+        for citation in citations.all_citations():
+            condition = [NativeCondition("PubmedIDs", "=", citation.pmid)]
+            indexed = store.native_query(condition, use_index=True)
+            scanned = store.native_query(condition, use_index=False)
+            assert [record["LocusID"] for record in indexed] == sorted(
+                citation.locus_ids
+            )
+            assert indexed == scanned
+            cited += len(indexed)
+        assert cited > 0
 
     def test_sources_ordering(self, corpus):
         assert [source.name for source in corpus.sources()] == [

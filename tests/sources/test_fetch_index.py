@@ -5,8 +5,14 @@ scan (including Lorel's coercing equality), invalidated by any store
 mutation, and accounted in ``fetch_stats``.
 """
 
+from dataclasses import replace
+
 import pytest
 
+from repro.core.annoda import Annoda
+from repro.mediator import GlobalQuery
+from repro.mediator.decompose import Condition
+from repro.sources import CorpusParameters
 from repro.sources.base import DataSource, NativeCondition
 from repro.sources.locuslink import LocusRecord
 from repro.sources.locuslink.store import LocusLinkStore
@@ -166,30 +172,78 @@ class TestInvalidation:
             [NativeCondition("LocusID", "=", 7157)], use_index=True
         ) == []
 
-    def test_index_results_are_copies(self, store):
-        [record] = store.native_query(
+    def test_fetched_records_are_read_only(self, store):
+        """Records cross the wrapper boundary as the extent's shared
+        read-only mappings, on both paths, so no caller can corrupt
+        later hits; ``dict(record)`` is the mutable copy."""
+        [indexed] = store.native_query(
             [NativeCondition("LocusID", "=", 2354)], use_index=True
         )
-        record["Symbol"] = "MUTATED"
+        [scanned] = store.native_query(
+            [NativeCondition("Description", "contains", "osteosarcoma")]
+        )
+        for record in (indexed, scanned):
+            with pytest.raises(TypeError):
+                record["Symbol"] = "MUTATED"
+        copy = dict(indexed)
+        copy["Symbol"] = "MUTATED"
         [again] = store.native_query(
             [NativeCondition("LocusID", "=", 2354)], use_index=True
         )
         assert again["Symbol"] == "FOSB"
 
-    def test_scan_path_sees_in_place_mutation(self, store):
-        """Stores mutated in place (no version bump) stay visible to
-        scans: the scan re-reads ``records()`` instead of the
-        per-version index snapshot."""
-        store.native_query(
-            [NativeCondition("LocusID", "=", 2354)], use_index=True
-        )  # warm the per-version index state
-        store.get(2354).pubmed_ids.append(99999)
-        [mutated] = [
-            record
-            for record in store.native_query([])
-            if record["LocusID"] == 2354
+    def test_update_through_the_store_visible_to_every_path(self):
+        """A change made through ``remove``/``add`` reaches the scan
+        path, the index path and an uncached ``ask`` alike — even when
+        each of them was warm at the old version."""
+        annoda = Annoda.with_default_sources(
+            seed=23, parameters=CorpusParameters(loci=120)
+        )
+        store = annoda.corpus.locuslink
+        locus_id = store.locus_ids()[5]
+        question = GlobalQuery(
+            anchor_source="LocusLink",
+            conditions=(Condition("GeneID", "=", locus_id),),
+        )
+        probe = [NativeCondition("PubmedIDs", "=", 99999)]
+        for use_index in (True, False):
+            assert store.native_query(probe, use_index=use_index) == []
+        assert 99999 not in annoda.ask(question).genes[0]["CitationID"]
+
+        record = store.get(locus_id)
+        store.remove(locus_id)
+        store.add(replace(record, pubmed_ids=[*record.pubmed_ids, 99999]))
+
+        for use_index in (True, False):
+            assert [
+                hit["LocusID"]
+                for hit in store.native_query(probe, use_index=use_index)
+            ] == [locus_id]
+        for use_cache in (False, True):
+            [gene] = annoda.ask(question, use_cache=use_cache).genes
+            assert 99999 in gene["CitationID"]
+
+
+class TestExtent:
+    def test_one_extent_per_version(self, store):
+        """Every scan and index hit at one version hands out the same
+        record objects; a version bump builds a new extent."""
+        first = store.native_query([])
+        second = store.native_query([], use_index=False)
+        assert len(first) == len(second) == 3
+        assert all(a is b for a, b in zip(first, second))
+        [hit] = store.native_query(
+            [NativeCondition("LocusID", "=", 7157)], use_index=True
+        )
+        assert hit is first[1]
+        store.add(
+            LocusRecord(locus_id=555, organism="Homo sapiens", symbol="NEW1")
+        )
+        third = store.native_query([])
+        assert [record["LocusID"] for record in third] == [
+            555, 2354, 7157, 11303,
         ]
-        assert 99999 in mutated["PubmedIDs"]
+        assert not any(new is old for new in third for old in first)
 
 
 class TestAccounting:
