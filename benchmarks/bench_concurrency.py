@@ -13,7 +13,10 @@ rate, asserting:
 2. the concurrent wall-clock beats the sequential wall-clock at the
    2000-loci corpus (the acceptance bar);
 3. a blacked-out source under a degrading policy yields a *partial*
-   answer whose report marks the source degraded — no exception.
+   answer whose report marks the source degraded — no exception;
+4. with every source served by a two-replica set, a blacked-out GO
+   replica fails over to its sibling: the answer stays complete and
+   nothing degrades.
 
 Writes ``benchmarks/results/concurrency.txt`` and the
 machine-readable ``BENCH_concurrency.json`` at the repo root.
@@ -58,28 +61,8 @@ SMOKE = {
 #: Retry budget generous enough that every fault-rate sweep converges.
 RETRIES = 8
 
-#: Shard sweep (``--shards``): the stage scheduler fans each logical
-#: fetch across the (shard, replica) grid, so with a per-row remote
-#: scan-cost model the wall-clock should fall near-linearly with shard
-#: count.  ``min_speedup`` is the acceptance bar at 4 shards vs 1.
-SHARD_FULL = {
-    "loci": 100_000,
-    "shards": (1, 2, 4, 8),
-    "replicas": 2,
-    "workers": 8,
-    "scan_latency_per_row": 1e-4,
-    "rounds": 2,
-    "min_speedup": 2.5,
-}
-SHARD_SMOKE = {
-    "loci": 2000,
-    "shards": (1, 2, 4),
-    "replicas": 2,
-    "workers": 8,
-    "scan_latency_per_row": 1e-4,
-    "rounds": 1,
-    "min_speedup": 1.2,
-}
+#: Wrappers per source in the dead-replica scenario.
+REPLICAS = 2
 
 
 def _bench_query():
@@ -266,115 +249,36 @@ def _blackout_scenario(config, log=print):
     }
 
 
-def _shard_mediator(corpus, config, shards, blackout_replica=None):
-    """A federation on a (shard, replica) grid whose wrappers charge a
-    per-row remote partition-scan cost — the cost the scheduler's
-    fan-out amortizes."""
-    policy = FederationPolicy(max_workers=config["workers"])
-    mediator = Mediator(federation=policy)
-    groups = [
-        default_wrappers(corpus, shards=shards)
-        for _ in range(config["replicas"])
-    ]
-    for index, replica_wrappers in enumerate(zip(*groups)):
-        wrapped = [
-            FlakyWrapper(
-                wrapper,
-                scan_latency_per_row=config["scan_latency_per_row"],
-                blackout=(
-                    replica_index == blackout_replica
-                    and wrapper.name == "GO"
-                ),
-                seed=3001 + 4 * index + replica_index,
-            )
-            for replica_index, wrapper in enumerate(replica_wrappers)
-        ]
-        if len(wrapped) == 1:
-            mediator.register_wrapper(wrapped[0])
-        else:
-            mediator.register_replicas(wrapped)
+def _replicated_mediator(corpus, config, dead_replica=None):
+    """A fresh federation of two-replica sets whose wrappers emulate
+    remote sources; ``dead_replica`` blacks out that GO replica."""
+    mediator = Mediator(
+        federation=FederationPolicy(max_workers=max(config["workers"]))
+    )
+    groups = [default_wrappers(corpus) for _ in range(REPLICAS)]
+    for replica_wrappers in zip(*groups):
+        mediator.register_replicas(
+            [
+                FlakyWrapper(
+                    wrapper,
+                    latency=config["latency"],
+                    blackout=index == dead_replica and wrapper.name == "GO",
+                )
+                for index, wrapper in enumerate(replica_wrappers)
+            ]
+        )
     return mediator
 
 
-def _shard_sweep(config, log=print):
-    """Wall-clock vs shard count at a fixed worker pool, identical
-    answers asserted against the single-shard baseline."""
-    corpus = _corpus(config["loci"])
-    query = _bench_query()
-    rows, trajectory = [], []
-    baseline_ids, baseline_seconds = None, None
-    for shards in config["shards"]:
-        # One mediator per grid shape, timed over several rounds: the
-        # best round measures the steady state (warm per-shard
-        # indexes), so the sweep isolates the scan cost the grid
-        # amortizes instead of the one-time index builds.
-        mediator = _shard_mediator(corpus, config, shards)
-
-        def run(m=mediator):
-            with Timer() as timer:
-                result = m.query(query, use_cache=False)
-            return timer.elapsed, result
-
-        run()  # cold round: builds the per-shard indexes
-        seconds, result = _best_of(config["rounds"], run)
-        if baseline_ids is None:
-            baseline_ids = result.gene_ids()
-            baseline_seconds = seconds
-        assert result.gene_ids() == baseline_ids, (
-            f"answer drifted at {shards} shard(s)"
-        )
-        assert result.report.ok
-        speedup = baseline_seconds / seconds
-        rows.append(
-            [
-                config["loci"],
-                shards,
-                config["replicas"],
-                f"{seconds * 1e3:.1f}",
-                result.stats.shard_fans,
-                f"{speedup:.2f}x",
-            ]
-        )
-        trajectory.append(
-            {
-                "loci": config["loci"],
-                "shards": shards,
-                "replicas": config["replicas"],
-                "workers": config["workers"],
-                "seconds": seconds,
-                "shard_fans": result.stats.shard_fans,
-                "genes": len(result),
-                "speedup_vs_one_shard": speedup,
-            }
-        )
-        log(
-            f"  loci={config['loci']} shards={shards} "
-            f"replicas={config['replicas']}: {seconds * 1e3:.1f} ms "
-            f"({speedup:.2f}x)"
-        )
-    at_four = [point for point in trajectory if point["shards"] == 4][0]
-    assert at_four["speedup_vs_one_shard"] >= config["min_speedup"], (
-        f"shard speedup only {at_four['speedup_vs_one_shard']:.2f}x at "
-        f"4 shards (need >= {config['min_speedup']}x)"
-    )
-    log(
-        f"  shard speedup at {config['loci']} loci: "
-        f"{at_four['speedup_vs_one_shard']:.2f}x (4 shards vs 1)"
-    )
-    return rows, trajectory
-
-
 def _dead_replica_scenario(config, log=print):
-    """One GO replica dark: the sibling absorbs every placed fetch,
-    the answer stays complete and nothing degrades."""
-    shards = max(config["shards"])
-    corpus = _corpus(min(2000, config["loci"]))
+    """The primary GO replica dark: its sibling absorbs every GO
+    fetch, the answer stays complete and nothing degrades."""
+    corpus = _corpus(min(config["sizes"]))
     query = _bench_query()
-    healthy = _shard_mediator(corpus, config, shards)
-    baseline = healthy.query(query, use_cache=False)
-    mediator = _shard_mediator(
-        corpus, config, shards, blackout_replica=0
+    baseline = _replicated_mediator(corpus, config).query(
+        query, use_cache=False
     )
+    mediator = _replicated_mediator(corpus, config, dead_replica=0)
     result = mediator.query(query, use_cache=False)
     assert result.gene_ids() == baseline.gene_ids()
     assert result.report.ok
@@ -385,15 +289,14 @@ def _dead_replica_scenario(config, log=print):
         f"{result.stats.replica_failovers} failover(s), none degraded"
     )
     return {
-        "shards": shards,
-        "replicas": config["replicas"],
+        "replicas": REPLICAS,
         "genes": len(result),
         "replica_failovers": result.stats.replica_failovers,
         "degraded": list(result.report.degraded),
     }
 
 
-def _render(rows, blackout):
+def _render(rows, blackout, dead_replica):
     rendered = table(
         ["loci", "workers", "fault rate", "ms", "retries", "speedup"],
         rows,
@@ -405,58 +308,28 @@ def _render(rows, blackout):
         + rendered
         + "\n\nBlackout scenario (GO dark, degrading policy): "
         + f"partial answer, degraded={blackout['degraded']}\n"
-    )
-
-
-def _render_shards(rows, dead_replica):
-    rendered = table(
-        ["loci", "shards", "replicas", "ms", "shard fans", "speedup"],
-        rows,
-    )
-    return (
-        "Shard sweep: wall-clock vs shard count at a fixed worker "
-        "pool\n(per-row injected scan latency emulates remote "
-        "partition scans; identical answers asserted at every grid "
-        "shape)\n\n"
-        + rendered
-        + "\n\nDead-replica scenario (one GO replica dark): complete "
-        + f"answer, {dead_replica['replica_failovers']} failover(s), "
+        + f"Dead-replica scenario ({dead_replica['replicas']} replicas, "
+        + "primary GO replica dark): complete answer, "
+        + f"{dead_replica['replica_failovers']} failover(s), "
         + f"degraded={dead_replica['degraded']}\n"
     )
 
 
-def _write_json(payload):
-    """Merge fresh sections into ``BENCH_concurrency.json``, keeping
-    whichever sections this run did not regenerate."""
-    path = REPO_ROOT / "BENCH_concurrency.json"
-    merged = {"benchmark": "concurrency"}
-    if path.exists():
-        merged.update(json.loads(path.read_text(encoding="utf-8")))
-    merged.update(payload)
-    path.write_text(
-        json.dumps(merged, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-
-
-def _write(rows, trajectory, blackout, results_dir):
+def _write(rows, trajectory, blackout, dead_replica, results_dir):
     results_dir.mkdir(exist_ok=True)
-    artifact = _render(rows, blackout)
+    artifact = _render(rows, blackout, dead_replica)
     (results_dir / "concurrency.txt").write_text(
         artifact, encoding="utf-8"
     )
-    _write_json({"sweep": trajectory, "blackout": blackout})
-    return artifact
-
-
-def _write_shards(rows, trajectory, dead_replica, results_dir):
-    results_dir.mkdir(exist_ok=True)
-    artifact = _render_shards(rows, dead_replica)
-    (results_dir / "concurrency_shards.txt").write_text(
-        artifact, encoding="utf-8"
-    )
-    _write_json(
-        {"shard_sweep": trajectory, "dead_replica": dead_replica}
+    payload = {
+        "benchmark": "concurrency",
+        "sweep": trajectory,
+        "blackout": blackout,
+        "dead_replica": dead_replica,
+    }
+    (REPO_ROOT / "BENCH_concurrency.json").write_text(
+        json.dumps(payload, indent=2, sort_keys=True) + "\n",
+        encoding="utf-8",
     )
     return artifact
 
@@ -464,13 +337,8 @@ def _write_shards(rows, trajectory, dead_replica, results_dir):
 def test_concurrency_sweep(results_dir):
     rows, trajectory = _sweep(FULL, log=lambda *_: None)
     blackout = _blackout_scenario(FULL, log=lambda *_: None)
-    _write(rows, trajectory, blackout, results_dir)
-
-
-def test_shard_sweep(results_dir):
-    rows, trajectory = _shard_sweep(SHARD_SMOKE, log=lambda *_: None)
-    dead = _dead_replica_scenario(SHARD_SMOKE, log=lambda *_: None)
-    _write_shards(rows, trajectory, dead, results_dir)
+    dead = _dead_replica_scenario(FULL, log=lambda *_: None)
+    _write(rows, trajectory, blackout, dead, results_dir)
 
 
 def main(argv=None):
@@ -480,26 +348,8 @@ def main(argv=None):
         action="store_true",
         help="reduced corpus and sweep for CI",
     )
-    parser.add_argument(
-        "--shards",
-        action="store_true",
-        help="run the shard-grid sweep instead of the worker sweep",
-    )
     arguments = parser.parse_args(argv)
     mode = "smoke" if arguments.smoke else "full"
-    if arguments.shards:
-        config = SHARD_SMOKE if arguments.smoke else SHARD_FULL
-        print(
-            f"shard sweep ({mode}): loci={config['loci']} "
-            f"shards={config['shards']} replicas={config['replicas']} "
-            f"workers={config['workers']}"
-        )
-        rows, trajectory = _shard_sweep(config)
-        dead = _dead_replica_scenario(config)
-        artifact = _write_shards(rows, trajectory, dead, RESULTS_DIR)
-        print()
-        print(artifact)
-        return
     config = SMOKE if arguments.smoke else FULL
     print(
         f"concurrency bench ({mode}): "
@@ -508,7 +358,8 @@ def main(argv=None):
     )
     rows, trajectory = _sweep(config)
     blackout = _blackout_scenario(config)
-    artifact = _write(rows, trajectory, blackout, RESULTS_DIR)
+    dead = _dead_replica_scenario(config)
+    artifact = _write(rows, trajectory, blackout, dead, RESULTS_DIR)
     print()
     print(artifact)
 

@@ -68,22 +68,6 @@ def build_parser():
             "source change misses)"
         ),
     )
-    parser.add_argument(
-        "--shards", type=int, default=1,
-        help=(
-            "key-range partitions per default source; fetches fan "
-            "out across the shard grid with byte-identical answers"
-        ),
-    )
-    parser.add_argument(
-        "--replicas", type=int, default=1,
-        help=(
-            "interchangeable wrappers per default source; a dead "
-            "replica fails over to a sibling before the source "
-            "degrades"
-        ),
-    )
-
     commands = parser.add_subparsers(dest="command", required=True)
 
     commands.add_parser(
@@ -203,10 +187,6 @@ def _build_annoda(args, federation=None):
     config_kwargs = {}
     if getattr(args, "artifact_dir", None):
         config_kwargs["artifact_dir"] = args.artifact_dir
-    if getattr(args, "shards", 1) > 1:
-        config_kwargs["shards"] = args.shards
-    if getattr(args, "replicas", 1) > 1:
-        config_kwargs["replicas"] = args.replicas
     if federation is not None:
         config_kwargs["federation"] = federation
     if config_kwargs:

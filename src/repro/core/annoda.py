@@ -38,15 +38,6 @@ class AnnodaConfig:
     #: answers, so they survive a restart; ``None`` keeps the cache in
     #: memory only.
     artifact_dir: Optional[str] = None
-    #: Key-range partitions per default source (>1 interposes a
-    #: :class:`~repro.sources.shard.ShardedSource` facade; answers
-    #: stay byte-identical while fetches fan out across the grid).
-    shards: int = 1
-    #: Interchangeable wrappers registered per default source (>1
-    #: registers a :class:`~repro.mediator.replicas.ReplicaSet`, so a
-    #: dead replica fails over to a sibling before the source ever
-    #: degrades).
-    replicas: int = 1
 
 
 class Annoda:
@@ -86,16 +77,8 @@ class Annoda:
         annoda.corpus = AnnotationCorpus.generate(
             seed=seed, parameters=parameters or CorpusParameters()
         )
-        replicas = max(1, annoda.config.replicas)
-        groups = [
-            default_wrappers(annoda.corpus, shards=annoda.config.shards)
-            for _ in range(replicas)
-        ]
-        for replica_wrappers in zip(*groups):
-            if len(replica_wrappers) == 1:
-                annoda.add_source(replica_wrappers[0])
-            else:
-                annoda.add_replicas(list(replica_wrappers))
+        for wrapper in default_wrappers(annoda.corpus):
+            annoda.add_source(wrapper)
         return annoda
 
     @classmethod

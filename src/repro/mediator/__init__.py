@@ -53,7 +53,6 @@ from repro.mediator.reconcile import (
     Reconciler,
 )
 from repro.mediator.replicas import ReplicaSet
-from repro.mediator.scheduler import StagePlacement, StageScheduler
 
 __all__ = [
     "ArtifactStore",
@@ -86,8 +85,6 @@ __all__ = [
     "RuleOptimizer",
     "RuleReport",
     "SourceReport",
-    "StagePlacement",
-    "StageScheduler",
     "SubQuery",
     "TransformRegistry",
     "stage_key",

@@ -25,7 +25,6 @@ from repro.mediator.fetch import (
     FederationPolicy,
     FetchRequest,
 )
-from repro.mediator.scheduler import StageScheduler
 from repro.mediator.view import LINK_CHILD_LABELS, AnswerView, link_detail
 from repro.sources.base import NativeCondition, _evaluate
 from repro.trace.recorder import NULL_RECORDER
@@ -105,10 +104,8 @@ class ExecutionStats:
     retries: int = 0
     timeouts: int = 0
     concurrent_batches: int = 0
-    #: Shard-grid accounting: logical fetches the stage scheduler
-    #: fanned out across a shard grid, and fetches a replica set
-    #: answered from a sibling after the placed replica failed.
-    shard_fans: int = 0
+    #: Fetches a replica set answered from a sibling after a replica
+    #: failed.
     replica_failovers: int = 0
     #: Sources that failed but were tolerated (degrading policy): the
     #: answer is partial with respect to them.
@@ -213,9 +210,8 @@ class ExecutionReport:
             f"  anchors {stats.anchors_returned}/{stats.anchors_considered} "
             f"kept / residual evaluations {stats.residual_evaluations}",
             f"  retries {stats.retries} / timeouts {stats.timeouts} / "
-            f"concurrent batches {stats.concurrent_batches}",
-            f"  shard fans {stats.shard_fans} / replica failovers "
-            f"{stats.replica_failovers}",
+            f"concurrent batches {stats.concurrent_batches} / replica "
+            f"failovers {stats.replica_failovers}",
         ]
         for name in sorted(stats.source_reports):
             report = stats.source_reports[name]
@@ -372,10 +368,6 @@ class Executor:
         else:
             self.fetcher = fetcher
             self.policy = policy or fetcher.policy
-        # Places each plan stage's fetch on the wrappers' (shard,
-        # replica) grid: logical requests expand to shard-pinned
-        # physical requests and shard partials merge back.
-        self._scheduler = StageScheduler()
 
     def _fetch_request(self, conditions, purpose):
         """A :class:`FetchRequest` carrying this execution's budget."""
@@ -391,44 +383,14 @@ class Executor:
                 total += count()
         return total
 
-    def _sched_fetch_all(self, jobs, stats, recorder=NULL_RECORDER):
-        """Shard-aware fetch batch: expand each logical ``(wrapper,
-        request)`` job onto the wrapper's shard grid, ship every
-        physical request through one fetcher batch, and merge each
-        job's shard partials back into one logical reply, returned in
-        job order.
-
-        Accounting stays physical — every shard partial folds into
-        ``stats`` individually, so per-source fetch counts and
-        retry/timeout totals reflect what actually crossed the pool —
-        while callers only ever see the merged logical replies.
-        """
-        jobs = list(jobs)
-        expanded = []
-        bounds = []
-        for wrapper, request in jobs:
-            physical = self._scheduler.expand(wrapper, request)
-            bounds.append((len(expanded), len(expanded) + len(physical)))
-            expanded.extend((wrapper, part) for part in physical)
-        replies = self.fetcher.fetch_all(expanded, recorder=recorder)
-        merged = []
-        for (wrapper, request), (start, stop) in zip(jobs, bounds):
-            parts = replies[start:stop]
-            for part in parts:
-                stats.record_reply(part)
-            if len(parts) > 1:
-                stats.shard_fans += 1
-            merged.append(
-                self._scheduler.merge(wrapper.name, request, parts)
-            )
-        return merged
-
-    def _sched_fetch(self, wrapper, request, stats,
-                     recorder=NULL_RECORDER):
-        """One logical fetch placed on the shard grid."""
-        return self._sched_fetch_all(
-            [(wrapper, request)], stats, recorder=recorder
-        )[0]
+    def _fetch_all(self, jobs, stats, recorder=NULL_RECORDER):
+        """Ship ``(wrapper, request)`` jobs as one fetcher batch and
+        fold every reply into ``stats``; replies come back in job
+        order."""
+        replies = self.fetcher.fetch_all(jobs, recorder=recorder)
+        for reply in replies:
+            stats.record_reply(reply)
+        return replies
 
     def _fetchpath_snapshot(self):
         """Cumulative per-source index/scan counters, summed over the
@@ -500,14 +462,12 @@ class Executor:
             _delta_counter(
                 execute_span, "indexes_adopted", stats.indexes_adopted
             )
-            # Grid accounting: shard fan-outs are counted as the
-            # scheduler merges, replica failovers as a delta over the
-            # replica sets' cumulative counters (failover happens
-            # inside the pool, below this execution's view).
+            # Replica failovers are a delta over the replica sets'
+            # cumulative counters (failover happens inside the pool,
+            # below this execution's view).
             stats.replica_failovers = (
                 self._failover_snapshot() - failovers_before
             )
-            _delta_counter(execute_span, "shard_fans", stats.shard_fans)
             _delta_counter(
                 execute_span, "replica_failovers",
                 stats.replica_failovers,
@@ -522,17 +482,6 @@ class Executor:
     def _execute_traced(self, plan, query, enrich_links, recorder, stats,
                         report, anchor_wrapper):
         """The execute body, running inside the ``execute`` span."""
-        # -- stage placement ------------------------------------------------
-        # Where each plan stage's fetch lands on the (shard, replica)
-        # grid — the same placement `explain` prints, preserved in the
-        # flight recorder for executed queries.
-        with recorder.span("schedule:place") as place_span:
-            grid = self._scheduler.plan_grid(plan, self.wrappers)
-            place_span.set("stages", len(grid))
-            place_span.set(
-                "grid", [entry.describe() for entry in grid]
-            )
-
         # -- concurrent prefetch batch -------------------------------------
         # Every conditioned link-step fetch is independent of every
         # other, and of the (non-semijoin) anchor fetch: one batch on
@@ -552,7 +501,7 @@ class Executor:
             "fetch", attributes={"jobs": len(jobs)}
         ) as fetch_span:
             residual_before = stats.residual_evaluations
-            replies = self._sched_fetch_all(
+            replies = self._fetch_all(
                 [
                     (wrapper,
                      self._fetch_request(tuple(step.pushed),
@@ -759,12 +708,11 @@ class Executor:
         )
         key_field = wrapper.source_field(key_local)
         if id(driver_step) in self._degraded_steps:
-            reply = self._sched_fetch(
-                wrapper,
-                self._fetch_request(tuple(plan.anchor.pushed),
-                                    purpose="anchor"),
-                stats,
-                recorder=recorder,
+            request = self._fetch_request(
+                tuple(plan.anchor.pushed), purpose="anchor"
+            )
+            [reply] = self._fetch_all(
+                [(wrapper, request)], stats, recorder=recorder
             )
             if not reply.ok:
                 self._degrade_or_raise(reply, stats)
@@ -780,15 +728,13 @@ class Executor:
         if not ordered_ids:
             batches = []
         elif self.batch_fetch and wrapper.supports(via_label, "in"):
-            reply = self._sched_fetch(
-                wrapper,
-                self._fetch_request(
-                    tuple(plan.anchor.pushed)
-                    + ((via_label, "in", tuple(ordered_ids)),),
-                    purpose="anchor-semijoin",
-                ),
-                stats,
-                recorder=recorder,
+            request = self._fetch_request(
+                tuple(plan.anchor.pushed)
+                + ((via_label, "in", tuple(ordered_ids)),),
+                purpose="anchor-semijoin",
+            )
+            [reply] = self._fetch_all(
+                [(wrapper, request)], stats, recorder=recorder
             )
             if reply.ok:
                 stats.batched_fetches += 1
@@ -798,15 +744,13 @@ class Executor:
                 anchor_failed = True
         else:
             for link_id in ordered_ids:
-                reply = self._sched_fetch(
-                    wrapper,
-                    self._fetch_request(
-                        tuple(plan.anchor.pushed)
-                        + ((via_label, "=", link_id),),
-                        purpose="anchor-per-id",
-                    ),
-                    stats,
-                    recorder=recorder,
+                request = self._fetch_request(
+                    tuple(plan.anchor.pushed)
+                    + ((via_label, "=", link_id),),
+                    purpose="anchor-per-id",
+                )
+                [reply] = self._fetch_all(
+                    [(wrapper, request)], stats, recorder=recorder
                 )
                 if not reply.ok:
                     self._degrade_or_raise(reply, stats)
@@ -1142,7 +1086,7 @@ class Executor:
     def _fetch_enrichment(self, pending, stats, recorder):
         """Fetch the enrichment records the shared cache did not hold,
         as one concurrent batch, and fold them into it."""
-        replies = self._sched_fetch_all(
+        replies = self._fetch_all(
             [
                 (wrapper, request)
                 for _step, wrapper, _cached, _missing, _key, request, _b
@@ -1162,8 +1106,6 @@ class Executor:
                 continue
             if batched:
                 stats.batched_fetches += 1
-            else:
-                cached["complete"] = True
             added = {}
             for record in reply.records:
                 added[record[key_field]] = link_detail(
@@ -1176,3 +1118,9 @@ class Executor:
             # too, so dangling references never re-fetch.
             cached["known"].update(missing)
             cached["known"].update(cached["index"])
+            # The entry is shared with concurrent executions outside
+            # the store lock: it may claim the whole source only once
+            # it holds every record, or a racing execution would read
+            # an empty index as complete.
+            if not batched:
+                cached["complete"] = True

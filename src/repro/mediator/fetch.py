@@ -90,11 +90,6 @@ class FetchRequest:
     deadline: Optional[float] = None
     retries: Optional[int] = None
     backoff: Optional[float] = None
-    #: Stage-scheduler shard pin ``(index, count)``: the wrapper
-    #: serves only partition ``index`` of a ``count``-way shard grid
-    #: (``None`` fetches the whole extent).  Participates in equality
-    #: — a shard partial is not the whole fetch.
-    shard: Optional[Tuple[int, int]] = None
     #: Cooperative whole-request budget
     #: (:class:`~repro.util.cancel.RequestBudget`) shared by every
     #: fetch one mediator/service request issues: an expired or
@@ -324,22 +319,11 @@ class FederatedFetcher:
             # The zero-cost-when-off path: no span, no name formatting.
             return self._run_request(wrapper, request)
         attributes = {"source": wrapper.name, "purpose": request.purpose}
-        span_name = f"fetch:{wrapper.name}"
-        if request.shard is not None:
-            # A scheduler-placed shard fetch: one physical cell of the
-            # (shard, replica) grid, named uniformly so trace shapes
-            # stay stable across sources.
-            span_name = "fetch:shard"
-            attributes["shard"] = request.shard[0]
-            attributes["shard_count"] = request.shard[1]
-            preferred = getattr(wrapper, "preferred_replica", None)
-            if preferred is not None:
-                attributes["replica"] = preferred(request)
         trace_attributes = getattr(wrapper, "trace_attributes", None)
         if trace_attributes is not None:
             attributes.update(trace_attributes())
         span = recorder.open_span(
-            span_name,
+            f"fetch:{wrapper.name}",
             attributes=attributes,
             parent=parent,
             sequence=sequence,
@@ -513,11 +497,6 @@ class FlakyWrapper:
       raise :class:`ConnectionError`;
     - ``latency`` — seconds slept before every call (simulated network
       round-trip);
-    - ``scan_latency_per_row`` — seconds slept per row of the served
-      partition (a shard-pinned request sleeps for its shard's share
-      of the extent, the whole extent otherwise): the remote
-      partition-scan cost model the shard-sweep benchmark scales
-      down by fanning fetches across the grid;
     - ``fail_first`` — the first N calls fail regardless of rate
       (recovers afterwards: the retry-success scenario);
     - ``blackout`` — while True every call fails (toggle it to
@@ -533,12 +512,10 @@ class FlakyWrapper:
                  latency: float = 0.0, fail_first: int = 0,
                  blackout: bool = False,
                  blackout_windows: Iterable[Tuple[int, int]] = (),
-                 scan_latency_per_row: float = 0.0,
                  seed: int = 0) -> None:
         self._wrapped = wrapper
         self.error_rate = error_rate
         self.latency = latency
-        self.scan_latency_per_row = scan_latency_per_row
         self.fail_first = fail_first
         self.blackout = blackout
         self.blackout_windows = tuple(blackout_windows)
@@ -563,27 +540,12 @@ class FlakyWrapper:
                 self.failures += 1
         if self.latency > 0:
             default_clock().sleep(self.latency)
-        if self.scan_latency_per_row > 0:
-            default_clock().sleep(
-                self.scan_latency_per_row * self._partition_rows(request)
-            )
         if fail:
             raise ConnectionError(
                 f"injected fault on {self._wrapped.name} "
                 f"(call {number})"
             )
         return self._wrapped.fetch(request)
-
-    def _partition_rows(self, request: Any) -> float:
-        """Rows the served partition holds: the shard's share of the
-        extent for a shard-pinned request, the whole extent
-        otherwise."""
-        count = getattr(self._wrapped, "count", None)
-        total = float(count()) if callable(count) else 0.0
-        shard = getattr(request, "shard", None)
-        if shard is not None:
-            return total / max(1, shard[1])
-        return total
 
     def _should_fail(self, number: int) -> bool:
         if self.blackout:

@@ -246,11 +246,6 @@ class Mediator:
 
     def explain(self, query):
         """The full plan story as human-readable text: logical tree,
-        per-rule fired/skipped report, execution steps, stage DAG,
-        and where each stage's fetch lands on the (shard, replica)
-        grid."""
-        from repro.mediator.scheduler import StageScheduler
-
-        plan = self.plan(query)
-        placement = StageScheduler().describe_grid(plan, self._wrappers)
-        return plan.describe() + "\n\n" + placement
+        per-rule fired/skipped report, execution steps and stage
+        DAG."""
+        return self.plan(query).describe()

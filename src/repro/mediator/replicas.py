@@ -5,19 +5,18 @@ endpoints so one dead node never costs the whole source.  A
 :class:`ReplicaSet` brings that to the wrapper registry: it *is* a
 wrapper (same duck-typed surface — ``name``, ``version``, ``fetch``,
 ``supports``, schema export, ontology navigation all delegate), but
-``fetch`` rotates over its replicas, failing over to a sibling
-*before* the :class:`~repro.mediator.fetch.FederationPolicy` ever
-sees a failure — degradation is the last resort, after every replica
+``fetch`` starts at the primary and rotates to the next replica on
+failure, *before* the :class:`~repro.mediator.fetch.FederationPolicy`
+ever sees one — degradation is the last resort, after every replica
 of the source refused.
 
-Placement: the preferred replica of a shard-pinned request is
-``shard_index % replica_count``, so the stage scheduler's fan-out
-spreads a shard grid deterministically across the replicas; whole
-fetches start at the primary.  Every replica serves the same logical
-extent (typically its own :class:`~repro.sources.shard.ShardedSource`
-facade over one consistent base store), so which replica answers never
-changes the answer — the failover suite and the shard equivalence
-property pin that down.
+Failure composition order (innermost first):
+``replica failover → per-request retries → policy``.
+
+Every replica serves the same logical extent (typically its own
+wrapper over one consistent store), so which replica answers never
+changes the answer — the failover suite pins that down for every
+catalog question.
 """
 
 from __future__ import annotations
@@ -58,16 +57,8 @@ class ReplicaSet:
     # -- identity -------------------------------------------------------------
 
     @property
-    def primary(self) -> Any:
-        return self._replicas[0]
-
-    @property
     def replicas(self) -> Tuple[Any, ...]:
         return tuple(self._replicas)
-
-    @property
-    def replica_count(self) -> int:
-        return len(self._replicas)
 
     @property
     def name(self) -> str:
@@ -83,11 +74,6 @@ class ReplicaSet:
     def source(self) -> Any:
         return self._replicas[0].source
 
-    @property
-    def shard_count(self) -> int:
-        count: int = getattr(self._replicas[0], "shard_count", 1)
-        return count
-
     def trace_attributes(self) -> Any:
         attributes = {}
         inner = getattr(self._replicas[0], "trace_attributes", None)
@@ -96,37 +82,26 @@ class ReplicaSet:
         attributes["replicas"] = len(self._replicas)
         return attributes
 
-    # -- placement + failover -------------------------------------------------
-
-    def preferred_replica(self, request: Any) -> int:
-        """The replica a request is placed on first: shard-pinned
-        requests spread round-robin over the grid, whole fetches start
-        at the primary."""
-        shard = getattr(request, "shard", None)
-        start = shard[0] if shard is not None else 0
-        return start % len(self._replicas)
+    # -- failover -------------------------------------------------------------
 
     def fetch(self, request: Any) -> Any:
-        """Fetch from the preferred replica, failing over through the
-        siblings; raises only after *every* replica failed (which is
-        when the federation policy's retry/degrade semantics take
-        over — a dead replica alone never degrades the source)."""
-        start = self.preferred_replica(request)
-        count = len(self._replicas)
+        """Fetch from the primary, failing over through the siblings in
+        order; raises only after *every* replica failed (which is when
+        the federation policy's retry/degrade semantics take over — a
+        dead replica alone never degrades the source)."""
         last_error: BaseException = IndexError("no replicas")
-        for offset in range(count):
-            replica = self._replicas[(start + offset) % count]
+        for number, replica in enumerate(self._replicas, start=1):
             try:
                 return replica.fetch(request)
             except Exception as exc:
                 last_error = exc
-                if offset + 1 < count:
+                if number < len(self._replicas):
                     with self._mutex:
                         self._failovers += 1
         raise last_error
 
     def failover_count(self) -> int:
-        """Cumulative fetches this set handed to a sibling after the
-        placed replica failed."""
+        """Cumulative fetches this set handed to a sibling after a
+        replica failed."""
         with self._mutex:
             return self._failovers

@@ -142,14 +142,9 @@ METRICS.register(
     description="equality indexes adopted from a persisted snapshot",
 )
 METRICS.register(
-    "shard_fans", stage="execute",
-    description="logical fetches the stage scheduler fanned out "
-                "across a shard grid",
-)
-METRICS.register(
     "replica_failovers", stage="execute",
     description="fetches a replica set answered from a sibling after "
-                "the placed replica failed",
+                "a replica failed",
 )
 
 

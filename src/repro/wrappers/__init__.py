@@ -27,22 +27,10 @@ __all__ = [
 ]
 
 
-def default_wrappers(corpus, shards=1):
-    """The paper's three wrappers over a generated corpus.
-
-    ``shards > 1`` interposes a
-    :class:`~repro.sources.shard.ShardedSource` facade between each
-    store and its wrapper, so the stage scheduler places fetches on a
-    key-range partition grid (answers are byte-identical — see the
-    shard equivalence suite).
-    """
-    stores = [corpus.locuslink, corpus.go, corpus.omim]
-    if shards > 1:
-        from repro.sources.shard import ShardedSource
-
-        stores = [ShardedSource(store, shards) for store in stores]
+def default_wrappers(corpus):
+    """The paper's three wrappers over a generated corpus."""
     return [
-        LocusLinkWrapper(stores[0]),
-        GoWrapper(stores[1]),
-        OmimWrapper(stores[2]),
+        LocusLinkWrapper(corpus.locuslink),
+        GoWrapper(corpus.go),
+        OmimWrapper(corpus.omim),
     ]

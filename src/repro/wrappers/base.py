@@ -154,8 +154,7 @@ class Wrapper(abc.ABC):
         ``conditions`` attribute of ``(label, op, value)`` triples —
         duck-typed so this module never imports the mediator layer).
         Raw condition sequences raise ``TypeError``: the pre-request
-        shim is gone.  A shard-pinned request (``request.shard`` set by
-        the stage scheduler) returns that partition's slice.
+        shim is gone.
         """
         conditions = getattr(request, "conditions", None)
         if conditions is None:
@@ -164,35 +163,7 @@ class Wrapper(abc.ABC):
                 "FetchRequest (raw condition sequences are no longer "
                 "accepted)"
             )
-        shard = getattr(request, "shard", None)
-        if shard is not None:
-            return self._fetch_shard(shard, conditions)
         return self._fetch_native(conditions)
-
-    @property
-    def shard_count(self):
-        """The source's partition-grid width (1 when unsharded) — what
-        the stage scheduler reads to plan fan-out."""
-        return getattr(self.source, "shard_count", 1)
-
-    def _fetch_shard(self, shard, conditions):
-        """One partition's slice of a shard-pinned request.
-
-        A sharded source answers from the pinned partition; an
-        unsharded source placed on a grid anyway serves its whole
-        extent from shard 0 and empties for the rest, so shard-order
-        concatenation still reproduces the unsharded answer exactly.
-        """
-        translated = self.translate_conditions(conditions)
-        source = self.source
-        if (
-            getattr(source, "shard_count", 1) > 1
-            and hasattr(source, "shard_query")
-        ):
-            return source.shard_query(shard[0], translated)
-        if shard[0] != 0:
-            return []
-        return source.native_query(translated)
 
     def _fetch_native(self, conditions):
         """The pushdown fetch behind :meth:`fetch` (no shim, no

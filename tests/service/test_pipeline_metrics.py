@@ -2,9 +2,8 @@
 
 :func:`~repro.service.metrics.execution_counters` reads each
 :data:`~repro.trace.metrics.METRICS` name off an answered request's
-stats, so grid accounting — shard fan-outs and replica failovers, the
-signals an operator of a replica set needs — reaches ``/metrics`` like
-every other counter.
+stats, so replica failovers — the signal an operator of a replica set
+needs — reach ``/metrics`` like every other counter.
 """
 
 from repro.core.annoda import Annoda, AnnodaConfig
@@ -25,9 +24,9 @@ from tests.service.conftest import (
 )
 
 
-def _dead_primary_federation(shards=2):
-    """A degrade-policy federation over ``shards``-way sharded stores
-    whose GO source is a two-replica set with a blacked-out primary."""
+def _dead_primary_federation():
+    """A degrade-policy federation whose GO source is a two-replica set
+    with a blacked-out primary."""
     corpus = AnnotationCorpus.generate(
         seed=SEED, parameters=CorpusParameters(**PARAMETERS)
     )
@@ -37,9 +36,9 @@ def _dead_primary_federation(shards=2):
     annoda.corpus = corpus
     siblings = {
         wrapper.name: wrapper
-        for wrapper in default_wrappers(corpus, shards=shards)
+        for wrapper in default_wrappers(corpus)
     }
-    for wrapper in default_wrappers(corpus, shards=shards):
+    for wrapper in default_wrappers(corpus):
         if wrapper.name == "GO":
             annoda.add_replicas(
                 [FlakyWrapper(wrapper, blackout=True), siblings["GO"]]
@@ -69,7 +68,6 @@ class TestGridCountersReachMetrics:
             assert response.body["outcome"] == "ok"
             pipeline = service.metrics.snapshot()["pipeline"]
             assert pipeline["replica_failovers"] >= 1
-            assert pipeline["shard_fans"] >= 1
         finally:
             service.shutdown(drain=True, timeout=30)
 
