@@ -3,7 +3,7 @@
 Every :class:`~repro.mediator.mediator.Mediator` owns one
 :class:`ArtifactStore`.  Each entry is an **identity** (what was
 computed) plus the **(source, version) pairs** it was built from, and
-belongs to one of three kinds (:data:`KINDS`):
+belongs to one of four kinds (:data:`KINDS`):
 
 - ``answer`` — a whole
   :class:`~repro.mediator.executor.IntegratedResult`, identified by the
@@ -14,7 +14,12 @@ belongs to one of three kinds (:data:`KINDS`):
   <repro.mediator.mediator.Mediator.query>`);
 - ``enrichment`` — one link source's matched-id -> detail-pairs index;
 - ``symbols`` — one symbol-joined source's
-  :class:`~repro.mediator.reconcile.SymbolIndex`.
+  :class:`~repro.mediator.reconcile.SymbolIndex`;
+- ``links`` — one link table: anchor primary key -> the anchor's
+  reconciled link ids and conflicts for one (anchor source, link
+  source, reconciliation policy), built from both sources' versions
+  (see :meth:`Executor._link_table
+  <repro.mediator.executor.Executor._link_table>`).
 
 A lookup hits only when the entry's versions equal the caller's, so a
 hit is always as fresh as a recomputation: a mutated source bumps its
@@ -22,8 +27,8 @@ hit is always as fresh as a recomputation: a mutated source bumps its
 entry replaces any older version of the same identity, so the store
 holds at most one entry per identity, and one LRU bound caps the
 total.  Values are shared by reference: callers treat them as
-immutable, except the enrichment index, which only ever grows by
-entries valid at its version.
+immutable, except the enrichment index and the link table, which only
+ever grow by entries valid at their versions.
 
 Source *re-registration* (a different store under the same name,
 possibly at the same version counter) goes through
@@ -54,7 +59,7 @@ import json
 import pathlib
 import pickle
 import warnings
-from typing import Any, Dict, Hashable, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, Optional, Tuple
 
 from repro.sources.persistence import write_atomic
 from repro.util.locks import make_counters, new_lock
@@ -73,7 +78,7 @@ _MAGIC = b"annoda-artifact/1"
 ARTIFACT_SUFFIX = ".artifact"
 
 #: The entry kinds, in the order :meth:`ArtifactStore.stats` lists them.
-KINDS = ("answer", "enrichment", "symbols")
+KINDS = ("answer", "enrichment", "symbols", "links")
 
 #: ``((source name, version counter), ...)`` an entry was built from.
 Versions = Tuple[Tuple[str, int], ...]
@@ -197,6 +202,25 @@ class ArtifactStore:
                 self._counters[f"{kind}.hits"] += 1
                 self._remember_locked(key, versions, value)
         return value
+
+    def setdefault(self, kind: str, identity: Hashable, versions: Versions,
+                   factory: Callable[[], Any]) -> Any:
+        """The memory entry for ``identity`` built from exactly
+        ``versions``, or a new ``factory()`` value stored in its place
+        (replacing any older version): one lookup-or-insert under the
+        lock, so concurrent callers share one value.  Counted as a hit
+        or a miss like :meth:`get`; the disk tier is not consulted."""
+        key = (kind, identity)
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None and entry[0] == versions:
+                self._entries[key] = self._entries.pop(key)  # most recent
+                self._counters[f"{kind}.hits"] += 1
+                return entry[1]
+            self._counters[f"{kind}.misses"] += 1
+            value = factory()
+            self._remember_locked(key, versions, value)
+            return value
 
     def put(self, kind: str, identity: Hashable, versions: Versions,
             value: Any, persist: bool = False) -> None:

@@ -25,8 +25,9 @@ from repro.mediator.fetch import (
     FederationPolicy,
     FetchRequest,
 )
+from repro.mediator.reconcile import ReconciliationReport, SymbolIndex
 from repro.mediator.view import LINK_CHILD_LABELS, AnswerView, link_detail
-from repro.sources.base import NativeCondition, _evaluate
+from repro.sources.base import NativeCondition, _evaluate, new_tally, tallying
 from repro.trace.recorder import NULL_RECORDER
 from repro.util.errors import IntegrationError
 from repro.util.locks import new_lock
@@ -46,6 +47,11 @@ def _residual_ok(record, bound):
     return all(
         _evaluate(record.get(field), condition) for field, condition in bound
     )
+
+
+#: The row of an anchor with no link ids and no conflicts; every such
+#: row in every link table is this one object.
+_EMPTY_ROW = ((), ())
 
 
 def _delta_counter(span, name, delta):
@@ -84,13 +90,20 @@ class ExecutionStats:
     anchors_returned: int = 0
     wall_seconds: float = 0.0
     #: Source-level fetch-path accounting for this execution: native
-    #: queries answered from an equality index vs by scanning.
+    #: queries answered from an equality index vs by scanning.  These
+    #: and the cold-start and failover counters below are summed from
+    #: the request-scoped tallies of this execution's own fetches
+    #: (:meth:`record_tally`), never from the sources' cumulative
+    #: counters, so concurrent executions do not count each other.
     index_hits: int = 0
     scan_fetches: int = 0
-    #: Cold-start accounting: equality indexes this execution had to
-    #: (re)build by scanning an extent vs indexes the sources adopted
-    #: from a persisted snapshot (``repro.sources.persistence``) while
-    #: this execution ran.  A warm federation shows 0/0.
+    #: Cold-start accounting: equality indexes this execution's fetches
+    #: had to (re)build by scanning an extent vs adopted from a
+    #: persisted snapshot.  Stores adopt their snapshot indexes when
+    #: they load (``repro.sources.persistence``), not during a fetch,
+    #: so the adopted count of an execution is 0; the stores'
+    #: ``fetch_stats()`` keep the cumulative counts.  A warm federation
+    #: shows 0/0.
     indexes_rebuilt: int = 0
     indexes_adopted: int = 0
     #: Batched ``in`` fetches the executor issued instead of per-id
@@ -121,9 +134,19 @@ class ExecutionStats:
             self.rows_fetched.get(source_name, 0) + count
         )
 
+    def record_tally(self, tally):
+        """Fold in one fetch's request-scoped tally
+        (:func:`~repro.sources.base.new_tally`)."""
+        self.index_hits += tally["index_hits"]
+        self.scan_fetches += tally["scan_queries"]
+        self.indexes_rebuilt += tally["index_builds"]
+        self.indexes_adopted += tally["index_adoptions"]
+        self.replica_failovers += tally["replica_failovers"]
+
     def record_reply(self, reply):
         """Fold one :class:`~repro.mediator.fetch.FetchReply` in."""
         self.add_fetch(reply.source, len(reply.records))
+        self.record_tally(reply.tally)
         self.retries += reply.retries
         self.timeouts += reply.timeouts
         report = self.source_reports.setdefault(
@@ -335,10 +358,10 @@ class Executor:
 
     ``artifacts`` is the owning mediator's
     :class:`~repro.mediator.artifacts.ArtifactStore`, shared across
-    executions; the enrichment and symbol indexes kept there are keyed
-    on their source *and its version counter*, so a cache hit is always
-    as fresh as a re-fetch and any source mutation invalidates
-    automatically.  ``batch_fetch=False`` restores the per-id (N+1)
+    executions; the enrichment and symbol indexes and the link tables
+    kept there are keyed on their sources *and their version
+    counters*, so a cache hit is always as fresh as a re-fetch and any
+    source mutation invalidates automatically.  ``batch_fetch=False`` restores the per-id (N+1)
     fetch loops — the benchmarks measure the batched path against it.
 
     ``fetcher`` (a :class:`~repro.mediator.fetch.FederatedFetcher`)
@@ -373,16 +396,6 @@ class Executor:
         """A :class:`FetchRequest` carrying this execution's budget."""
         return FetchRequest(conditions, purpose=purpose, budget=self.budget)
 
-    def _failover_snapshot(self):
-        """Cumulative replica failovers summed over the federation's
-        replica sets (executions compute deltas against it)."""
-        total = 0
-        for wrapper in self.wrappers.values():
-            count = getattr(wrapper, "failover_count", None)
-            if callable(count):
-                total += count()
-        return total
-
     def _fetch_all(self, jobs, stats, recorder=NULL_RECORDER):
         """Ship ``(wrapper, request)`` jobs as one fetcher batch and
         fold every reply into ``stats``; replies come back in job
@@ -392,34 +405,12 @@ class Executor:
             stats.record_reply(reply)
         return replies
 
-    def _fetchpath_snapshot(self):
-        """Cumulative per-source index/scan counters, summed over the
-        federation (executions compute deltas against it)."""
-        totals = {
-            "index_hits": 0,
-            "scan_queries": 0,
-            "index_builds": 0,
-            "index_adoptions": 0,
-        }
-        for wrapper in self.wrappers.values():
-            source = getattr(wrapper, "source", None)
-            fetch_stats = getattr(source, "fetch_stats", None)
-            if fetch_stats is None:
-                continue
-            for counter, value in fetch_stats().items():
-                totals[counter] = totals.get(counter, 0) + value
-        return totals
-
     # -- entry point ------------------------------------------------------------
 
     def execute(self, plan, query, enrich_links=True,
                 recorder=NULL_RECORDER):
         started = time.perf_counter()
         stats = ExecutionStats()
-        counters_before = self._fetchpath_snapshot()
-        failovers_before = self._failover_snapshot()
-        from repro.mediator.reconcile import ReconciliationReport
-
         report = ReconciliationReport()
 
         anchor_wrapper = self.wrappers[plan.anchor.source_name]
@@ -435,25 +426,9 @@ class Executor:
                 plan, query, enrich_links, recorder, stats, report,
                 anchor_wrapper,
             )
-            counters_after = self._fetchpath_snapshot()
-            stats.index_hits = (
-                counters_after["index_hits"] - counters_before["index_hits"]
-            )
-            stats.scan_fetches = (
-                counters_after["scan_queries"]
-                - counters_before["scan_queries"]
-            )
-            stats.indexes_rebuilt = (
-                counters_after["index_builds"]
-                - counters_before["index_builds"]
-            )
-            stats.indexes_adopted = (
-                counters_after["index_adoptions"]
-                - counters_before["index_adoptions"]
-            )
-            # The fetch-path counters are whole-execution deltas over
-            # the sources' cumulative accounting, so they belong to the
-            # execute span itself, not to any one fetch below it.
+            # The fetch-path counters sum the tallies of every fetch the
+            # execution made, so they belong to the execute span itself,
+            # not to any one fetch below it.
             _delta_counter(execute_span, "index_hits", stats.index_hits)
             _delta_counter(execute_span, "scan_fetches", stats.scan_fetches)
             _delta_counter(
@@ -461,12 +436,6 @@ class Executor:
             )
             _delta_counter(
                 execute_span, "indexes_adopted", stats.indexes_adopted
-            )
-            # Replica failovers are a delta over the replica sets'
-            # cumulative counters (failover happens inside the pool,
-            # below this execution's view).
-            stats.replica_failovers = (
-                self._failover_snapshot() - failovers_before
             )
             _delta_counter(
                 execute_span, "replica_failovers",
@@ -482,6 +451,13 @@ class Executor:
     def _execute_traced(self, plan, query, enrich_links, recorder, stats,
                         report, anchor_wrapper):
         """The execute body, running inside the ``execute`` span."""
+        # The versions of the sources this plan reads, before any fetch:
+        # the link tables this execution reads and fills are keyed on
+        # them (see _link_table).
+        self._versions = {
+            step.source_name: self.wrappers[step.source_name].version
+            for step in (plan.anchor, *plan.link_steps)
+        }
         # -- concurrent prefetch batch -------------------------------------
         # Every conditioned link-step fetch is independent of every
         # other, and of the (non-semijoin) anchor fetch: one batch on
@@ -628,8 +604,6 @@ class Executor:
 
     def _build_symbol_index(self, step, stats):
         """Version-keyed symbol-join index for one step (cached)."""
-        from repro.mediator.reconcile import SymbolIndex
-
         wrapper = self.wrappers[step.source_name]
         symbol_local = self.mapping_module.correspondences(
             step.source_name
@@ -643,13 +617,17 @@ class Executor:
         versions = ((step.source_name, wrapper.version),)
         symbol_index = self.artifacts.get("symbols", identity, versions)
         if symbol_index is None:
+            # The build fetches outside the fetcher, so it keeps its own
+            # tally for this execution's stats.
+            tally = new_tally()
             try:
-                symbol_index = SymbolIndex.from_wrapper(
-                    wrapper,
-                    key_label=key_label,
-                    symbol_label=symbol_local,
-                    budget=self.budget,
-                )
+                with tallying(tally):
+                    symbol_index = SymbolIndex.from_wrapper(
+                        wrapper,
+                        key_label=key_label,
+                        symbol_label=symbol_local,
+                        budget=self.budget,
+                    )
             except Exception as exc:
                 if not self.policy.degrades:
                     raise IntegrationError(
@@ -659,6 +637,8 @@ class Executor:
                 # Partial answer: the symbol join contributes nothing.
                 stats.mark_degraded(step.source_name)
                 return
+            finally:
+                stats.record_tally(tally)
             self.artifacts.put("symbols", identity, versions, symbol_index)
         self._symbol_indexes[step.source_name] = symbol_index
 
@@ -785,12 +765,13 @@ class Executor:
 
         Every field a step reads off the anchor records is resolved
         once per step (:meth:`_link_matcher`), so the per-record work
-        is dict reads plus the reconciler's validations.
+        is a link-table lookup, or one row build per new anchor.
         """
         anchor_key = self._anchor_field(anchor_wrapper)
         matchers = [
             (
-                step,
+                step.source_name,
+                step.link.mode == "include",
                 # Degraded source: its constraint cannot be evaluated,
                 # so it is skipped — the YeastMed-style partial answer
                 # is computed from the sources that responded, and the
@@ -808,20 +789,17 @@ class Executor:
         for record in anchor_records:
             anchor_id = record.get(anchor_key)
             links_for_record = {}
-            keep = True
-            for step, match in matchers:
+            for source_name, include, match in matchers:
                 if match is None:
-                    links_for_record[step.source_name] = []
+                    links_for_record[source_name] = []
                     continue
                 matched = match(record, anchor_id, report)
-                links_for_record[step.source_name] = matched
-                if step.link.mode == "include" and not matched:
-                    keep = False
+                links_for_record[source_name] = matched
+                # An include without a link, or an exclude with one,
+                # drops the anchor; later steps never see it.
+                if bool(matched) != include:
                     break
-                if step.link.mode == "exclude" and matched:
-                    keep = False
-                    break
-            if keep:
+            else:
                 surviving.append(record)
                 matched_links.append(links_for_record)
         return surviving, matched_links
@@ -832,34 +810,88 @@ class Executor:
         """``match(record, anchor_id, report)``: the linked ids of one
         anchor record that satisfy one link step.
 
-        The anchor fields the step reads (via, symbol, alias), its
-        reverse or symbol index and its reconciler validation
-        (dispatched on the link wrapper's capabilities) are resolved
-        here, once per step; the returned closure only reads records.
-        ``allowed`` is the precomputed id set of the step's conditioned
-        fetch (``None`` for pruned steps: any valid id counts).
+        ``match`` replays the anchor's row (:meth:`_row_builder`) from
+        the step's link table, building and publishing the row on a
+        miss: it appends the row's issues to ``report``, then keeps the
+        row's ids that are in ``allowed`` — the precomputed id set of
+        the step's conditioned fetch (``None`` for pruned steps: any
+        valid id counts).  A reverse join's own ids come first, from
+        its per-question reverse index.
         """
-        link = step.link
         link_wrapper = self.wrappers[step.source_name]
+        symbol_index = (
+            self._symbol_indexes.get(step.source_name)
+            if step.link.symbol_join
+            else None
+        )
+        build_row, validates, fields = self._row_builder(
+            step.link, anchor_wrapper, link_wrapper, symbol_index
+        )
+        reverse = (
+            self._reverse_indexes[id(step)]
+            if step.link.reverse_join
+            else None
+        )
+        table = self._link_table(
+            step, anchor_wrapper, fields, symbol_index, validates
+        )
+        if table is not None:
+            key_field = anchor_wrapper.source_field(anchor_wrapper.key_label)
+            rows, unchanged = table
+
+        def match(record, anchor_id, report):
+            if table is None:
+                row = build_row(record, anchor_id)
+            else:
+                key = record[key_field]
+                row = rows.get(key)
+                if row is None:
+                    row = build_row(record, anchor_id)
+                    if unchanged():
+                        rows[key] = row
+            ids, issues = row
+            if issues:
+                report.issues.extend(issues)
+            matched = (
+                list(ids)
+                if allowed is None
+                else [link_id for link_id in ids if link_id in allowed]
+            )
+            if reverse is None:
+                return matched
+            own = sorted(reverse.get(anchor_id, ()), key=str)
+            return own + [link_id for link_id in matched if link_id not in own]
+
+        return match
+
+    def _row_builder(self, link, anchor_wrapper, link_wrapper, symbol_index):
+        """``(build_row, validates, fields)`` for one link step.
+
+        ``build_row(record, anchor_id)`` is the per-record link
+        validation, the one place it happens: it returns the anchor's
+        row, ``(ids, issues)`` — the reconciler-validated direct link
+        ids (none for a reverse join), then the ids the symbol index
+        adds that are not already among them, and the
+        :class:`~repro.mediator.reconcile.Issue` objects validation
+        raised, in the order the reconciler raised them.  The ids are
+        not yet filtered by the step's conditions, so a row depends
+        only on the anchor record, the link source and the policy.
+        ``validates`` says whether a row can hold more than the
+        record's own ids; ``fields`` are the anchor fields rows read.
+        """
+        reconciler = self.reconciler
         validate = None
         if hasattr(link_wrapper, "is_obsolete"):
-            validate = self.reconciler.valid_annotation_ids
+            validate = reconciler.valid_annotation_ids
         elif hasattr(link_wrapper, "entries_for_symbol"):
-            validate = self.reconciler.valid_disease_ids
-        reverse = via_field = None
-        if link.reverse_join:
-            reverse = self._reverse_indexes[id(step)]
-        else:
+            validate = reconciler.valid_disease_ids
+        via_field = None
+        if not link.reverse_join:
             via_field = anchor_wrapper.source_field(
                 self.mapping_module.to_local_label(
                     anchor_wrapper.name, link.via
                 )
             )
-        symbol_index = (
-            self._symbol_indexes.get(step.source_name)
-            if link.symbol_join
-            else None
-        )
         symbol_field = alias_field = None
         if symbol_index is not None:
             symbol_field = anchor_wrapper.source_field(
@@ -873,44 +905,100 @@ class Executor:
             if alias_local is not None:
                 alias_field = anchor_wrapper.source_field(alias_local)
 
-        def match(record, anchor_id, report):
-            if reverse is not None:
-                matched = sorted(reverse.get(anchor_id, ()), key=str)
-            else:
-                raw_ids = record.get(via_field) or []
-                if not isinstance(raw_ids, list):
-                    raw_ids = [raw_ids]
-                if validate is not None:
-                    raw_ids = validate(
-                        anchor_id, raw_ids, link_wrapper, report
-                    )
-                matched = [
-                    link_id
-                    for link_id in raw_ids
-                    if allowed is None or link_id in allowed
-                ]
+        # One collector for every row this builder makes: each row
+        # takes a copy of what its own validation raised.
+        found = ReconciliationReport()
+        issues = found.issues
+
+        def build_row(record, anchor_id):
+            issues.clear()
+            ids = []
+            if via_field is not None:
+                ids = record.get(via_field) or []
+                if not isinstance(ids, list):
+                    ids = [ids]
+                ids = (
+                    list(ids)
+                    if validate is None
+                    else validate(anchor_id, ids, link_wrapper, found)
+                )
             if symbol_index is not None:
                 aliases = (
                     []
                     if alias_field is None
                     else record.get(alias_field) or []
                 )
-                via_symbols = self.reconciler.disease_ids_via_symbols(
+                via_symbols = reconciler.disease_ids_via_symbols(
                     anchor_id,
                     record.get(symbol_field, ""),
                     aliases,
                     link_wrapper,
-                    report,
+                    found,
                     index=symbol_index,
                 )
-                for mim in sorted(via_symbols):
-                    if allowed is not None and mim not in allowed:
-                        continue
-                    if mim not in matched:
-                        matched.append(mim)
-            return matched
+                ids += [mim for mim in sorted(via_symbols) if mim not in ids]
+            if not ids and not issues:
+                return _EMPTY_ROW
+            return tuple(ids), tuple(issues)
 
-        return match
+        validates = (
+            via_field is not None and validate is not None
+        ) or symbol_index is not None
+        fields = (
+            self._anchor_field(anchor_wrapper),
+            via_field,
+            symbol_field,
+            alias_field,
+        )
+        return build_row, validates, fields
+
+    def _link_table(self, step, anchor_wrapper, fields, symbol_index,
+                    validates):
+        """``(rows, unchanged)``: the step's shared link table and a
+        check that neither source it is keyed on has moved since this
+        execution began, or ``None`` when the step validates nothing or
+        the anchor has no primary key to file rows under.
+
+        The table is an ``ArtifactStore`` ``links`` entry: anchor
+        primary key -> row.  It is identified by the anchor and link
+        sources, the link attribute, the anchor fields rows read,
+        whether a symbol index joined and the reconciliation policy,
+        and keyed on both sources' versions as they stood before this
+        execution fetched anything — nothing about the question, so
+        every question over the same link shares it.
+
+        A row is published right after it is built, and only while
+        ``unchanged()`` holds: the row was then built wholly from data
+        at the table's versions.  So a table only ever grows by
+        complete rows valid at its versions, and a published row is
+        never changed.
+        """
+        if not validates or anchor_wrapper.key_label is None:
+            return None
+        link_source = step.source_name
+        identity = (
+            anchor_wrapper.name,
+            link_source,
+            step.link.via,
+            fields,
+            symbol_index is not None,
+            self.reconciler.policy,
+        )
+        versions = (
+            (anchor_wrapper.name, self._versions[anchor_wrapper.name]),
+            (link_source, self._versions[link_source]),
+        )
+        rows = self.artifacts.setdefault("links", identity, versions, dict)
+        link_wrapper = self.wrappers[link_source]
+        (_anchor, anchor_version), (_link, link_version) = versions
+
+        def unchanged():
+            return (
+                anchor_wrapper.version == anchor_version
+                and link_wrapper.version == link_version
+            )
+
+        return rows, unchanged
 
     def _allowed_ids(self, step, link_wrapper, records):
         """Key ids of linked-source records satisfying the step's
@@ -990,7 +1078,8 @@ class Executor:
         so the fetch is a single batched ``in`` over that set (full
         fetch for wrappers without ``in``), and each record's detail
         pairs (:func:`~repro.mediator.view.link_detail`) are cached on
-        the mediator keyed ``(source, wrapper.version)`` —
+        the mediator keyed on the source, its transform rules and
+        ``wrapper.version`` —
         a repeat query over unchanged sources never re-fetches or
         re-translates, while any source mutation bumps the version and
         misses the cache.  The per-source fetches are independent, so
@@ -1038,15 +1127,17 @@ class Executor:
             needed = set()
             for links_for_record in matched_links:
                 needed.update(links_for_record.get(step.source_name, ()))
-            versions = ((step.source_name, wrapper.version),)
-            cached = self.artifacts.get(
-                "enrichment", step.source_name, versions
+            # Details are translated records, so the source's transform
+            # rules are part of what the entry holds.
+            identity = (
+                step.source_name,
+                self.mapping_module.transform_rules(step.source_name),
             )
-            if cached is None:
-                cached = {"index": {}, "known": set(), "complete": False}
-                self.artifacts.put(
-                    "enrichment", step.source_name, versions, cached
-                )
+            versions = ((step.source_name, wrapper.version),)
+            cached = self.artifacts.setdefault(
+                "enrichment", identity, versions,
+                lambda: {"index": {}, "known": set(), "complete": False},
+            )
             wanted[step.source_name] = (cached["index"], needed)
             missing = (
                 set()

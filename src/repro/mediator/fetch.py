@@ -13,8 +13,8 @@ module gives ANNODA both behaviours behind one explicit protocol:
   how hard to try (per-attempt timeout, overall deadline, retry
   budget);
 - :class:`FetchReply` — what came back: records, per-attempt timings,
-  index/scan accounting, and a terminal status (``ok`` / ``error`` /
-  ``timeout``) instead of an exception;
+  the request's own index/scan/failover tally, and a terminal status
+  (``ok`` / ``error`` / ``timeout``) instead of an exception;
 - :class:`FederationPolicy` — the federation-wide defaults a request
   inherits (worker count, timeout, retries, backoff, and whether a
   failing source degrades the answer or aborts it);
@@ -30,12 +30,14 @@ executor consumes replies).
 
 from __future__ import annotations
 
+import contextvars
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
+from repro.sources.base import new_tally, tallying
 from repro.trace.recorder import NULL_RECORDER
 from repro.util.cancel import RequestBudget
 from repro.util.clock import default_clock
@@ -147,17 +149,24 @@ class FetchReply:
     status: str = "ok"
     attempts: Tuple[FetchAttempt, ...] = ()
     elapsed: float = 0.0
-    #: Source-level fetch-path accounting observed across this reply's
-    #: attempts (best-effort under concurrency: counters are shared
-    #: per source, so overlapping fetches may attribute each other's
-    #: lookups).
-    index_hits: int = 0
-    scan_queries: int = 0
     error: Optional[str] = None
+    #: What this request's native queries did across its attempts
+    #: (:func:`~repro.sources.base.new_tally`): index hits, scans,
+    #: index builds and adoptions, and replica failovers.  Counted per
+    #: request, so concurrent fetches never count each other's work.
+    tally: Mapping[str, int] = field(default_factory=new_tally)
 
     @property
     def ok(self) -> bool:
         return self.status == "ok"
+
+    @property
+    def index_hits(self) -> int:
+        return self.tally["index_hits"]
+
+    @property
+    def scan_queries(self) -> int:
+        return self.tally["scan_queries"]
 
     @property
     def retries(self) -> int:
@@ -364,7 +373,7 @@ class FederatedFetcher:
         )
         request_budget = request.budget
         started = time.perf_counter()
-        counters_before = self._source_counters(wrapper)
+        tally = new_tally()
         attempts: List[FetchAttempt] = []
         records: Any = ()
         status, error = "error", "no attempt made"
@@ -401,9 +410,10 @@ class FederatedFetcher:
                     if attempt_timeout is None
                     else min(attempt_timeout, remaining)
                 )
-            outcome, result, attempt_error, elapsed = self._attempt(
-                wrapper, request, attempt_timeout
-            )
+            with tallying(tally):
+                outcome, result, attempt_error, elapsed = self._attempt(
+                    wrapper, request, attempt_timeout
+                )
             attempts.append(
                 FetchAttempt(number + 1, elapsed, outcome, attempt_error)
             )
@@ -420,7 +430,6 @@ class FederatedFetcher:
                     # Through the clock seam: a FakeClock fast-forwards
                     # the backoff instead of parking the worker thread.
                     default_clock().sleep(delay)
-        counters_after = self._source_counters(wrapper)
         return FetchReply(
             source=wrapper.name,
             request=request,
@@ -428,27 +437,11 @@ class FederatedFetcher:
             status=status,
             attempts=tuple(attempts),
             elapsed=time.perf_counter() - started,
-            index_hits=(
-                counters_after["index_hits"] - counters_before["index_hits"]
-            ),
-            scan_queries=(
-                counters_after["scan_queries"]
-                - counters_before["scan_queries"]
-            ),
             error=error,
+            # A copy: an abandoned (timed-out) attempt may still add to
+            # the live tally after this reply is folded.
+            tally=dict(tally),
         )
-
-    @staticmethod
-    def _source_counters(wrapper: Any) -> Dict[str, int]:
-        source = getattr(wrapper, "source", None)
-        fetch_stats = getattr(source, "fetch_stats", None)
-        if fetch_stats is None:
-            return {"index_hits": 0, "scan_queries": 0}
-        counters = fetch_stats()
-        return {
-            "index_hits": counters.get("index_hits", 0),
-            "scan_queries": counters.get("scan_queries", 0),
-        }
 
     @staticmethod
     def _attempt(
@@ -472,7 +465,10 @@ class FederatedFetcher:
             except Exception as exc:  # delivered to the waiting thread
                 box["error"] = exc
 
-        thread = threading.Thread(target=run, daemon=True)
+        # The attempt thread counts into the caller's fetch tally.
+        thread = threading.Thread(
+            target=contextvars.copy_context().run, args=(run,), daemon=True
+        )
         thread.start()
         thread.join(timeout)
         elapsed = time.perf_counter() - started

@@ -6,6 +6,17 @@ rules*, *transformation calls* and *annotation database descriptions*.
 the resulting correspondence sets, and translates records between
 local and global vocabularies, applying registered value
 transformations on the way.
+
+Translation follows a *compiled plan* per source: the ordered
+``(source field, global key, transform name)`` triples of its wrapper,
+resolved once instead of once per record.  A plan is rebuilt whenever
+a rule change (:meth:`MappingModule.add_transform_rule`) or a
+re-registration could have changed it, and it names its transforms
+instead of holding them, so a function re-registered under a name in
+the :class:`TransformRegistry` takes effect on the next translation.
+Values cached from translated records — whole answers and enrichment
+details — carry :meth:`MappingModule.transform_rules` in their
+identity, so a rule change re-keys them.
 """
 
 from repro.matching.mdsm import MdsmMatcher
@@ -67,6 +78,12 @@ class MappingModule:
         # so each resolution after the first is one dict hit.  Entries
         # are dropped when their source unregisters.
         self._local_label_memo = {}
+        # source -> (wrapper, rules generation, plan): the compiled
+        # translation plan (see translate_record).  A plan is valid for
+        # its wrapper while the generation, bumped by every rule change
+        # and unregistration, stands.
+        self._plans = {}
+        self._rules_generation = 0
 
     # -- registration -----------------------------------------------------------
 
@@ -95,6 +112,8 @@ class MappingModule:
         self._correspondences.pop(source_name, None)
         self._descriptions.pop(source_name, None)
         self._transform_rules.pop(source_name, None)
+        self._rules_generation += 1
+        self._plans.pop(source_name, None)
         self._local_label_memo = {
             key: value
             for key, value in self._local_label_memo.items()
@@ -107,6 +126,24 @@ class MappingModule:
         self.transforms.get(transform_name)  # validate it exists
         self._transform_rules.setdefault(source_name, {})[global_name] = (
             transform_name
+        )
+        self._rules_generation += 1
+
+    def transform_rules(self, source_name=None):
+        """The transform rules as sorted ``(source, global attribute,
+        transform name)`` triples — of one source, or of every source.
+
+        Part of the identity of everything cached from translated
+        records (answers, enrichment details), so adding a rule re-keys
+        them instead of serving values translated without it.
+        """
+        return tuple(
+            sorted(
+                (source, global_name, transform_name)
+                for source, rules in self._transform_rules.items()
+                if source_name is None or source == source_name
+                for global_name, transform_name in rules.items()
+            )
         )
 
     # -- lookups -----------------------------------------------------------------
@@ -160,21 +197,18 @@ class MappingModule:
         tolerance of irregular structure).  List values are copied, so
         answer rows never share a list with the source's extent.
         """
-        correspondence_set = self.correspondences(source_name)
-        # Prefer the wrapper's memoized specs; plain field_specs() keeps
-        # duck-typed test doubles working.
-        specs_accessor = getattr(wrapper, "_specs", wrapper.field_specs)
-        specs = specs_accessor()
-        rules = self._transform_rules.get(source_name, {})
+        plan = self._plans.get(source_name)
+        if plan is None or plan[0] is not wrapper or (
+            plan[1] != self._rules_generation
+        ):
+            plan = self._compile_plan(source_name, wrapper)
         translated = {}
-        for label, (source_field, _type, _multi, _desc) in specs.items():
+        for source_field, key, transform_name in plan[2]:
             if source_field not in record:
                 continue
             value = record[source_field]
-            global_name = correspondence_set.to_global(label)
-            key = global_name or f"{source_name}.{label}"
-            if global_name and global_name in rules:
-                transform = self.transforms.get(rules[global_name])
+            if transform_name is not None:
+                transform = self.transforms.get(transform_name)
                 if isinstance(value, list):
                     value = [transform(item) for item in value]
                 else:
@@ -183,6 +217,32 @@ class MappingModule:
                 value = list(value)
             translated[key] = value
         return translated
+
+    def _compile_plan(self, source_name, wrapper):
+        """``(wrapper, generation, steps)``: the ordered ``(source
+        field, global key, transform name or None)`` steps translating
+        ``wrapper``'s records, remembered for later records."""
+        generation = self._rules_generation
+        correspondence_set = self.correspondences(source_name)
+        # Prefer the wrapper's memoized specs; plain field_specs() keeps
+        # duck-typed test doubles working.
+        specs_accessor = getattr(wrapper, "_specs", wrapper.field_specs)
+        rules = self._transform_rules.get(source_name, {})
+        steps = []
+        for label, (source_field, _type, _multi, _desc) in (
+            specs_accessor().items()
+        ):
+            global_name = correspondence_set.to_global(label)
+            steps.append(
+                (
+                    source_field,
+                    global_name or f"{source_name}.{label}",
+                    rules.get(global_name) if global_name else None,
+                )
+            )
+        plan = (wrapper, generation, tuple(steps))
+        self._plans[source_name] = plan
+        return plan
 
     def render(self):
         lines = ["mapping module state:"]

@@ -166,8 +166,9 @@ class Mediator:
         """Answer a :class:`~repro.mediator.decompose.GlobalQuery`.
 
         Answers are cached in the mediator's one version-keyed store,
-        keyed on the query, ``enrich_links``, the mediator's policies
-        *and every source's version counter*, so a cache hit is always
+        keyed on the query, ``enrich_links``, the mediator's policies,
+        the mapping module's transform rules *and every source's
+        version counter*, so a cache hit is always
         as fresh as a recomputation — a repeat question costs nothing,
         while any source update invalidates automatically (the
         federated freshness guarantee is never traded away).  One rule
@@ -237,6 +238,8 @@ class Mediator:
             self.optimizer_options,
             self.reconciler.policy,
             self.federation,
+            # Answer rows are translated records.
+            self.mapping_module.transform_rules(),
         )
         versions = tuple(
             (name, self._wrappers[name].version)

@@ -23,14 +23,15 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Tuple
 
-from repro.util.locks import new_lock
+from repro.sources.base import current_tally
 
 
 class ReplicaSet:
     """N interchangeable wrappers of one source, with failover.
 
-    Counters are lock-protected: the federated fetcher calls
-    :meth:`fetch` from several pool threads at once.
+    Holds no mutable state, so the federated fetcher may call
+    :meth:`fetch` from several pool threads at once; each failover is
+    counted in the tally of the fetch it serves.
     """
 
     def __init__(self, replicas: Iterable[Any]) -> None:
@@ -43,8 +44,6 @@ class ReplicaSet:
                 f"replicas must serve one source, got {sorted(names)}"
             )
         self._replicas = replicas
-        self._mutex = new_lock("ReplicaSet._mutex")
-        self._failovers = 0
 
     def __getattr__(self, name: str) -> Any:
         if name.startswith("_"):
@@ -88,20 +87,18 @@ class ReplicaSet:
         """Fetch from the primary, failing over through the siblings in
         order; raises only after *every* replica failed (which is when
         the federation policy's retry/degrade semantics take over — a
-        dead replica alone never degrades the source)."""
+        dead replica alone never degrades the source).
+
+        Each failover is counted in the tally of the fetch being served
+        (:func:`~repro.sources.base.tallying`), which its reply carries
+        into the execution's stats."""
         last_error: BaseException = IndexError("no replicas")
         for number, replica in enumerate(self._replicas, start=1):
             try:
                 return replica.fetch(request)
             except Exception as exc:
                 last_error = exc
-                if number < len(self._replicas):
-                    with self._mutex:
-                        self._failovers += 1
+                tally = current_tally()
+                if number < len(self._replicas) and tally is not None:
+                    tally["replica_failovers"] += 1
         raise last_error
-
-    def failover_count(self) -> int:
-        """Cumulative fetches this set handed to a sibling after a
-        replica failed."""
-        with self._mutex:
-            return self._failovers

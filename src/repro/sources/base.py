@@ -21,9 +21,11 @@ fetch-path machinery the mediator's hot loop depends on:
   once, which the executor uses to collapse N+1 per-id fetches into a
   single batched fetch.
 - **fetch counters** — cumulative ``index_hits``/``scan_queries``
-  (plus cold-start ``index_builds``/``index_adoptions``) accounting
-  the executor snapshots into
-  :class:`~repro.mediator.executor.ExecutionStats`.
+  (plus cold-start ``index_builds``/``index_adoptions``) accounting,
+  each also added to the *tally* of the fetch being served
+  (:func:`tallying`), which its reply carries into
+  :class:`~repro.mediator.executor.ExecutionStats` — so concurrent
+  executions never count each other's work.
 - **persistent index snapshots** — ``export_index_state`` /
   ``adopt_index_state`` move the whole version-keyed index state
   across processes, so a store reloaded from disk
@@ -46,10 +48,22 @@ checker can observe acquisition order, and methods suffixed
 from __future__ import annotations
 
 import abc
+import contextlib
+import contextvars
 import warnings
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.util.errors import QueryError
 from repro.util.locks import make_counters, new_lock
@@ -72,6 +86,48 @@ INDEX_STATE_SCHEMA = 1
 #: *newer* code line — whose counters this line cannot interpret — is
 #: rejected instead of half-adopted.
 FETCH_COUNTER_SCHEMA = 2
+
+#: The tally of the fetch this thread is serving, if any (see
+#: :func:`tallying`).
+_current_tally: "contextvars.ContextVar[Optional[Dict[str, int]]]" = (
+    contextvars.ContextVar("fetch_tally", default=None)
+)
+
+
+def new_tally() -> Dict[str, int]:
+    """An empty request-scoped fetch tally: the fetch-path counters of
+    :meth:`DataSource.fetch_stats` plus ``replica_failovers``, which a
+    :class:`~repro.mediator.replicas.ReplicaSet` adds."""
+    return {
+        "index_hits": 0,
+        "scan_queries": 0,
+        "index_builds": 0,
+        "index_adoptions": 0,
+        "replica_failovers": 0,
+    }
+
+
+@contextlib.contextmanager
+def tallying(tally: Dict[str, int]) -> Iterator[Dict[str, int]]:
+    """Add what the native queries run on this thread do to ``tally``
+    until the block exits, besides the sources' cumulative counters.
+
+    The tally belongs to one fetch (the fetcher opens one per request)
+    and only that fetch's attempts write it, one after another (an
+    abandoned, timed-out attempt may still finish late), so it takes
+    no lock.
+    """
+    token = _current_tally.set(tally)
+    try:
+        yield tally
+    finally:
+        _current_tally.reset(token)
+
+
+def current_tally() -> Optional[Dict[str, int]]:
+    """The tally of the fetch this thread is serving, or ``None``."""
+    return _current_tally.get()
+
 
 #: Comparison operators a source may support natively.  ``in`` is the
 #: batched form of ``=``: any source that evaluates ``field = value``
@@ -221,11 +277,9 @@ class DataSource(abc.ABC):
             extent = self._extent_locked(state)
             if driver is not None:
                 index = self._equality_index_locked(driver.field, state)
-            counters = self._fetchpath_counters()
-            if index is None:
-                counters["scan_queries"] += 1
-            else:
-                counters["index_hits"] += 1
+            self._count_locked(
+                "scan_queries" if index is None else "index_hits"
+            )
         candidates: Iterable[Record] = extent
         rest = conditions
         if index is not None and driver is not None:
@@ -280,7 +334,7 @@ class DataSource(abc.ABC):
                 state["unindexable"].add(field)
                 return None
             state["fields"][field] = index
-            self._fetchpath_counters()["index_builds"] += 1
+            self._count_locked("index_builds")
         return index
 
     # -- persistent index snapshots ------------------------------------------
@@ -360,7 +414,7 @@ class DataSource(abc.ABC):
             "fields": fields,
             "unindexable": unindexable,
         }
-        self._fetchpath_counters()["index_adoptions"] += len(fields)
+        self._count_locked("index_adoptions", len(fields))
         return True
 
     def _adopt_or_warn(self, index_state: Optional[Dict[str, Any]]) -> None:
@@ -405,6 +459,14 @@ class DataSource(abc.ABC):
         if state["extent"] is None:
             state["extent"] = [MappingProxyType(record) for record in self.records()]
         return state["extent"]
+
+    def _count_locked(self, counter: str, amount: int = 1) -> None:
+        """Move one fetch-path counter: the source's cumulative count
+        and the current fetch's tally; caller holds the fetch mutex."""
+        self._fetchpath_counters()[counter] += amount
+        tally = _current_tally.get()
+        if tally is not None:
+            tally[counter] += amount
 
     def _fetchpath_counters(self) -> Dict[str, int]:
         counters = self.__dict__.get("_fetchpath_counts")

@@ -1,8 +1,8 @@
 """The mediator's one version-keyed cache and its answer rule.
 
 Every mediator owns one :class:`~repro.mediator.artifacts.ArtifactStore`
-holding whole answers, enrichment indexes and symbol indexes.  Pinned
-here:
+holding whole answers, enrichment indexes, symbol indexes and link
+tables.  Pinned here:
 
 1. **Stale answers are evicted** — putting an answer replaces the
    older versions of the same question, so a freshness workload (a
@@ -170,7 +170,7 @@ class TestMetricsCacheSection:
             http_server.close(drain=True)
             thread.join(timeout=30)
         assert not thread.is_alive()
-        assert set(after) == {"answer", "enrichment", "symbols"}
+        assert set(after) == {"answer", "enrichment", "symbols", "links"}
         assert set(after["answer"]) == {"hits", "misses", "entries"}
         assert after["answer"]["hits"] == before["answer"]["hits"] + 1
         assert after["answer"]["entries"] == 1

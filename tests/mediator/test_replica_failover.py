@@ -22,6 +22,7 @@ from repro.mediator import (
 from repro.mediator.decompose import Condition
 from repro.mediator.fetch import FetchRequest
 from repro.sources import AnnotationCorpus, CorpusParameters
+from repro.sources.base import new_tally, tallying
 from repro.trace import TraceRecorder, counter_totals
 from repro.util.errors import IntegrationError
 from repro.wrappers import (
@@ -114,9 +115,10 @@ class TestReplicaSetUnit:
         alive = GoWrapper(corpus.go)
         replica_set = ReplicaSet([dead, alive])
         request = FetchRequest((), purpose="test")
-        records = replica_set.fetch(request)
+        with tallying(new_tally()) as tally:
+            records = replica_set.fetch(request)
         assert len(records) == corpus.go.count()
-        assert replica_set.failover_count() == 1
+        assert tally["replica_failovers"] == 1
         assert dead.failures == 1
 
     def test_raises_only_after_every_replica_failed(self, corpus):
@@ -126,10 +128,11 @@ class TestReplicaSetUnit:
                 FlakyWrapper(GoWrapper(corpus.go), blackout=True),
             ]
         )
-        with pytest.raises(ConnectionError):
-            replica_set.fetch(FetchRequest((), purpose="test"))
+        with tallying(new_tally()) as tally:
+            with pytest.raises(ConnectionError):
+                replica_set.fetch(FetchRequest((), purpose="test"))
         # The last replica's failure is terminal, not a failover.
-        assert replica_set.failover_count() == 1
+        assert tally["replica_failovers"] == 1
 
 
 class TestFederatedFailover:
