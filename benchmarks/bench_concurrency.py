@@ -178,7 +178,7 @@ def _sweep(config, log=print):
                         workers,
                         f"{fault_rate:.1f}",
                         f"{seconds * 1e3:.1f}",
-                        result.report.retries,
+                        result.report.counters["retries"],
                         f"{speedup:.2f}x" if speedup else "-",
                     ]
                 )
@@ -188,9 +188,9 @@ def _sweep(config, log=print):
                         "workers": workers,
                         "fault_rate": fault_rate,
                         "seconds": seconds,
-                        "retries": result.report.retries,
+                        "retries": result.report.counters["retries"],
                         "concurrent_batches": (
-                            result.report.concurrent_batches
+                            result.report.counters["concurrent_batches"]
                         ),
                         "genes": len(result),
                         "speedup_vs_sequential": speedup,
@@ -282,16 +282,17 @@ def _dead_replica_scenario(config, log=print):
     result = mediator.query(query, use_cache=False)
     assert result.gene_ids() == baseline.gene_ids()
     assert result.report.ok
-    assert result.stats.replica_failovers > 0
-    assert result.stats.degraded_sources == []
+    assert result.report.counters["replica_failovers"] > 0
+    assert result.report.degraded == ()
+    failovers = result.report.counters["replica_failovers"]
     log(
         f"  dead replica: complete answer of {len(result)} genes, "
-        f"{result.stats.replica_failovers} failover(s), none degraded"
+        f"{failovers} failover(s), none degraded"
     )
     return {
         "replicas": REPLICAS,
         "genes": len(result),
-        "replica_failovers": result.stats.replica_failovers,
+        "replica_failovers": failovers,
         "degraded": list(result.report.degraded),
     }
 

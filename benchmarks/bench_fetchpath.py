@@ -152,7 +152,7 @@ def _sweep_semijoin(corpus):
     fast_result = run(batch=True, indexes=True)
     slow_result = run(batch=False, indexes=False)
     assert fast_result.gene_ids() == slow_result.gene_ids()
-    assert fast_result.stats.batched_fetches > 0
+    assert fast_result.report.counters["batched_fetches"] > 0
     batched = _best_of(ROUNDS, lambda: run(batch=True, indexes=True))
     n_plus_1 = _best_of(ROUNDS, lambda: run(batch=False, indexes=False))
     _set_indexes(corpus, True)
@@ -301,18 +301,15 @@ def _flagship_counters():
     first = mediator.query(query, use_cache=False)
     repeat = mediator.query(query, use_cache=False)
     assert first.gene_ids() == repeat.gene_ids()
-    assert first.stats.index_hits > 0
-    assert first.stats.batched_fetches > 0
-    assert repeat.stats.enrichment_cache_hits > 0
+    assert first.report.counters["index_hits"] > 0
+    assert first.report.counters["batched_fetches"] > 0
+    assert repeat.report.counters["enrichment_cache_hits"] > 0
+    counted = ("index_hits", "scan_fetches", "batched_fetches",
+               "enrichment_cache_hits")
     return {
-        "first_index_hits": first.stats.index_hits,
-        "first_scan_fetches": first.stats.scan_fetches,
-        "first_batched_fetches": first.stats.batched_fetches,
-        "first_enrichment_cache_hits": first.stats.enrichment_cache_hits,
-        "repeat_index_hits": repeat.stats.index_hits,
-        "repeat_scan_fetches": repeat.stats.scan_fetches,
-        "repeat_batched_fetches": repeat.stats.batched_fetches,
-        "repeat_enrichment_cache_hits": repeat.stats.enrichment_cache_hits,
+        f"{label}_{name}": result.report.counters[name]
+        for label, result in (("first", first), ("repeat", repeat))
+        for name in counted
     }
 
 

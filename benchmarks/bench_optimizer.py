@@ -85,9 +85,9 @@ def test_optimizer_ablation_artifact(benchmark, corpus, results_dir):
             rows.append(
                 [
                     name,
-                    result.stats.total_rows_fetched(),
-                    result.stats.residual_evaluations,
-                    f"{result.stats.wall_seconds:.4f}",
+                    result.report.counters["rows"],
+                    result.report.counters["residual_evaluations"],
+                    f"{result.report.wall_seconds:.4f}",
                     f"{annoda.mediator.plan(_query()).estimated_cost:.0f}",
                 ]
             )
@@ -153,9 +153,9 @@ def test_semijoin_extension_artifact(benchmark, corpus, results_dir):
             rows.append(
                 [
                     name,
-                    result.stats.rows_fetched.get("LocusLink", 0),
-                    result.stats.total_rows_fetched(),
-                    f"{result.stats.wall_seconds:.4f}",
+                    result.report.rows_fetched.get("LocusLink", 0),
+                    result.report.counters["rows"],
+                    f"{result.report.wall_seconds:.4f}",
                     len(answer),
                 ]
             )

@@ -193,8 +193,14 @@ def _load_scenarios(config, log=print):
 
 
 def _shedding_scenario(config, log=print):
-    """A burst beyond capacity sheds with 429 and never deadlocks."""
-    service = AnnodaService(_build_annoda(), ServiceConfig(
+    """A burst beyond capacity sheds with 429 and never deadlocks.
+
+    The sources answer after ``source_latency``, so the burst outlasts
+    the workers: over in-memory sources an uncached answer can finish
+    before the next client thread even submits, and the seats would
+    never fill."""
+    annoda = _build_annoda(latency=config["source_latency"])
+    service = AnnodaService(annoda, ServiceConfig(
         queue_capacity=config["shed_capacity"],
         workers=config["shed_workers"],
     )).start()

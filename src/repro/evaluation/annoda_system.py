@@ -47,10 +47,10 @@ class AnnodaSystem(IntegrationSystem):
             use_cache=False,
         )
         return set(result.gene_ids()), {
-            "rows_shipped": result.stats.total_rows_fetched(),
+            "rows_shipped": result.report.counters["rows"],
             "reconciled": True,
             "conflicts_observed": result.reconciliation.count(),
-            "wall_seconds": result.stats.wall_seconds,
+            "wall_seconds": result.report.wall_seconds,
         }
 
     def disease_association_query(self):
@@ -66,8 +66,8 @@ class AnnodaSystem(IntegrationSystem):
             query, enrich_links=False, use_cache=False
         )
         return set(result.gene_ids()), {
-            "rows_shipped": result.stats.total_rows_fetched(),
+            "rows_shipped": result.report.counters["rows"],
             "reconciled": True,
             "conflicts_observed": result.reconciliation.count(),
-            "wall_seconds": result.stats.wall_seconds,
+            "wall_seconds": result.report.wall_seconds,
         }

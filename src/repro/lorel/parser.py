@@ -19,6 +19,8 @@ Grammar (keywords case-insensitive)::
     value_list  := '(' literal (',' literal)* ')'
 """
 
+from dataclasses import fields, is_dataclass
+
 from repro.lorel.ast_nodes import (
     And,
     Comparison,
@@ -39,16 +41,46 @@ from repro.lorel.lexer import tokenize
 
 _COMPARISON_OPS = {"=", "!=", "<>", "<", "<=", ">", ">="}
 
+#: How deep a query may nest: both the text's nesting (parentheses,
+#: ``not``, subqueries) and the height of the syntax tree it parses to
+#: (which long ``and``/``or``/``union`` chains also raise).  A deeper
+#: query is a syntax error, not a ``RecursionError`` from the parser or
+#: the evaluator.
+MAX_NESTING = 200
+
 
 def parse(text):
     """Parse query text into a :class:`~repro.lorel.ast_nodes.Query`."""
-    return _Parser(tokenize(text)).parse_query()
+    query = _Parser(tokenize(text)).parse_query()
+    if _height(query) > MAX_NESTING:
+        raise LorelSyntaxError(
+            f"query nests deeper than {MAX_NESTING} levels"
+        )
+    return query
+
+
+def _height(root):
+    """The height of a syntax tree, walked without recursion."""
+    deepest = 0
+    stack = [(root, 1)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        if isinstance(node, tuple):
+            children = node
+        elif is_dataclass(node):
+            children = [getattr(node, item.name) for item in fields(node)]
+        else:
+            continue
+        stack.extend((child, depth + 1) for child in children)
+    return deepest
 
 
 class _Parser:
     def __init__(self, tokens):
         self._tokens = tokens
         self._index = 0
+        self._depth = 0
 
     # -- token plumbing ------------------------------------------------------
 
@@ -71,6 +103,16 @@ class _Parser:
         if self._check(kind, text):
             return self._advance()
         return None
+
+    def _descend(self, levels=1):
+        """Enter ``levels`` nesting levels (left again by decrementing
+        ``_depth``; a parse that fails is abandoned whole)."""
+        self._depth += levels
+        if self._depth > MAX_NESTING:
+            raise LorelSyntaxError(
+                f"query nests deeper than {MAX_NESTING} levels",
+                self._current.position,
+            )
 
     def _expect(self, kind, text=None, what=None):
         token = self._accept(kind, text)
@@ -203,12 +245,16 @@ class _Parser:
 
     def _unary_expr(self):
         if self._accept("KEYWORD", "not"):
-            return Not(self._unary_expr())
-        if self._accept("LPAREN"):
-            inner = self._or_expr()
+            self._descend()
+            expr = Not(self._unary_expr())
+        elif self._accept("LPAREN"):
+            self._descend()
+            expr = self._or_expr()
             self._expect("RPAREN")
-            return inner
-        return self._predicate()
+        else:
+            return self._predicate()
+        self._depth -= 1
+        return expr
 
     def _predicate(self):
         if self._accept("KEYWORD", "exists"):
@@ -268,8 +314,14 @@ class _Parser:
     def _value_list(self):
         self._expect("LPAREN", what="'('")
         if self._check("KEYWORD", "select"):
+            # A subquery's where clause sits three tree levels below
+            # the comparison that holds it (comparison, subquery,
+            # query), and its descent takes twice the frames of a
+            # parenthesised level.
+            self._descend(3)
             inner = self._select_query()
             self._expect("RPAREN", what="')' closing the subquery")
+            self._depth -= 3
             return Subquery(query=inner)
         items = []
         literal = self._maybe_literal()

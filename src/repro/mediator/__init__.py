@@ -23,7 +23,6 @@ from repro.mediator.decompose import (
 )
 from repro.mediator.executor import (
     ExecutionReport,
-    ExecutionStats,
     Executor,
     IntegratedResult,
     SourceReport,
@@ -56,9 +55,7 @@ from repro.mediator.replicas import ReplicaSet
 
 __all__ = [
     "ArtifactStore",
-    "ExecutionPlan",
     "ExecutionReport",
-    "ExecutionStats",
     "Executor",
     "FederatedFetcher",
     "FederationPolicy",
@@ -90,21 +87,3 @@ __all__ = [
     "stage_key",
 ]
 
-
-def __getattr__(name):
-    # Deprecated alias, kept one release: Mediator.plan() now returns
-    # a PhysicalPlan.  Resolved lazily so importing the package never
-    # warns — only actually touching the old name does.
-    if name == "ExecutionPlan":
-        import warnings
-
-        warnings.warn(
-            "repro.mediator.ExecutionPlan is deprecated; "
-            "Mediator.plan() returns a repro.mediator.PhysicalPlan",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return PhysicalPlan
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}"
-    )

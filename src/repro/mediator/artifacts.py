@@ -68,8 +68,9 @@ from repro.util.locks import make_counters, new_lock
 #: shapes.  Bumped whenever any of them changes, so files written by a
 #: different code line can never be misread — their names simply never
 #: match.  Schema 3: one entry per (kind, identity, versions), and the
-#: disk tier holds whole answers only.
-ARTIFACT_SCHEMA = 3
+#: disk tier holds whole answers only.  Schema 4: a stored answer
+#: carries an ``ExecutionReport`` instead of the deleted stats object.
+ARTIFACT_SCHEMA = 4
 
 #: First line of every on-disk artifact file.
 _MAGIC = b"annoda-artifact/1"

@@ -17,8 +17,9 @@ integrated answer whose :class:`ExecutionReport` marks the source
 degraded.
 """
 
+import contextlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.mediator.fetch import (
     FederatedFetcher,
@@ -28,8 +29,9 @@ from repro.mediator.fetch import (
 from repro.mediator.reconcile import ReconciliationReport, SymbolIndex
 from repro.mediator.view import LINK_CHILD_LABELS, AnswerView, link_detail
 from repro.sources.base import NativeCondition, _evaluate, new_tally, tallying
+from repro.trace.metrics import METRICS
 from repro.trace.recorder import NULL_RECORDER
-from repro.util.errors import IntegrationError
+from repro.util.errors import DataFormatError, IntegrationError, QueryError
 from repro.util.locks import new_lock
 
 
@@ -54,13 +56,6 @@ def _residual_ok(record, bound):
 _EMPTY_ROW = ((), ())
 
 
-def _delta_counter(span, name, delta):
-    """Attach a phase-local counter delta to ``span`` (zeros are
-    omitted so traces only carry counters that did work)."""
-    if delta:
-        span.set_counter(name, delta)
-
-
 @dataclass
 class SourceReport:
     """Per-source fetch accounting for one execution."""
@@ -75,59 +70,63 @@ class SourceReport:
     status: str = "ok"  # "ok" | "degraded"
 
 
-@dataclass
-class ExecutionStats:
-    """Work accounting used by the optimizer/architecture benchmarks.
+class ExecutionReport:
+    """Everything one execution did, exposed as
+    :attr:`IntegratedResult.report`.
 
-    Prefer reading these counters through
-    :attr:`IntegratedResult.report` (an :class:`ExecutionReport`);
-    direct access remains for existing callers.
+    ``counters`` holds every :data:`~repro.trace.metrics.METRICS`
+    counter, in registry order, and :meth:`incr` is the only way they
+    move.  ``rows_fetched`` maps each source fetched to its row count
+    (a semijoin anchor that matched nothing is listed at 0),
+    ``sources`` each source to its :class:`SourceReport`, and
+    ``degraded`` names the sources the answer is partial with respect
+    to.  ``reconciliation`` is the
+    :class:`~repro.mediator.reconcile.ReconciliationReport`.
+
+    The fetch-path counters (``index_hits`` … ``replica_failovers``)
+    are summed from the request-scoped tallies of this execution's own
+    fetches (:meth:`record_tally`), never from the sources' cumulative
+    counters, so concurrent executions do not count each other.
+    Stores adopt their snapshot indexes when they load, not during a
+    fetch, so an execution's ``indexes_adopted`` is 0; the stores'
+    ``fetch_stats()`` keep the cumulative counts.
     """
 
-    rows_fetched: dict = field(default_factory=dict)
-    residual_evaluations: int = 0
-    anchors_considered: int = 0
-    anchors_returned: int = 0
-    wall_seconds: float = 0.0
-    #: Source-level fetch-path accounting for this execution: native
-    #: queries answered from an equality index vs by scanning.  These
-    #: and the cold-start and failover counters below are summed from
-    #: the request-scoped tallies of this execution's own fetches
-    #: (:meth:`record_tally`), never from the sources' cumulative
-    #: counters, so concurrent executions do not count each other.
-    index_hits: int = 0
-    scan_fetches: int = 0
-    #: Cold-start accounting: equality indexes this execution's fetches
-    #: had to (re)build by scanning an extent vs adopted from a
-    #: persisted snapshot.  Stores adopt their snapshot indexes when
-    #: they load (``repro.sources.persistence``), not during a fetch,
-    #: so the adopted count of an execution is 0; the stores'
-    #: ``fetch_stats()`` keep the cumulative counts.  A warm federation
-    #: shows 0/0.
-    indexes_rebuilt: int = 0
-    indexes_adopted: int = 0
-    #: Batched ``in`` fetches the executor issued instead of per-id
-    #: fetch loops (semijoin anchors, enrichment detail).
-    batched_fetches: int = 0
-    #: Link-source enrichment indexes served entirely from the
-    #: mediator's version-keyed cache (no source fetch at all).
-    enrichment_cache_hits: int = 0
-    #: Fault-tolerance accounting: attempts beyond the first, attempts
-    #: abandoned on timeout, and fetch batches issued concurrently.
-    retries: int = 0
-    timeouts: int = 0
-    concurrent_batches: int = 0
-    #: Fetches a replica set answered from a sibling after a replica
-    #: failed.
-    replica_failovers: int = 0
-    #: Sources that failed but were tolerated (degrading policy): the
-    #: answer is partial with respect to them.
-    degraded_sources: list = field(default_factory=list)
-    #: Per-source fetch reports (name -> :class:`SourceReport`).
-    source_reports: dict = field(default_factory=dict)
+    def __init__(self, reconciliation=None, degraded=()):
+        self.counters = dict.fromkeys(METRICS.names(), 0)
+        self.rows_fetched = {}
+        self.sources = {}
+        self.wall_seconds = 0.0
+        self.degraded = tuple(degraded)
+        self.reconciliation = reconciliation
 
-    def total_rows_fetched(self):
-        return sum(self.rows_fetched.values())
+    @property
+    def ok(self):
+        """True when no source degraded (the answer is complete)."""
+        return not self.degraded
+
+    # -- counting ------------------------------------------------------------
+
+    def incr(self, name, amount=1):
+        """Add to one registered counter."""
+        self.counters[name] += amount
+
+    @contextlib.contextmanager
+    def stage(self, recorder, name, attributes=None):
+        """``with report.stage(recorder, "fetch") as span:`` — the
+        stage's span, which on exit carries what the stage moved of
+        each counter registered to it (zeros omitted).  An untraced
+        run takes no snapshot."""
+        with recorder.span(name, attributes=attributes) as span:
+            if not recorder.enabled:
+                yield span
+                return
+            before = dict(self.counters)
+            yield span
+            for metric in METRICS.carried_by(name):
+                moved = self.counters[metric] - before[metric]
+                if moved:
+                    span.set_counter(metric, moved)
 
     def add_fetch(self, source_name, count):
         self.rows_fetched[source_name] = (
@@ -137,116 +136,69 @@ class ExecutionStats:
     def record_tally(self, tally):
         """Fold in one fetch's request-scoped tally
         (:func:`~repro.sources.base.new_tally`)."""
-        self.index_hits += tally["index_hits"]
-        self.scan_fetches += tally["scan_queries"]
-        self.indexes_rebuilt += tally["index_builds"]
-        self.indexes_adopted += tally["index_adoptions"]
-        self.replica_failovers += tally["replica_failovers"]
+        self.incr("index_hits", tally["index_hits"])
+        self.incr("scan_fetches", tally["scan_queries"])
+        self.incr("indexes_rebuilt", tally["index_builds"])
+        self.incr("indexes_adopted", tally["index_adoptions"])
+        self.incr("replica_failovers", tally["replica_failovers"])
 
     def record_reply(self, reply):
         """Fold one :class:`~repro.mediator.fetch.FetchReply` in."""
-        self.add_fetch(reply.source, len(reply.records))
+        rows = len(reply.records)
+        self.add_fetch(reply.source, rows)
         self.record_tally(reply.tally)
-        self.retries += reply.retries
-        self.timeouts += reply.timeouts
-        report = self.source_reports.setdefault(
+        self.incr("rows", rows)
+        self.incr("attempts", len(reply.attempts))
+        self.incr("retries", reply.retries)
+        self.incr("timeouts", reply.timeouts)
+        source = self.sources.setdefault(
             reply.source, SourceReport(reply.source)
         )
-        report.fetches += 1
-        report.rows += len(reply.records)
-        report.attempts += len(reply.attempts)
-        report.retries += reply.retries
-        report.timeouts += reply.timeouts
-        report.seconds += reply.elapsed
+        source.fetches += 1
+        source.rows += rows
+        source.attempts += len(reply.attempts)
+        source.retries += reply.retries
+        source.timeouts += reply.timeouts
+        source.seconds += reply.elapsed
+
+    def record_reconciliation(self):
+        """Count the conflicts the reconciliation report holds."""
+        self.incr("conflicts", self.reconciliation.count())
+        self.incr("repaired", self.reconciliation.repaired_count())
 
     def mark_degraded(self, source_name):
-        if source_name not in self.degraded_sources:
-            self.degraded_sources.append(source_name)
-        report = self.source_reports.setdefault(
+        if source_name not in self.degraded:
+            self.degraded += (source_name,)
+        self.sources.setdefault(
             source_name, SourceReport(source_name)
-        )
-        report.status = "degraded"
-
-
-class ExecutionReport:
-    """One unified view of everything an execution did.
-
-    Merges the split accounting of earlier revisions — the sources'
-    ``fetch_stats`` dicts, :class:`ExecutionStats` counters, and the
-    reconciliation report — behind a single object exposed as
-    :attr:`IntegratedResult.report`: sources queried with per-source
-    latency/status, index hits, batches, retries, timeouts, degraded
-    sources, plus the reconciliation outcome under
-    :attr:`reconciliation`.
-
-    Counter attributes (``index_hits``, ``batched_fetches``,
-    ``rows_fetched``, ...) delegate to the underlying
-    :class:`ExecutionStats`; reconciliation conflicts live on
-    ``result.reconciliation``.
-    """
-
-    def __init__(self, stats, reconciliation):
-        self._stats = stats
-        self.reconciliation = reconciliation
-
-    # -- unified accounting --------------------------------------------------
-
-    @property
-    def sources(self):
-        """Per-source fetch reports (name -> :class:`SourceReport`)."""
-        return dict(self._stats.source_reports)
-
-    @property
-    def degraded(self):
-        """Names of sources the answer is partial with respect to."""
-        return tuple(self._stats.degraded_sources)
-
-    @property
-    def ok(self):
-        """True when no source degraded (the answer is complete)."""
-        return not self._stats.degraded_sources
-
-    def __getattr__(self, name):
-        stats = self.__dict__.get("_stats")
-        if stats is None:
-            raise AttributeError(name)
-        try:
-            return getattr(stats, name)
-        except AttributeError:
-            raise AttributeError(
-                f"ExecutionReport has no attribute {name!r}"
-            ) from None
+        ).status = "degraded"
 
     def describe(self):
-        """Multi-line human-readable execution summary."""
-        stats = self._stats
+        """Multi-line human-readable execution summary: every counter,
+        grouped by the stages that carry it, then each source."""
         lines = [
-            f"execution report: {stats.total_rows_fetched()} rows from "
-            f"{len(stats.source_reports)} source(s) in "
-            f"{stats.wall_seconds * 1e3:.1f} ms",
-            f"  index hits {stats.index_hits} / scans "
-            f"{stats.scan_fetches} / batched fetches "
-            f"{stats.batched_fetches} / enrichment cache hits "
-            f"{stats.enrichment_cache_hits}",
-            f"  cold start: {stats.indexes_rebuilt} index(es) rebuilt, "
-            f"{stats.indexes_adopted} adopted from snapshot",
-            f"  anchors {stats.anchors_returned}/{stats.anchors_considered} "
-            f"kept / residual evaluations {stats.residual_evaluations}",
-            f"  retries {stats.retries} / timeouts {stats.timeouts} / "
-            f"concurrent batches {stats.concurrent_batches} / replica "
-            f"failovers {stats.replica_failovers}",
+            f"execution report: {self.counters['rows']} rows from "
+            f"{len(self.sources)} source(s) in "
+            f"{self.wall_seconds * 1e3:.1f} ms",
         ]
-        for name in sorted(stats.source_reports):
-            report = stats.source_reports[name]
-            lines.append(
-                f"  {name}: {report.status}, {report.fetches} fetch(es), "
-                f"{report.rows} rows, {report.attempts} attempt(s), "
-                f"{report.seconds * 1e3:.1f} ms"
+        groups = {}
+        for metric in METRICS:
+            groups.setdefault(metric.stages, []).append(
+                f"{metric.name} {self.counters[metric.name]}"
             )
-        if stats.degraded_sources:
+        for stages, counts in groups.items():
+            lines.append(f"  {'+'.join(stages)}: {' / '.join(counts)}")
+        for name in sorted(self.sources):
+            source = self.sources[name]
+            lines.append(
+                f"  {name}: {source.status}, {source.fetches} fetch(es), "
+                f"{source.rows} rows, {source.attempts} attempt(s), "
+                f"{source.seconds * 1e3:.1f} ms"
+            )
+        if self.degraded:
             lines.append(
                 "  PARTIAL ANSWER — degraded: "
-                + ", ".join(sorted(stats.degraded_sources))
+                + ", ".join(sorted(self.degraded))
             )
         return "\n".join(lines)
 
@@ -260,22 +212,18 @@ class IntegratedResult:
     the first read of either — once per result, even when the answer
     cache hands the same result to many threads.
 
-    ``result.report`` is the unified :class:`ExecutionReport`;
-    ``result.reconciliation`` the
+    ``result.report`` is the :class:`ExecutionReport`;
+    ``result.reconciliation`` its
     :class:`~repro.mediator.reconcile.ReconciliationReport`.
-    ``result.stats`` (the raw :class:`ExecutionStats`) remains as a
-    deprecated alias — everything it carries is reachable through
-    ``result.report``.
     """
 
-    def __init__(self, genes, view, reconciliation, stats, plan):
+    def __init__(self, genes, view, report, plan):
         self.genes = genes
         self.view = view
         self._built = None
         self._build_lock = new_lock("IntegratedResult._build_lock")
-        self.reconciliation = reconciliation
-        self.stats = stats
-        self.report = ExecutionReport(stats, reconciliation)
+        self.reconciliation = report.reconciliation
+        self.report = report
         self.plan = plan
         #: The query flight-recorder tree (a
         #: :class:`~repro.trace.recorder.Span`), set by the mediator
@@ -298,15 +246,14 @@ class IntegratedResult:
 
     def __reduce__(self):
         # A pickled answer (the cache's disk tier) keeps what it
-        # answered, including the sources it is partial with respect
-        # to, not what it cost: it loads with otherwise empty
-        # execution stats, no trace and no built graph.
-        stats = ExecutionStats(
-            degraded_sources=list(self.stats.degraded_sources)
-        )
+        # answered — the sources it is partial with respect to and the
+        # conflicts it reconciled — not what it cost: it loads with
+        # its other counters at 0, no trace and no built graph.
+        report = ExecutionReport(self.reconciliation, self.report.degraded)
+        report.record_reconciliation()
         return (
             IntegratedResult,
-            (self.genes, self.view, self.reconciliation, stats, self.plan),
+            (self.genes, self.view, report, self.plan),
         )
 
     def _graph_and_root(self):
@@ -396,13 +343,13 @@ class Executor:
         """A :class:`FetchRequest` carrying this execution's budget."""
         return FetchRequest(conditions, purpose=purpose, budget=self.budget)
 
-    def _fetch_all(self, jobs, stats, recorder=NULL_RECORDER):
+    def _fetch_all(self, jobs, report, recorder=NULL_RECORDER):
         """Ship ``(wrapper, request)`` jobs as one fetcher batch and
-        fold every reply into ``stats``; replies come back in job
+        fold every reply into ``report``; replies come back in job
         order."""
         replies = self.fetcher.fetch_all(jobs, recorder=recorder)
         for reply in replies:
-            stats.record_reply(reply)
+            report.record_reply(reply)
         return replies
 
     # -- entry point ------------------------------------------------------------
@@ -410,12 +357,12 @@ class Executor:
     def execute(self, plan, query, enrich_links=True,
                 recorder=NULL_RECORDER):
         started = time.perf_counter()
-        stats = ExecutionStats()
-        report = ReconciliationReport()
+        report = ExecutionReport(ReconciliationReport())
 
         anchor_wrapper = self.wrappers[plan.anchor.source_name]
 
-        with recorder.span(
+        with report.stage(
+            recorder,
             "execute",
             attributes={
                 "anchor": plan.anchor.source_name,
@@ -423,33 +370,15 @@ class Executor:
             },
         ) as execute_span:
             result = self._execute_traced(
-                plan, query, enrich_links, recorder, stats, report,
-                anchor_wrapper,
+                plan, query, enrich_links, recorder, report, anchor_wrapper
             )
-            # The fetch-path counters sum the tallies of every fetch the
-            # execution made, so they belong to the execute span itself,
-            # not to any one fetch below it.
-            _delta_counter(execute_span, "index_hits", stats.index_hits)
-            _delta_counter(execute_span, "scan_fetches", stats.scan_fetches)
-            _delta_counter(
-                execute_span, "indexes_rebuilt", stats.indexes_rebuilt
-            )
-            _delta_counter(
-                execute_span, "indexes_adopted", stats.indexes_adopted
-            )
-            _delta_counter(
-                execute_span, "replica_failovers",
-                stats.replica_failovers,
-            )
-            stats.wall_seconds = time.perf_counter() - started
-            if stats.degraded_sources:
-                execute_span.set(
-                    "degraded", sorted(stats.degraded_sources)
-                )
+            report.wall_seconds = time.perf_counter() - started
+            if report.degraded:
+                execute_span.set("degraded", sorted(report.degraded))
         return result
 
-    def _execute_traced(self, plan, query, enrich_links, recorder, stats,
-                        report, anchor_wrapper):
+    def _execute_traced(self, plan, query, enrich_links, recorder, report,
+                        anchor_wrapper):
         """The execute body, running inside the ``execute`` span."""
         # The versions of the sources this plan reads, before any fetch:
         # the link tables this execution reads and fills are keyed on
@@ -473,10 +402,7 @@ class Executor:
         self._degraded_steps = set()
         step_records = {}
         anchor_records = None
-        with recorder.span(
-            "fetch", attributes={"jobs": len(jobs)}
-        ) as fetch_span:
-            residual_before = stats.residual_evaluations
+        with report.stage(recorder, "fetch", attributes={"jobs": len(jobs)}):
             replies = self._fetch_all(
                 [
                     (wrapper,
@@ -484,30 +410,25 @@ class Executor:
                                          purpose=step.purpose))
                     for step, wrapper in jobs
                 ],
-                stats,
+                report,
                 recorder=recorder,
             )
             if len(jobs) > 1 and self.policy.max_workers > 1:
-                stats.concurrent_batches += 1
-                fetch_span.incr("concurrent_batches")
+                report.incr("concurrent_batches")
 
             for (step, wrapper), reply in zip(jobs, replies):
                 if not reply.ok:
-                    self._degrade_or_raise(reply, stats)
+                    self._degrade_or_raise(reply, report)
                     if step is plan.anchor:
                         anchor_records = []
                     else:
                         self._degraded_steps.add(id(step))
                     continue
-                records = self._ingest_reply(wrapper, step, reply, stats)
+                records = self._ingest_reply(wrapper, step, reply, report)
                 if step is plan.anchor:
                     anchor_records = records
                 else:
                     step_records[id(step)] = records
-            _delta_counter(
-                fetch_span, "residual_evaluations",
-                stats.residual_evaluations - residual_before,
-            )
 
         # -- per-step state computed once, not per anchor record ----------
         # The allowed-id set of conditioned link steps, and the symbol
@@ -529,59 +450,41 @@ class Executor:
                     step_records[id(step)],
                 )
             if step.link.symbol_join and not degraded_step:
-                self._build_symbol_index(step, stats)
+                self._build_symbol_index(step, report)
 
         if anchor_records is None:
-            with recorder.span(
+            with report.stage(
+                recorder,
                 "anchor",
                 attributes={"source": plan.anchor.source_name},
             ) as anchor_span:
-                residual_before = stats.residual_evaluations
-                batched_before = stats.batched_fetches
                 anchor_records = self._semijoin_anchor(
-                    plan, allowed_by_step, stats, recorder
-                )
-                _delta_counter(
-                    anchor_span, "batched_fetches",
-                    stats.batched_fetches - batched_before,
-                )
-                _delta_counter(
-                    anchor_span, "residual_evaluations",
-                    stats.residual_evaluations - residual_before,
+                    plan, allowed_by_step, report, recorder
                 )
                 anchor_span.set("records", len(anchor_records))
 
-        with recorder.span("reconcile") as reconcile_span:
-            stats.anchors_considered = len(anchor_records)
+        with report.stage(recorder, "reconcile"):
+            report.incr("anchors_considered", len(anchor_records))
             surviving, matched_links = self._reconcile_records(
-                plan, anchor_wrapper, anchor_records, report,
-                allowed_by_step,
+                plan, anchor_wrapper, anchor_records,
+                report.reconciliation, allowed_by_step,
             )
-            stats.anchors_returned = len(surviving)
-            reconcile_span.set_counter(
-                "anchors_considered", stats.anchors_considered
-            )
-            reconcile_span.set_counter(
-                "anchors_returned", stats.anchors_returned
-            )
-            _delta_counter(reconcile_span, "conflicts", report.count())
-            _delta_counter(
-                reconcile_span, "repaired", report.repaired_count()
-            )
+            report.incr("anchors_returned", len(surviving))
+            report.record_reconciliation()
 
         with recorder.span(
             "navigate", attributes={"enrich": bool(enrich_links)}
         ) as navigate_span:
             genes, view = self._combine(
                 plan, query, anchor_wrapper, surviving, matched_links,
-                enrich_links, stats, recorder,
+                enrich_links, report, recorder,
             )
             navigate_span.set("genes", len(genes))
-        return IntegratedResult(genes, view, report, stats, plan)
+        return IntegratedResult(genes, view, report, plan)
 
     # -- fetching ---------------------------------------------------------------
 
-    def _degrade_or_raise(self, reply, stats):
+    def _degrade_or_raise(self, reply, report):
         """Handle one failed reply per the federation policy.
 
         Raising reports an :class:`IntegrationError` naming the source,
@@ -590,19 +493,19 @@ class Executor:
         """
         if not self.policy.degrades:
             reply.raise_if_failed()
-        stats.mark_degraded(reply.source)
+        report.mark_degraded(reply.source)
 
-    def _ingest_reply(self, wrapper, step, reply, stats):
+    def _ingest_reply(self, wrapper, step, reply, report):
         """One ok reply -> its records, filtered by the step's
         mediator-side residual predicates."""
         records = list(reply.records)
         if not step.residual:
             return records
         bound = _bind_residual(wrapper, step.residual)
-        stats.residual_evaluations += len(bound) * len(records)
+        report.incr("residual_evaluations", len(bound) * len(records))
         return [record for record in records if _residual_ok(record, bound)]
 
-    def _build_symbol_index(self, step, stats):
+    def _build_symbol_index(self, step, report):
         """Version-keyed symbol-join index for one step (cached)."""
         wrapper = self.wrappers[step.source_name]
         symbol_local = self.mapping_module.correspondences(
@@ -618,7 +521,7 @@ class Executor:
         symbol_index = self.artifacts.get("symbols", identity, versions)
         if symbol_index is None:
             # The build fetches outside the fetcher, so it keeps its own
-            # tally for this execution's stats.
+            # tally for this execution's report.
             tally = new_tally()
             try:
                 with tallying(tally):
@@ -635,10 +538,10 @@ class Executor:
                         f"fetch: {exc}"
                     ) from exc
                 # Partial answer: the symbol join contributes nothing.
-                stats.mark_degraded(step.source_name)
+                report.mark_degraded(step.source_name)
                 return
             finally:
-                stats.record_tally(tally)
+                report.record_tally(tally)
             self.artifacts.put("symbols", identity, versions, symbol_index)
         self._symbol_indexes[step.source_name] = symbol_index
 
@@ -663,7 +566,7 @@ class Executor:
                 index.setdefault(anchor_ref, set()).add(record[key_field])
         return index, conditioned_keys
 
-    def _semijoin_anchor(self, plan, allowed_by_step, stats,
+    def _semijoin_anchor(self, plan, allowed_by_step, report,
                          recorder=NULL_RECORDER):
         """Retrieve the anchor by link-id equality instead of scanning.
 
@@ -692,16 +595,16 @@ class Executor:
                 tuple(plan.anchor.pushed), purpose="anchor"
             )
             [reply] = self._fetch_all(
-                [(wrapper, request)], stats, recorder=recorder
+                [(wrapper, request)], report, recorder=recorder
             )
             if not reply.ok:
-                self._degrade_or_raise(reply, stats)
+                self._degrade_or_raise(reply, report)
                 return []
-            return self._ingest_reply(wrapper, plan.anchor, reply, stats)
+            return self._ingest_reply(wrapper, plan.anchor, reply, report)
         allowed = allowed_by_step[id(driver_step)]
         # Ensure the anchor source appears in the fetch accounting
         # exactly once even when the driving link matched nothing.
-        stats.add_fetch(wrapper.name, 0)
+        report.add_fetch(wrapper.name, 0)
         ordered_ids = sorted(allowed, key=str)
         batches = []
         anchor_failed = False
@@ -714,13 +617,13 @@ class Executor:
                 purpose="anchor-semijoin",
             )
             [reply] = self._fetch_all(
-                [(wrapper, request)], stats, recorder=recorder
+                [(wrapper, request)], report, recorder=recorder
             )
             if reply.ok:
-                stats.batched_fetches += 1
+                report.incr("batched_fetches")
                 batches.append(reply.records)
             else:
-                self._degrade_or_raise(reply, stats)
+                self._degrade_or_raise(reply, report)
                 anchor_failed = True
         else:
             for link_id in ordered_ids:
@@ -730,10 +633,10 @@ class Executor:
                     purpose="anchor-per-id",
                 )
                 [reply] = self._fetch_all(
-                    [(wrapper, request)], stats, recorder=recorder
+                    [(wrapper, request)], report, recorder=recorder
                 )
                 if not reply.ok:
-                    self._degrade_or_raise(reply, stats)
+                    self._degrade_or_raise(reply, report)
                     anchor_failed = True
                     break
                 batches.append(reply.records)
@@ -749,7 +652,7 @@ class Executor:
                     continue
                 seen.add(key)
                 if bound:
-                    stats.residual_evaluations += len(bound)
+                    report.incr("residual_evaluations", len(bound))
                     if not _residual_ok(record, bound):
                         continue
                 records.append(record)
@@ -759,7 +662,7 @@ class Executor:
     # -- reconciliation ------------------------------------------------------------
 
     def _reconcile_records(self, plan, anchor_wrapper, anchor_records,
-                           report, allowed_by_step):
+                           reconciliation, allowed_by_step):
         """Record-at-a-time link matching with include/exclude break
         semantics.
 
@@ -793,7 +696,7 @@ class Executor:
                 if match is None:
                     links_for_record[source_name] = []
                     continue
-                matched = match(record, anchor_id, report)
+                matched = match(record, anchor_id, reconciliation)
                 links_for_record[source_name] = matched
                 # An include without a link, or an exclude with one,
                 # drops the anchor; later steps never see it.
@@ -807,16 +710,16 @@ class Executor:
     # -- link matching -------------------------------------------------------------
 
     def _link_matcher(self, step, anchor_wrapper, allowed):
-        """``match(record, anchor_id, report)``: the linked ids of one
-        anchor record that satisfy one link step.
+        """``match(record, anchor_id, reconciliation)``: the linked ids
+        of one anchor record that satisfy one link step.
 
         ``match`` replays the anchor's row (:meth:`_row_builder`) from
         the step's link table, building and publishing the row on a
-        miss: it appends the row's issues to ``report``, then keeps the
-        row's ids that are in ``allowed`` — the precomputed id set of
-        the step's conditioned fetch (``None`` for pruned steps: any
-        valid id counts).  A reverse join's own ids come first, from
-        its per-question reverse index.
+        miss: it appends the row's issues to ``reconciliation``, then
+        keeps the row's ids that are in ``allowed`` — the precomputed
+        id set of the step's conditioned fetch (``None`` for pruned
+        steps: any valid id counts).  A reverse join's own ids come
+        first, from its per-question reverse index.
         """
         link_wrapper = self.wrappers[step.source_name]
         symbol_index = (
@@ -839,7 +742,7 @@ class Executor:
             key_field = anchor_wrapper.source_field(anchor_wrapper.key_label)
             rows, unchanged = table
 
-        def match(record, anchor_id, report):
+        def match(record, anchor_id, reconciliation):
             if table is None:
                 row = build_row(record, anchor_id)
             else:
@@ -851,7 +754,7 @@ class Executor:
                         rows[key] = row
             ids, issues = row
             if issues:
-                report.issues.extend(issues)
+                reconciliation.issues.extend(issues)
             matched = (
                 list(ids)
                 if allowed is None
@@ -1014,7 +917,13 @@ class Executor:
                     f"'under' applies to the link key {key_local!r}, "
                     f"not {label!r}"
                 )
-            within = {value} | set(link_wrapper.descendants(value))
+            try:
+                within = {value} | set(link_wrapper.descendants(value))
+            except DataFormatError:
+                raise QueryError(
+                    f"'under' names {value!r}, which {step.source_name} "
+                    "does not hold"
+                ) from None
             allowed &= within
         return allowed
 
@@ -1027,14 +936,14 @@ class Executor:
     # -- combination into the integrated answer ---------------------------------
 
     def _combine(self, plan, query, anchor_wrapper, records, matched_links,
-                 enrich_links, stats, recorder=NULL_RECORDER):
+                 enrich_links, report, recorder=NULL_RECORDER):
         """The answer's translated gene rows and its
         :class:`~repro.mediator.view.AnswerView`; the OEM view itself
         is built when first read (:attr:`IntegratedResult.graph`)."""
         details = {}
         if enrich_links:
             details = self._enrichment_indexes(
-                plan, matched_links, stats, recorder
+                plan, matched_links, report, recorder
             )
 
         anchor_field = self._anchor_field(anchor_wrapper)
@@ -1070,7 +979,7 @@ class Executor:
         )
         return genes, view
 
-    def _enrichment_indexes(self, plan, matched_links, stats,
+    def _enrichment_indexes(self, plan, matched_links, report,
                             recorder=NULL_RECORDER):
         """Per link source: matched id -> detail pairs, for the view.
 
@@ -1087,30 +996,15 @@ class Executor:
         degrades to id-only link children instead of killing the query
         (under a degrading policy).
         """
-        with recorder.span(
-            "enrichment", attributes={"sources": len(plan.link_steps)}
-        ) as span:
-            cache_before = stats.enrichment_cache_hits
-            batched_before = stats.batched_fetches
-            concurrent_before = stats.concurrent_batches
-            indexes = self._enrichment_fetch(
-                plan, matched_links, stats, recorder
+        with report.stage(
+            recorder, "enrichment",
+            attributes={"sources": len(plan.link_steps)},
+        ):
+            return self._enrichment_fetch(
+                plan, matched_links, report, recorder
             )
-            _delta_counter(
-                span, "enrichment_cache_hits",
-                stats.enrichment_cache_hits - cache_before,
-            )
-            _delta_counter(
-                span, "batched_fetches",
-                stats.batched_fetches - batched_before,
-            )
-            _delta_counter(
-                span, "concurrent_batches",
-                stats.concurrent_batches - concurrent_before,
-            )
-        return indexes
 
-    def _enrichment_fetch(self, plan, matched_links, stats, recorder):
+    def _enrichment_fetch(self, plan, matched_links, report, recorder):
         """The enrichment body, running inside the ``enrichment``
         span."""
         # source -> (the shared cache's index, ids the answer matched)
@@ -1149,7 +1043,7 @@ class Executor:
                 }
             )
             if not missing:
-                stats.enrichment_cache_hits += 1
+                report.incr("enrichment_cache_hits")
                 continue
             ordered = tuple(sorted(missing, key=str))
             batched = self.batch_fetch and wrapper.supports(key_local, "in")
@@ -1161,7 +1055,7 @@ class Executor:
                 (step, wrapper, cached, missing, key_field, request, batched)
             )
         if pending:
-            self._fetch_enrichment(pending, stats, recorder)
+            self._fetch_enrichment(pending, report, recorder)
         # The view keeps its own copy of the matched ids' entries: the
         # shared index keeps growing, and may be evicted, after this
         # execution, while the view may be built much later.
@@ -1174,7 +1068,7 @@ class Executor:
             for source, (index, needed) in wanted.items()
         }
 
-    def _fetch_enrichment(self, pending, stats, recorder):
+    def _fetch_enrichment(self, pending, report, recorder):
         """Fetch the enrichment records the shared cache did not hold,
         as one concurrent batch, and fold them into it."""
         replies = self._fetch_all(
@@ -1183,20 +1077,20 @@ class Executor:
                 for _step, wrapper, _cached, _missing, _key, request, _b
                 in pending
             ],
-            stats,
+            report,
             recorder=recorder,
         )
         if len(pending) > 1 and self.policy.max_workers > 1:
-            stats.concurrent_batches += 1
+            report.incr("concurrent_batches")
         for (step, wrapper, cached, missing, key_field, _request,
              batched), reply in zip(pending, replies):
             if not reply.ok:
                 # Enrichment detail is decoration, not correctness: a
                 # degraded source leaves its link children id-only.
-                self._degrade_or_raise(reply, stats)
+                self._degrade_or_raise(reply, report)
                 continue
             if batched:
-                stats.batched_fetches += 1
+                report.incr("batched_fetches")
             added = {}
             for record in reply.records:
                 added[record[key_field]] = link_detail(

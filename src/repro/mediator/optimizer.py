@@ -29,32 +29,6 @@ from repro.mediator.plan import (
 
 __all__ = ["Optimizer", "OptimizerOptions"]
 
-#: Deprecated alias -> (replacement name in repro.mediator.plan).
-_DEPRECATED_ALIASES = {
-    "ExecutionPlan": "PhysicalPlan",
-    "FetchStep": "FetchStage",
-}
-
-
-def __getattr__(name):
-    replacement = _DEPRECATED_ALIASES.get(name)
-    if replacement is not None:
-        import warnings
-
-        import repro.mediator.plan as _plan
-
-        warnings.warn(
-            f"repro.mediator.optimizer.{name} is deprecated; use "
-            f"repro.mediator.plan.{replacement} (the physical plan "
-            "produced by Optimizer.plan())",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return getattr(_plan, replacement)
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}"
-    )
-
 
 class Optimizer:
     """Plan subqueries against a registry of wrappers."""

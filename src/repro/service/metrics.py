@@ -7,10 +7,9 @@ Two layers back the ``/metrics`` endpoint:
   kept in a lock-guarded :func:`~repro.util.locks.make_counters`
   mapping so the racecheck harness audits every write;
 - **pipeline counters** — the federation's own
-  :data:`~repro.trace.metrics.METRICS` registry names, accumulated
-  from each answered result's
-  :class:`~repro.mediator.executor.ExecutionStats` exactly once per
-  result object (and, for traced requests, reconcilable against
+  :data:`~repro.trace.metrics.METRICS` registry names, summed from
+  each answered result's ``report.counters`` exactly once per result
+  object (and, for traced requests, reconcilable against
   :func:`~repro.trace.metrics.counter_totals`).
 
 The snapshot is plain data, JSON-ready for the endpoint.
@@ -38,39 +37,6 @@ SERVICE_COUNTERS = (
     "result_cache_hits",
     "queue_high_watermark",
 )
-
-
-def execution_counters(stats: Any,
-                       reconciliation: Any = None) -> Dict[str, int]:
-    """One answered request's value for every registered counter.
-
-    ``stats`` is the result's
-    :class:`~repro.mediator.executor.ExecutionStats`.  Each
-    :data:`~repro.trace.metrics.METRICS` name is read from the
-    same-named stats field, so the endpoint's pipeline section reads
-    exactly like a summed trace and a newly registered counter reaches
-    ``/metrics`` without an edit here.  Only the four names without a
-    flat stats field are derived: ``rows`` and ``attempts`` from the
-    per-source reports, ``conflicts`` and ``repaired`` from the
-    reconciliation report.
-    """
-    derived = {
-        "rows": stats.total_rows_fetched(),
-        "attempts": sum(
-            report.attempts for report in stats.source_reports.values()
-        ),
-        "conflicts": (
-            0 if reconciliation is None else reconciliation.count()
-        ),
-        "repaired": (
-            0 if reconciliation is None
-            else reconciliation.repaired_count()
-        ),
-    }
-    return {
-        name: derived[name] if name in derived else getattr(stats, name)
-        for name in METRICS.names()
-    }
 
 
 class ServiceMetrics:
@@ -107,20 +73,19 @@ class ServiceMetrics:
         """Account one served
         :class:`~repro.mediator.executor.IntegratedResult`.
 
-        The first serving of a result object folds its pipeline
-        accounting in (see :func:`execution_counters`); every later
+        The first serving of a result object adds its
+        ``report.counters`` to the pipeline section; every later
         serving of the same object — a result-cache replay that did no
         new pipeline work — counts in ``result_cache_hits``.  The
         check and the mark happen under one lock, so a replay that
         races the serving of its miss cannot take the miss's place.
         """
-        merged = execution_counters(result.stats, result.reconciliation)
         with self._lock:
             if result in self._folded:
                 self._service["result_cache_hits"] += 1
                 return
             self._folded.add(result)
-            for name, value in merged.items():
+            for name, value in result.report.counters.items():
                 self._pipeline[name] += value
 
     def snapshot(self) -> Dict[str, Dict[str, int]]:

@@ -182,15 +182,7 @@ class AnnodaService:
         try:
             question = self._resolve_question(request)
         except BadRequest as exc:
-            self.metrics.add("requests_rejected")
-            response = ServiceResponse(
-                status=STATUS_BAD_REQUEST,
-                body=self._envelope(
-                    ticket, outcome="bad-request", error=str(exc)
-                ),
-            )
-            self._finish(ticket, response)
-            return response
+            return self._reject(ticket, str(exc))
         recorder = None
         if request.trace:
             from repro.trace.recorder import TraceRecorder
@@ -204,6 +196,10 @@ class AnnodaService:
                 recorder=recorder,
                 budget=ticket.budget,
             )
+        except QueryError as exc:
+            # The question itself cannot be evaluated (say, an 'under'
+            # term the ontology does not hold): the client's mistake.
+            return self._reject(ticket, str(exc))
         except Exception as exc:
             self.metrics.add("requests_failed")
             response = ServiceResponse(
@@ -242,6 +238,17 @@ class AnnodaService:
         if recorder is not None and result.trace is not None:
             body["trace"] = trace_shape(result.trace)
         response = ServiceResponse(status=STATUS_OK, body=body)
+        self._finish(ticket, response)
+        return response
+
+    def _reject(self, ticket: Ticket, error: str) -> ServiceResponse:
+        """Answer a client's mistake found by a worker: 400
+        ``bad-request``, counted in ``requests_rejected``."""
+        self.metrics.add("requests_rejected")
+        response = ServiceResponse(
+            status=STATUS_BAD_REQUEST,
+            body=self._envelope(ticket, outcome="bad-request", error=error),
+        )
         self._finish(ticket, response)
         return response
 
@@ -413,6 +420,8 @@ class AnnodaHTTPHandler(BaseHTTPRequestHandler):
             return json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise BadRequest(f"request body is not JSON: {exc}") from None
+        except RecursionError:
+            raise BadRequest("request body nests too deeply") from None
 
     def _send_json(self, status: int, payload: Any,
                    retry_after: Optional[float] = None) -> None:

@@ -114,6 +114,12 @@ class ServiceRequest:
             or not isinstance(deadline, (int, float))
         ):
             raise BadRequest("'deadline' must be a number of seconds")
+        try:
+            deadline = None if deadline is None else float(deadline)
+        except OverflowError:
+            raise BadRequest(
+                "'deadline' must be a finite number >= 0"
+            ) from None
         for flag in ("enrich_links", "use_cache", "trace"):
             if flag in payload and not isinstance(payload[flag], bool):
                 raise BadRequest(f"'{flag}' must be a boolean")
@@ -127,7 +133,7 @@ class ServiceRequest:
             question=question,
             text=text,
             params=params,
-            deadline=None if deadline is None else float(deadline),
+            deadline=deadline,
             enrich_links=payload.get("enrich_links", True),
             use_cache=payload.get("use_cache", True),
             trace=payload.get("trace", False),

@@ -24,7 +24,7 @@ fetch-path machinery the mediator's hot loop depends on:
   (plus cold-start ``index_builds``/``index_adoptions``) accounting,
   each also added to the *tally* of the fetch being served
   (:func:`tallying`), which its reply carries into
-  :class:`~repro.mediator.executor.ExecutionStats` — so concurrent
+  :class:`~repro.mediator.executor.ExecutionReport` — so concurrent
   executions never count each other's work.
 - **persistent index snapshots** — ``export_index_state`` /
   ``adopt_index_state`` move the whole version-keyed index state

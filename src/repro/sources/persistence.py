@@ -184,17 +184,24 @@ def load_stores(
             f"unsupported federation format {manifest.get('format')!r}"
         )
     stores: Dict[str, Any] = {}
-    for name, entry in manifest.get("sources", {}).items():
+    for name, entry in _source_entries(manifest).items():
         if name not in _REGISTRY:
             raise DataFormatError(f"unknown source {name!r} in manifest")
         expected_file, store_class = _REGISTRY[name]
         file_name = entry.get("file", expected_file)
+        if not isinstance(file_name, str):
+            raise DataFormatError(f"{name}: manifest 'file' must be a name")
         file_path = path / file_name
         if not file_path.exists():
             raise DataFormatError(
                 f"manifest lists {file_name} but the file is missing"
             )
-        text = file_path.read_text(encoding="utf-8")
+        try:
+            text = file_path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise DataFormatError(
+                f"{name}: cannot read {file_name}: {exc}"
+            ) from None
         store = store_class.from_text(text)
         if entry.get("records") not in (None, store.count()):
             raise DataFormatError(
@@ -221,16 +228,17 @@ def adopt_persisted_indexes(
     path = pathlib.Path(directory)
     manifest = load_manifest(path)
     adopted: Dict[str, bool] = {}
-    for name, entry in manifest.get("sources", {}).items():
+    for name, entry in _source_entries(manifest).items():
         store = stores.get(name)
         if store is None or not entry.get("index"):
             continue
         registry_entry = _REGISTRY.get(name)
         expected_file = registry_entry[0] if registry_entry else ""
-        file_path = path / entry.get("file", expected_file)
         try:
-            text = file_path.read_text(encoding="utf-8")
-        except OSError:
+            text = (path / entry.get("file", expected_file)).read_text(
+                encoding="utf-8"
+            )
+        except (OSError, TypeError, UnicodeDecodeError):
             continue
         adopted[name] = _adopt_index(path, name, entry["index"], text,
                                      store)
@@ -257,6 +265,8 @@ def _adopt_index(
         )
         return False
 
+    if not isinstance(index_entry, Mapping):
+        return fallback("malformed index entry")
     try:
         schema = index_entry.get("schema")
         if schema != INDEX_STATE_SCHEMA:
@@ -265,7 +275,7 @@ def _adopt_index(
         if not index_path.is_file():
             return fallback("index file missing")
         blob = index_path.read_bytes()
-    except OSError as exc:
+    except (OSError, TypeError) as exc:
         return fallback(f"cannot read index file: {exc}")
     if _sha256(blob) != index_entry.get("digest"):
         return fallback("index file digest mismatch (truncated or corrupt)")
@@ -300,10 +310,24 @@ def load_manifest(directory: PathLike) -> Dict[str, Any]:
             "federation directory"
         )
     try:
-        manifest: Dict[str, Any] = json.loads(path.read_text(encoding="utf-8"))
-        return manifest
-    except json.JSONDecodeError as exc:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"corrupt manifest: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise DataFormatError("corrupt manifest: not a JSON object")
+    return manifest
+
+
+def _source_entries(manifest: Mapping[str, Any]) -> Dict[str, Any]:
+    """The manifest's ``sources`` table: source name -> entry object."""
+    sources = manifest.get("sources", {})
+    if not isinstance(sources, dict) or not all(
+        isinstance(entry, dict) for entry in sources.values()
+    ):
+        raise DataFormatError(
+            "corrupt manifest: 'sources' must map names to objects"
+        )
+    return sources
 
 
 def wrappers_for(stores: Mapping[str, Any]) -> List[Any]:

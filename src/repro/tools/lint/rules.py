@@ -532,51 +532,16 @@ class BlockingUnderLockRule(Rule):
 @register
 class DroppedCounterRule(Rule):
     code = "ANN005"
-    title = (
-        "every ExecutionStats / fetch-path counter is folded into "
-        "ExecutionReport"
-    )
+    title = "every counter is registered, counted and folded"
     rationale = (
         "Counters that are written but never surfaced rot silently: "
-        "each ExecutionStats field must be referenced by "
-        "ExecutionReport (directly or via a stats method it calls), "
-        "each fetch-path counter key must be folded into the "
-        "executor's snapshot, and each counter declared in a metrics "
-        "registry must be attached to some span (incr / set_counter / "
-        "_delta_counter) somewhere in the project — and conversely, "
-        "a counter attached inside repro modules must be declared in "
-        "a registry (registered AND attached, never half-wired)."
+        "each counter declared in a metrics registry must be counted "
+        "(incr / set_counter) somewhere in the project, a counter "
+        "counted inside repro modules must be declared in a registry "
+        "(registered AND counted, never half-wired), and each "
+        "fetch-path counter key must be folded in by the module that "
+        "defines ExecutionReport."
     )
-
-    def check(self, module: SourceModule) -> List[Diagnostic]:
-        stats = self._class(module.tree, "ExecutionStats")
-        report = self._class(module.tree, "ExecutionReport")
-        if stats is None or report is None:
-            return []
-        counters = self._stats_counters(stats)
-        referenced = {
-            node.attr
-            for node in ast.walk(report)
-            if isinstance(node, ast.Attribute)
-        }
-        folded = set(referenced)
-        for method_name, reads in self._stats_method_reads(stats).items():
-            if method_name in referenced:
-                folded.update(reads)
-        findings = []
-        for name, line, col in counters:
-            if name not in folded:
-                findings.append(
-                    Diagnostic(
-                        module.path,
-                        line,
-                        col,
-                        self.code,
-                        f"ExecutionStats.{name} is never folded into "
-                        "ExecutionReport (silently-dropped counter)",
-                    )
-                )
-        return findings
 
     def finish(self, project: Project) -> List[Diagnostic]:
         findings = self._check_fetchpath_keys(project)
@@ -586,26 +551,30 @@ class DroppedCounterRule(Rule):
     def _check_fetchpath_keys(
         self, project: Project
     ) -> List[Diagnostic]:
-        stats_literals: Set[str] = set()
-        stats_seen = False
+        report_literals: Set[str] = set()
+        report_seen = False
         for module in project.modules:
-            if self._class(module.tree, "ExecutionStats") is None:
+            if not any(
+                isinstance(node, ast.ClassDef)
+                and node.name == "ExecutionReport"
+                for node in ast.walk(module.tree)
+            ):
                 continue
-            stats_seen = True
-            stats_literals.update(
+            report_seen = True
+            report_literals.update(
                 node.value
                 for node in ast.walk(module.tree)
                 if isinstance(node, ast.Constant)
                 and isinstance(node.value, str)
             )
-        if not stats_seen:
+        if not report_seen:
             return []
         findings = []
         for module in project.modules:
             for key, line, col in self._fetchpath_counter_keys(
                 module.tree
             ):
-                if key not in stats_literals:
+                if key not in report_literals:
                     findings.append(
                         Diagnostic(
                             module.path,
@@ -613,8 +582,8 @@ class DroppedCounterRule(Rule):
                             col,
                             self.code,
                             f"fetch-path counter {key!r} is not folded "
-                            "into any ExecutionStats module (the "
-                            "executor snapshot would drop it)",
+                            "in by the ExecutionReport module (the "
+                            "execution report would drop it)",
                         )
                     )
         return findings
@@ -622,11 +591,11 @@ class DroppedCounterRule(Rule):
     def _check_registered_metrics(
         self, project: Project
     ) -> List[Diagnostic]:
-        """Registration and attachment must agree both ways: a counter
-        registered in a metrics registry must be attached to a span
-        somewhere in the linted project, and (within ``repro`` modules)
-        a counter attached to a span must be declared in a registry —
-        a new counter cannot ship half-wired."""
+        """Registration and counting must agree both ways: a counter
+        registered in a metrics registry must be counted somewhere in
+        the linted project, and (within ``repro`` modules) a counted
+        name must be declared in a registry — a new counter cannot
+        ship half-wired."""
         attached: Set[str] = set()
         registrations: List[
             Tuple[SourceModule, str, int, int]
@@ -648,8 +617,8 @@ class DroppedCounterRule(Rule):
                         col,
                         self.code,
                         f"metric {name!r} is registered in the metrics "
-                        "registry but never attached to any span "
-                        "(no incr/set_counter/_delta_counter names it)",
+                        "registry but never counted "
+                        "(no incr/set_counter names it)",
                     )
                 )
         if not registered:
@@ -669,9 +638,9 @@ class DroppedCounterRule(Rule):
                             line,
                             col,
                             self.code,
-                            f"counter {name!r} is attached to a span "
-                            "but not registered in any metrics "
-                            "registry (undeclared counter)",
+                            f"counter {name!r} is counted but not "
+                            "registered in any metrics registry "
+                            "(undeclared counter)",
                         )
                     )
         return findings
@@ -739,18 +708,15 @@ class DroppedCounterRule(Rule):
     def _attached_counter_sites(
         tree: ast.Module,
     ) -> List[Tuple[str, int, int]]:
-        """``(name, line, col)`` per span attachment in this module:
-        the literal first argument of ``.incr()`` / ``.set_counter()``
-        calls and the literal second argument of ``_delta_counter()``
-        calls."""
+        """``(name, line, col)`` per counting site in this module: the
+        literal first argument of ``.incr()`` / ``.set_counter()``
+        calls (a span's, or an execution report's)."""
         sites: List[Tuple[str, int, int]] = []
         for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
             if (
-                isinstance(func, ast.Attribute)
-                and func.attr in ("incr", "set_counter")
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("incr", "set_counter")
                 and node.args
                 and isinstance(node.args[0], ast.Constant)
                 and isinstance(node.args[0].value, str)
@@ -758,58 +724,7 @@ class DroppedCounterRule(Rule):
                 sites.append(
                     (node.args[0].value, node.lineno, node.col_offset)
                 )
-                continue
-            dotted = _dotted(func)
-            if (
-                dotted is not None
-                and dotted.split(".")[-1] == "_delta_counter"
-                and len(node.args) >= 2
-                and isinstance(node.args[1], ast.Constant)
-                and isinstance(node.args[1].value, str)
-            ):
-                sites.append(
-                    (node.args[1].value, node.lineno, node.col_offset)
-                )
         return sites
-
-    @staticmethod
-    def _class(tree: ast.Module, name: str) -> Optional[ast.ClassDef]:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ClassDef) and node.name == name:
-                return node
-        return None
-
-    @staticmethod
-    def _stats_counters(
-        stats: ast.ClassDef,
-    ) -> List[Tuple[str, int, int]]:
-        counters = []
-        for node in stats.body:
-            if (
-                isinstance(node, ast.AnnAssign)
-                and isinstance(node.target, ast.Name)
-                and not node.target.id.startswith("_")
-            ):
-                counters.append(
-                    (node.target.id, node.lineno, node.col_offset)
-                )
-        return counters
-
-    @staticmethod
-    def _stats_method_reads(
-        stats: ast.ClassDef,
-    ) -> Dict[str, Set[str]]:
-        reads: Dict[str, Set[str]] = {}
-        for node in stats.body:
-            if isinstance(node, ast.FunctionDef):
-                reads[node.name] = {
-                    sub.attr
-                    for sub in ast.walk(node)
-                    if isinstance(sub, ast.Attribute)
-                    and isinstance(sub.value, ast.Name)
-                    and sub.value.id == "self"
-                }
-        return reads
 
     @staticmethod
     def _fetchpath_counter_keys(

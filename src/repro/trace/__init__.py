@@ -3,7 +3,7 @@
 Hierarchical, query-scoped trace spans over the whole mediator
 pipeline — decompose → optimize → per-source fetch → reconcile →
 navigate — with per-span attributes and counters that reconcile with
-:class:`~repro.mediator.executor.ExecutionStats`.  Tracing is off by
+:class:`~repro.mediator.executor.ExecutionReport`.  Tracing is off by
 default (the :data:`NULL_RECORDER` makes every instrumentation point a
 no-op); pass a :class:`TraceRecorder` to
 :meth:`repro.core.annoda.Annoda.ask` (or run the CLI ``explain``

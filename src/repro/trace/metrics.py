@@ -1,46 +1,50 @@
-"""The metrics registry: every span counter, declared in one place.
+"""The metrics registry: every execution counter, declared in one place.
 
-Each counter a span may carry is registered here with the pipeline
-stage (span name) that owns it and a one-line meaning.  The registry
-is the contract the ANN005 lint extension enforces: a counter
-registered here but never attached to a span (via ``incr`` /
-``set_counter``) is a lint error — declared-but-dead accounting rots
-silently otherwise.
+Each counter is registered here with the pipeline stages (span names)
+that carry it and a one-line meaning.  The registry is the only list
+of counters: :class:`~repro.mediator.executor.ExecutionReport` builds
+its ``counters`` table from :meth:`MetricsRegistry.names`, a stage
+span carries what its stage moved of the counters registered to it
+(:meth:`MetricsRegistry.carried_by`), and ``/metrics`` sums the
+reports' tables.  So :func:`counter_totals` over a trace reconciles
+with the report (a property test pins the equality down for random
+corpora and queries).
 
-The registered names deliberately mirror
-:class:`~repro.mediator.executor.ExecutionStats`: every stats counter
-becomes an attribute of exactly the span that incremented it, so
-:func:`counter_totals` over a trace reconciles with the flat report
-(a property test pins the equality down for random corpora/queries).
+The registry is also the contract the ANN005 lint rule enforces: a
+counter registered here but never counted (``incr`` /
+``set_counter``) is a lint error, and so is counting an unregistered
+name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 
 @dataclass(frozen=True)
 class Metric:
-    """One declared span counter."""
+    """One declared counter and the stage spans that carry it."""
 
     name: str
-    stage: str
+    stages: Tuple[str, ...]
     description: str = ""
 
 
 class MetricsRegistry:
-    """Ordered, duplicate-rejecting registry of span counters."""
+    """Ordered, duplicate-rejecting registry of counters."""
 
     def __init__(self) -> None:
         self._metrics: Dict[str, Metric] = {}
 
-    def register(self, name: str, stage: str,
+    def register(self, name: str, stage: Union[str, Tuple[str, ...]],
                  description: str = "") -> Metric:
-        """Declare one counter owned by the ``stage`` span."""
+        """Declare one counter carried by the ``stage`` span (one span
+        name, or a tuple of them)."""
         if name in self._metrics:
             raise ValueError(f"metric {name!r} is already registered")
-        metric = Metric(name=name, stage=stage, description=description)
+        stages = (stage,) if isinstance(stage, str) else tuple(stage)
+        metric = Metric(name=name, stages=stages, description=description)
         self._metrics[name] = metric
         return metric
 
@@ -50,9 +54,11 @@ class MetricsRegistry:
     def get(self, name: str) -> Optional[Metric]:
         return self._metrics.get(name)
 
-    def stage_of(self, name: str) -> Optional[str]:
-        metric = self._metrics.get(name)
-        return metric.stage if metric is not None else None
+    def carried_by(self, stage: str) -> List[str]:
+        """The counters the ``stage`` span carries, in registry order."""
+        return [
+            metric.name for metric in self if stage in metric.stages
+        ]
 
     def __contains__(self, name: str) -> bool:
         return name in self._metrics
@@ -68,7 +74,8 @@ class MetricsRegistry:
         lines = []
         for metric in self:
             lines.append(
-                f"{metric.name} [{metric.stage}] {metric.description}"
+                f"{metric.name} [{', '.join(metric.stages)}] "
+                f"{metric.description}"
             )
         return "\n".join(lines)
 
@@ -94,15 +101,15 @@ METRICS.register(
     description="attempts abandoned on timeout",
 )
 METRICS.register(
-    "residual_evaluations", stage="fetch",
+    "residual_evaluations", stage=("fetch", "anchor"),
     description="mediator-side residual predicate evaluations",
 )
 METRICS.register(
-    "concurrent_batches", stage="fetch",
+    "concurrent_batches", stage=("fetch", "enrichment"),
     description="independent fetch batches issued concurrently",
 )
 METRICS.register(
-    "batched_fetches", stage="fetch",
+    "batched_fetches", stage=("anchor", "enrichment"),
     description="batched `in` fetches issued instead of per-id loops",
 )
 METRICS.register(
@@ -151,9 +158,9 @@ METRICS.register(
 def counter_totals(root: Any) -> Dict[str, int]:
     """Sum every counter over a span tree (name -> total).
 
-    Because each :class:`~repro.mediator.executor.ExecutionStats`
-    counter is attached to exactly one owning span (incremented where
-    the stats were), these totals reconcile with the execution report.
+    Each counter an execution moves is carried by the spans of the
+    stages that moved it, never by two nested spans, so these totals
+    reconcile with the execution report's ``counters``.
     """
     totals: Dict[str, int] = {}
     if root is None:

@@ -40,10 +40,10 @@ class Span:
 
     Spans are created by a recorder, never directly.  ``attributes``
     describe the stage (source name, purpose, plan shape); ``counters``
-    carry the work accounting that folds into
-    :class:`~repro.mediator.executor.ExecutionStats` — each stats
-    counter lives on exactly the span that incremented it, so the tree
-    totals reconcile with the flat report.
+    carry the work accounting of
+    :class:`~repro.mediator.executor.ExecutionReport` — each counter
+    lives on the spans of the stages that moved it, so the tree totals
+    reconcile with the flat report.
     """
 
     __slots__ = (

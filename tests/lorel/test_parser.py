@@ -152,6 +152,45 @@ class TestErrors:
             parse(bad)
 
 
+WHERE = "select L from ANNODA.Locus L where "
+CONDITION = "L.LocusID = 1"
+
+
+class TestNestingDepth:
+    """Text nested too deep for the recursive descent, or a tree too
+    tall for the evaluator, is a syntax error, never a
+    ``RecursionError``."""
+
+    def test_hundred_nested_parentheses_parse(self):
+        parse(WHERE + "(" * 100 + CONDITION + ")" * 100)
+
+    def test_hundred_nested_nots_parse(self):
+        assert isinstance(parse(WHERE + "not " * 100 + CONDITION).where, Not)
+
+    def test_thousand_nested_parentheses_rejected(self):
+        with pytest.raises(LorelSyntaxError, match="nests deeper"):
+            parse(WHERE + "(" * 1000 + CONDITION + ")" * 1000)
+
+    def test_thousand_nested_nots_rejected(self):
+        with pytest.raises(LorelSyntaxError, match="nests deeper"):
+            parse(WHERE + "not " * 1000 + CONDITION)
+
+    def test_thousand_term_and_chain_rejected(self):
+        with pytest.raises(LorelSyntaxError, match="nests deeper"):
+            parse(WHERE + " and ".join([CONDITION] * 1000))
+
+    def test_thousand_query_union_chain_rejected(self):
+        with pytest.raises(LorelSyntaxError, match="nests deeper"):
+            parse(" union ".join(["select X from DB X"] * 1000))
+
+    def test_three_hundred_nested_subqueries_rejected(self):
+        text = WHERE + (
+            "L.LocusID in (select M.LocusID from ANNODA.Locus M where "
+        ) * 300 + CONDITION + ")" * 300
+        with pytest.raises(LorelSyntaxError, match="nests deeper"):
+            parse(text)
+
+
 class TestUnparse:
     @pytest.mark.parametrize(
         "text",

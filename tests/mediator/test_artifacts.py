@@ -70,12 +70,12 @@ PINNED_KEY_ARGS = dict(
     versions=(("LocusLink", 3), ("GO", 2)),
 )
 
-#: The digest the recipe produces at ``ARTIFACT_SCHEMA = 3``.  If this
+#: The digest the recipe produces at ``ARTIFACT_SCHEMA = 4``.  If this
 #: assertion ever fails, the key recipe changed shape — bump
 #: ARTIFACT_SCHEMA so old artifacts can never be misread (and re-pin
-#: this digest with the bump, as schema 3 did).
+#: this digest with the bump, as schemas 3 and 4 did).
 PINNED_DIGEST = (
-    "a5d473939f8f8d5e6831baefb7892dfa1646b33feaa5780939aa57ca8c41d0ff"
+    "acb277c4f5d1756c6c8ec603bffbe2cf45c12dea3e4e624ed18876642175a9ee"
 )
 
 
@@ -385,7 +385,7 @@ class TestAnswerStage:
         assert warm_probe["hits"] == 1
         assert warm_probe["misses"] == 0
         # Nothing below the answer stage ran on the repeat.
-        assert warm.stats.anchors_considered == 0
+        assert warm.report.counters["anchors_considered"] == 0
         assert warm.gene_ids() == cold.gene_ids()
 
     def test_projection_participates_in_the_key(self, corpus):

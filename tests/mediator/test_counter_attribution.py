@@ -77,7 +77,7 @@ def build_mediator():
 
 
 def counters(result):
-    return {name: getattr(result.stats, name) for name in COUNTERS}
+    return {name: result.report.counters[name] for name in COUNTERS}
 
 
 def test_concurrent_answers_count_only_their_own_fetches():

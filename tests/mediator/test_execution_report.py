@@ -5,6 +5,7 @@ import pytest
 from repro.mediator import GlobalQuery, LinkConstraint
 from repro.mediator.decompose import Condition
 from repro.mediator.executor import ExecutionReport, SourceReport
+from repro.trace.metrics import METRICS
 
 QUERY = GlobalQuery(
     anchor_source="LocusLink",
@@ -30,11 +31,14 @@ class TestUnifiedAccounting:
 
     def test_counters_reachable_through_the_report(self, result):
         report = result.report
-        assert report.total_rows_fetched() > 0
-        assert report.index_hits + report.scan_fetches > 0
+        assert list(report.counters) == METRICS.names()
+        assert report.counters["rows"] == sum(report.rows_fetched.values())
+        assert report.counters["rows"] > 0
+        counters = report.counters
+        assert counters["index_hits"] + counters["scan_fetches"] > 0
         assert report.wall_seconds > 0
-        assert report.retries == 0
-        assert report.timeouts == 0
+        assert counters["retries"] == 0
+        assert counters["timeouts"] == 0
 
     def test_per_source_reports(self, result):
         sources = result.report.sources
@@ -60,17 +64,24 @@ class TestUnifiedAccounting:
         assert "LocusLink" in text and "GO" in text
         assert "retries 0" in text
 
+    def test_describe_names_every_registered_counter(self, result):
+        text = result.report.describe()
+        for name, value in result.report.counters.items():
+            assert f"{name} {value}" in text
+
+    def test_empty_report_counts_every_registered_name(self):
+        report = ExecutionReport()
+        assert list(report.counters) == METRICS.names()
+        assert set(report.counters.values()) == {0}
+        with pytest.raises(KeyError):
+            report.incr("no_such_counter")
+
     def test_unknown_attribute_still_raises(self, result):
         with pytest.raises(AttributeError):
             result.report.no_such_counter
 
 
 class TestDeprecatedAccess:
-    def test_stats_alias_still_works(self, result):
-        assert result.stats.total_rows_fetched() == (
-            result.report.total_rows_fetched()
-        )
-
     def test_reconciliation_delegation_is_gone(self, result):
         # The deprecated count/repaired_count/render delegation was
         # removed: reconciliation conflicts live only on

@@ -133,7 +133,7 @@ class TestConditions:
             if record.description == sample.description
         ]
         assert sorted(result.gene_ids()) == expected
-        assert result.stats.residual_evaluations > 0
+        assert result.report.counters["residual_evaluations"] > 0
 
     def test_projection(self, mediator):
         query = GlobalQuery(
@@ -192,8 +192,8 @@ class TestOptimizerEquivalence:
         slow = unoptimized.query(query, enrich_links=False)
         assert set(fast.gene_ids()) == set(slow.gene_ids())
         assert (
-            fast.stats.total_rows_fetched()
-            < slow.stats.total_rows_fetched()
+            fast.report.counters["rows"]
+            < slow.report.counters["rows"]
         )
 
 
@@ -256,10 +256,10 @@ class TestReconciliationInExecution:
 class TestStats:
     def test_stats_populated(self, mediator):
         result = mediator.query(figure5b_query())
-        assert result.stats.anchors_considered > 0
-        assert result.stats.anchors_returned == len(result)
-        assert result.stats.wall_seconds > 0
-        assert "LocusLink" in result.stats.rows_fetched
+        assert result.report.counters["anchors_considered"] > 0
+        assert result.report.counters["anchors_returned"] == len(result)
+        assert result.report.wall_seconds > 0
+        assert "LocusLink" in result.report.rows_fetched
 
     def test_gene_lookup(self, mediator):
         result = mediator.query(figure5b_query())

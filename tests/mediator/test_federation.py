@@ -210,7 +210,7 @@ class TestGracefulDegradation:
         )
         result = mediator.query(CONDITIONED_GO_QUERY, enrich_links=False)
         assert result.report.ok
-        assert result.report.retries >= 2
+        assert result.report.counters["retries"] >= 2
         assert result.report.sources["GO"].retries >= 2
 
     def test_degraded_repr_mentions_the_source(self, corpus):
@@ -259,4 +259,4 @@ class TestDeterminism:
             semijoin=semijoin,
         ).query(query)
         assert _snapshot(clean) == _snapshot(faulty)
-        assert faulty.report.retries >= 1
+        assert faulty.report.counters["retries"] >= 1

@@ -126,7 +126,7 @@ class TestTranslation:
         )
         question = QuestionCatalog.disease_genes(organism="Homo sapiens")
         first = annoda.ask(question, use_cache=False)
-        assert first.stats.index_hits > 0
+        assert first.report.counters["index_hits"] > 0
         expected = list(first.genes[0]["AliasSymbol"])
         first.genes[0]["AliasSymbol"].append("POISON")
         again = annoda.ask(question, use_cache=False)

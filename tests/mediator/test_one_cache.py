@@ -112,7 +112,7 @@ class TestUseCacheFalseIsLive:
         question = annoda.catalog.figure5b()
         annoda.ask(question, use_cache=False)
         second = annoda.ask(question, use_cache=False)
-        assert second.stats.anchors_considered > 0
+        assert second.report.counters["anchors_considered"] > 0
         assert not second.from_result_cache
         assert list(tmp_path.iterdir()) == []
 

@@ -438,23 +438,6 @@ class TestPhysicalSurface:
 
 
 class TestDeprecatedAliases:
-    def test_execution_plan_alias_warns_and_resolves(self):
-        import repro.mediator as mediator_pkg
-        from repro.mediator.plan import PhysicalPlan
-
-        with pytest.warns(DeprecationWarning, match="PhysicalPlan"):
-            alias = mediator_pkg.ExecutionPlan
-        assert alias is PhysicalPlan
-
-    def test_optimizer_module_aliases_warn(self):
-        import repro.mediator.optimizer as optimizer_module
-        from repro.mediator.plan import FetchStage, PhysicalPlan
-
-        with pytest.warns(DeprecationWarning):
-            assert optimizer_module.ExecutionPlan is PhysicalPlan
-        with pytest.warns(DeprecationWarning):
-            assert optimizer_module.FetchStep is FetchStage
-
     def test_unknown_attribute_still_raises(self):
         import repro.mediator.optimizer as optimizer_module
 

@@ -108,7 +108,7 @@ class TestReplicaSetUnit:
         assert result.report.sources["GO"].fetches >= 2
         assert primary.calls == result.report.sources["GO"].fetches
         assert sibling.calls == 0
-        assert result.stats.replica_failovers == 0
+        assert result.report.counters["replica_failovers"] == 0
 
     def test_failover_rotates_and_counts(self, corpus):
         dead = FlakyWrapper(GoWrapper(corpus.go), blackout=True)
@@ -148,7 +148,7 @@ class TestFederatedFailover:
         assert result.genes == baseline.genes
         assert result.report.ok
         assert result.report.degraded == ()
-        assert result.stats.replica_failovers > 0
+        assert result.report.counters["replica_failovers"] > 0
 
     def test_failover_under_degrading_policy_stays_complete(self,
                                                             corpus):
@@ -159,8 +159,8 @@ class TestFederatedFailover:
         )
         result = mediator.query(QUERY, enrich_links=False)
         assert result.report.ok
-        assert result.stats.replica_failovers > 0
-        assert result.stats.degraded_sources == []
+        assert result.report.counters["replica_failovers"] > 0
+        assert result.report.degraded == ()
 
     def test_all_replicas_dead_degrades_the_source(self, corpus):
         mediator = build_mediator(
@@ -194,10 +194,10 @@ class TestFederatedFailover:
         )
         first = mediator.query(QUERY, enrich_links=False)
         assert first.report.ok
-        assert first.stats.replica_failovers == 1
+        assert first.report.counters["replica_failovers"] == 1
         repeat = mediator.query(QUERY, enrich_links=False, use_cache=False)
         assert repeat.report.ok
-        assert repeat.stats.replica_failovers == 0
+        assert repeat.report.counters["replica_failovers"] == 0
         assert repeat.gene_ids() == first.gene_ids()
 
 
@@ -260,7 +260,7 @@ class TestFailoverTrace:
         result = mediator.query(
             QUERY, enrich_links=False, recorder=TraceRecorder()
         )
-        failovers = result.stats.replica_failovers
+        failovers = result.report.counters["replica_failovers"]
         assert failovers > 0
         execute = result.trace.find("execute")
         assert execute.counters["replica_failovers"] == failovers
@@ -273,7 +273,7 @@ class TestFailoverTrace:
         result = build_mediator(corpus).query(
             QUERY, enrich_links=False, recorder=TraceRecorder()
         )
-        assert result.stats.replica_failovers == 0
+        assert result.report.counters["replica_failovers"] == 0
         assert "replica_failovers" not in counter_totals(result.trace)
 
 
@@ -297,11 +297,11 @@ QUESTIONS = {
 }
 
 
-#: Execution-stats counters replication must leave unchanged (the
+#: Execution counters replication must leave unchanged (the
 #: ``replica_failovers`` counter is the one that may differ, and only
 #: when a replica fails).
-REPLICA_INDEPENDENT_STATS = (
-    "rows_fetched",
+REPLICA_INDEPENDENT_COUNTERS = (
+    "rows",
     "residual_evaluations",
     "anchors_considered",
     "anchors_returned",
@@ -309,7 +309,6 @@ REPLICA_INDEPENDENT_STATS = (
     "enrichment_cache_hits",
     "retries",
     "timeouts",
-    "degraded_sources",
 )
 
 
@@ -349,8 +348,10 @@ class TestCatalogEquivalence:
         assert replicated.render_integrated_view(result) == (
             plain.render_integrated_view(expected)
         )
-        for key in REPLICA_INDEPENDENT_STATS:
-            assert getattr(result.stats, key) == (
-                getattr(expected.stats, key)
-            ), f"stat {key!r} diverged on {name} with replicas"
+        assert result.report.rows_fetched == expected.report.rows_fetched
+        assert result.report.degraded == expected.report.degraded
+        for key in REPLICA_INDEPENDENT_COUNTERS:
+            assert result.report.counters[key] == (
+                expected.report.counters[key]
+            ), f"counter {key!r} diverged on {name} with replicas"
         assert result.report.ok

@@ -130,10 +130,10 @@ class TestFetchPathFreshness:
             disease_query(), enrich_links=True, use_cache=False
         )
         assert first.gene_ids() == repeat.gene_ids()
-        assert repeat.stats.enrichment_cache_hits > 0
+        assert repeat.report.counters["enrichment_cache_hits"] > 0
         # The repeat needed no batched detail fetch: the translated
         # index was served whole from the mediator's cache.
-        assert repeat.stats.batched_fetches == 0
+        assert repeat.report.counters["batched_fetches"] == 0
 
     def test_link_source_update_misses_enrichment_cache(
         self, private_federation
@@ -143,18 +143,18 @@ class TestFetchPathFreshness:
         warmed = mediator.query(
             disease_query(), enrich_links=True, use_cache=False
         )
-        assert warmed.stats.enrichment_cache_hits > 0
+        assert warmed.report.counters["enrichment_cache_hits"] > 0
         corpus.omim.add(
             OmimRecord(mim_number=699001, title="Synthetic syndrome")
         )
         fresh = mediator.query(
             disease_query(), enrich_links=True, use_cache=False
         )
-        assert fresh.stats.enrichment_cache_hits == 0
+        assert fresh.report.counters["enrichment_cache_hits"] == 0
         rewarmed = mediator.query(
             disease_query(), enrich_links=True, use_cache=False
         )
-        assert rewarmed.stats.enrichment_cache_hits > 0
+        assert rewarmed.report.counters["enrichment_cache_hits"] > 0
 
     def test_anchor_update_visible_through_indexed_path(
         self, private_federation

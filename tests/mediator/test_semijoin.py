@@ -121,8 +121,8 @@ class TestExecution:
         fast = semijoin.query(selective_query(), enrich_links=False)
         slow = scan.query(selective_query(), enrich_links=False)
         assert (
-            fast.stats.rows_fetched["LocusLink"]
-            < slow.stats.rows_fetched["LocusLink"]
+            fast.report.rows_fetched["LocusLink"]
+            < slow.report.rows_fetched["LocusLink"]
         )
 
     def test_respects_anchor_conditions(self, corpus):
@@ -166,13 +166,13 @@ class TestExecution:
         per_id = _execute(mediator, plan, query, batch_fetch=False)
         assert batched.gene_ids() == per_id.gene_ids()
         assert len(batched) > 0
-        assert batched.stats.batched_fetches > 0
-        assert per_id.stats.batched_fetches == 0
+        assert batched.report.counters["batched_fetches"] > 0
+        assert per_id.report.counters["batched_fetches"] == 0
         # The batched fetch never ships more: the per-id loop re-ships
         # an anchor once per matching link id, the batch ships it once.
         assert (
-            batched.stats.rows_fetched["LocusLink"]
-            <= per_id.stats.rows_fetched["LocusLink"]
+            batched.report.rows_fetched["LocusLink"]
+            <= per_id.report.rows_fetched["LocusLink"]
         )
 
     def test_multi_link_query_equivalent(self, corpus):
@@ -239,8 +239,8 @@ class TestFetchAccounting:
         assert plan.anchor.semijoin is not None
         result = _execute(mediator, plan, query, batch_fetch=True)
         assert len(result) == 0
-        assert result.stats.rows_fetched["LocusLink"] == 0
-        assert result.stats.batched_fetches == 0
+        assert result.report.rows_fetched["LocusLink"] == 0
+        assert result.report.counters["batched_fetches"] == 0
 
     def test_empty_allowed_set_per_id(self, corpus):
         mediator = build_mediator(corpus, enable_semijoin=True)
@@ -248,7 +248,7 @@ class TestFetchAccounting:
         plan = mediator.plan(query)
         result = _execute(mediator, plan, query, batch_fetch=False)
         assert len(result) == 0
-        assert result.stats.rows_fetched["LocusLink"] == 0
+        assert result.report.rows_fetched["LocusLink"] == 0
 
     def test_nonempty_allowed_set_single_entry(self, corpus):
         mediator = build_mediator(corpus, enable_semijoin=True)
@@ -256,5 +256,5 @@ class TestFetchAccounting:
         plan = mediator.plan(query)
         result = _execute(mediator, plan, query, batch_fetch=True)
         # One accounting entry per source, anchor included.
-        assert set(result.stats.rows_fetched) == {"LocusLink", "GO"}
-        assert result.stats.rows_fetched["LocusLink"] > 0
+        assert set(result.report.rows_fetched) == {"LocusLink", "GO"}
+        assert result.report.rows_fetched["LocusLink"] > 0

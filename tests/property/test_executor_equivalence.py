@@ -166,6 +166,6 @@ class TestOptimizerEquivalence:
         optimized = mediators["default"].query(query, enrich_links=False)
         bare = mediators["bare"].query(query, enrich_links=False)
         assert (
-            optimized.stats.total_rows_fetched()
-            <= bare.stats.total_rows_fetched()
+            optimized.report.counters["rows"]
+            <= bare.report.counters["rows"]
         )

@@ -9,8 +9,9 @@ Three invariants, pinned under randomized inputs:
    closed exactly once — even when a fault-injected wrapper raises or
    the federation degrades mid-query.
 3. *Reconciliation with the report*: summing span counters over the
-   trace reproduces the execution's :class:`ExecutionStats`, for
-   random queries over a five-source federation.
+   trace reproduces every registered counter of the execution's
+   :class:`ExecutionReport`, for random queries over a five-source
+   federation.
 """
 
 import pytest
@@ -25,7 +26,7 @@ from repro.mediator import (
 )
 from repro.mediator.decompose import Condition
 from repro.sources import AnnotationCorpus, CorpusParameters
-from repro.trace import TraceError, TraceRecorder, counter_totals
+from repro.trace import METRICS, TraceError, TraceRecorder, counter_totals
 from repro.util.clock import FakeClock
 from repro.util.errors import IntegrationError
 from repro.wrappers import SwissProtLikeWrapper, default_wrappers
@@ -132,7 +133,7 @@ class TestExactlyOnceClosing:
                 assert span.error
 
 
-# -- 3. span counters reconcile with ExecutionStats ---------------------------
+# -- 3. span counters reconcile with the execution report ---------------------
 
 
 @pytest.fixture(scope="module")
@@ -227,26 +228,14 @@ class TestCountersReconcile:
             recorder=TraceRecorder(clock=FakeClock(tick=1.0)),
         )
         totals = counter_totals(result.trace)
-        stats = result.stats
-        expected = {
-            "rows": stats.total_rows_fetched(),
-            "residual_evaluations": stats.residual_evaluations,
-            "anchors_considered": stats.anchors_considered,
-            "anchors_returned": stats.anchors_returned,
-            "index_hits": stats.index_hits,
-            "scan_fetches": stats.scan_fetches,
-            "indexes_rebuilt": stats.indexes_rebuilt,
-            "indexes_adopted": stats.indexes_adopted,
-            "batched_fetches": stats.batched_fetches,
-            "enrichment_cache_hits": stats.enrichment_cache_hits,
-            "retries": stats.retries,
-            "timeouts": stats.timeouts,
-            "concurrent_batches": stats.concurrent_batches,
-            "conflicts": result.reconciliation.count(),
-            "repaired": result.reconciliation.repaired_count(),
-        }
-        for name, value in expected.items():
+        counters = result.report.counters
+        assert list(counters) == METRICS.names()
+        assert counters["conflicts"] == result.reconciliation.count()
+        assert counters["repaired"] == (
+            result.reconciliation.repaired_count()
+        )
+        for name, value in counters.items():
             assert totals.get(name, 0) == value, (
                 f"counter {name!r}: trace total {totals.get(name, 0)} "
-                f"!= stats {value} for\n{query.render()}"
+                f"!= report {value} for\n{query.render()}"
             )

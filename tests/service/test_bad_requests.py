@@ -1,10 +1,11 @@
 """Client mistakes in ``POST /query`` bodies answer 400, never 500.
 
-One test per input.  Shape errors (a list-valued catalog param, a
-non-finite or boolean deadline) are rejected while the body is
-validated; question text that does not parse is rejected by the
-worker that resolves the question, as a ``bad-request`` outcome
-counted in ``requests_rejected``.
+One test per input.  Shape errors (a body nested too deeply to
+decode, a list-valued catalog param, a non-finite, overflowing or
+boolean deadline) are rejected while the body is validated; question
+text that does not parse, and a question naming a GO term the
+ontology does not hold, are rejected by the worker, as a
+``bad-request`` outcome counted in ``requests_rejected``.
 """
 
 import json
@@ -39,10 +40,14 @@ def server():
 def _post(server, payload):
     """POST ``payload`` (``json.dumps`` writes NaN as the bare ``NaN``
     token, which the server's decoder accepts)."""
+    return _post_raw(server, json.dumps(payload).encode())
+
+
+def _post_raw(server, body):
     host, port = server.server_address[:2]
     request = urllib.request.Request(
         f"http://{host}:{port}/query",
-        data=json.dumps(payload).encode(),
+        data=body,
         method="POST",
         headers={"Content-Type": "application/json"},
     )
@@ -82,6 +87,28 @@ class TestBodyValidation:
         assert status == 400
         assert "deadline" in body["error"]
 
+    def test_deeply_nested_arrays_are_400(self, server):
+        depth = 100_000
+        status, body = _post_raw(server, b"[" * depth + b"]" * depth)
+        assert status == 400
+        assert "nests too deeply" in body["error"]
+
+    def test_deeply_nested_objects_are_400(self, server):
+        depth = 50_000
+        status, body = _post_raw(
+            server, b'{"a":' * depth + b"1" + b"}" * depth
+        )
+        assert status == 400
+        assert "nests too deeply" in body["error"]
+
+    def test_overflowing_deadline_is_400(self, server):
+        status, body = _post_raw(
+            server,
+            b'{"question": "figure5b", "deadline": ' + b"9" * 400 + b"}",
+        )
+        assert status == 400
+        assert "deadline" in body["error"]
+
     def test_nan_deadline_rejected_when_constructed_directly(self):
         with pytest.raises(BadRequest):
             ServiceRequest(question="figure5b", deadline=float("nan"))
@@ -104,6 +131,36 @@ class TestUnparseableText:
         try:
             response = service.ask(
                 ServiceRequest(text="genes with no known phrase at all"),
+                timeout=30,
+            )
+            assert response.status == 400
+            assert service.metrics.value("requests_rejected") == 1
+            assert service.metrics.value("requests_failed") == 0
+        finally:
+            service.shutdown(drain=True, timeout=30)
+
+
+class TestUnknownTerm:
+    """A catalog question naming a GO term the ontology does not hold
+    cannot be evaluated: a ``bad-request`` naming the accession."""
+
+    @pytest.mark.parametrize("go_id", ["not-a-go-id", ""])
+    def test_unknown_go_id_is_400(self, server, go_id):
+        status, body = _post(server, {
+            "question": "genes_under_term", "params": {"go_id": go_id},
+        })
+        assert status == 400
+        assert body["outcome"] == "bad-request"
+        assert repr(go_id) in body["error"]
+
+    def test_unknown_go_id_counts_as_rejected(self):
+        service = make_service(workers=1)
+        try:
+            response = service.ask(
+                ServiceRequest(
+                    question="genes_under_term",
+                    params={"go_id": "not-a-go-id"},
+                ),
                 timeout=30,
             )
             assert response.status == 400

@@ -1,17 +1,18 @@
 """The ``/metrics`` pipeline section folds every registered counter.
 
-:func:`~repro.service.metrics.execution_counters` reads each
-:data:`~repro.trace.metrics.METRICS` name off an answered request's
-stats, so replica failovers — the signal an operator of a replica set
-needs — reach ``/metrics`` like every other counter.
+:class:`~repro.service.metrics.ServiceMetrics` sums each answered
+request's ``report.counters``, which hold every
+:data:`~repro.trace.metrics.METRICS` name, so replica failovers — the
+signal an operator of a replica set needs — reach ``/metrics`` like
+every other counter.
 """
 
 from repro.core.annoda import Annoda, AnnodaConfig
-from repro.mediator.executor import ExecutionStats
+from repro.mediator.executor import ExecutionReport
 from repro.mediator.fetch import FederationPolicy, FlakyWrapper
 from repro.mediator.reconcile import ReconciliationReport
 from repro.service import ServiceRequest
-from repro.service.metrics import execution_counters
+from repro.service.metrics import ServiceMetrics
 from repro.sources.corpus import AnnotationCorpus, CorpusParameters
 from repro.trace.metrics import METRICS
 from repro.wrappers import default_wrappers
@@ -50,9 +51,21 @@ def _dead_primary_federation():
 
 class TestExecutionFold:
     def test_fold_keys_are_the_registry_names(self):
-        for reconciliation in (ReconciliationReport(), None):
-            folded = execution_counters(ExecutionStats(), reconciliation)
-            assert list(folded) == METRICS.names()
+        report = ExecutionReport(ReconciliationReport())
+        assert list(report.counters) == METRICS.names()
+        for position, name in enumerate(METRICS.names()):
+            report.incr(name, position + 1)
+
+        class Answered:
+            pass
+
+        result = Answered()
+        result.report = report
+        metrics = ServiceMetrics()
+        metrics.observe_result(result)
+        pipeline = metrics.snapshot()["pipeline"]
+        assert list(pipeline) == METRICS.names()
+        assert pipeline == report.counters
 
 
 class TestGridCountersReachMetrics:

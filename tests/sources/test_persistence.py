@@ -8,6 +8,7 @@ from repro.core import Annoda
 from repro.sources import AnnotationCorpus, CorpusParameters
 from repro.sources.persistence import (
     MANIFEST_NAME,
+    adopt_persisted_indexes,
     load_manifest,
     load_stores,
     save_corpus,
@@ -138,6 +139,81 @@ class TestCorruptionHandling:
         save_corpus(corpus, tmp_path)
         (tmp_path / "locuslink.ll_tmpl").write_text(">>abc\nbroken\n")
         with pytest.raises(DataFormatError):
+            load_stores(tmp_path)
+
+
+class TestUntrustedManifest:
+    """A snapshot directory is read as untrusted input: every malformed
+    manifest or flat file is a :class:`DataFormatError`, never an
+    ``AttributeError``, ``TypeError``, ``UnicodeDecodeError`` or
+    ``OSError`` from inside the loader."""
+
+    @staticmethod
+    def _edit_manifest(directory, edit):
+        manifest = load_manifest(directory)
+        edit(manifest)
+        (directory / MANIFEST_NAME).write_text(json.dumps(manifest))
+
+    def test_manifest_that_is_a_list(self, tmp_path):
+        (tmp_path / MANIFEST_NAME).write_text("[]")
+        with pytest.raises(DataFormatError, match="corrupt manifest"):
+            load_stores(tmp_path)
+
+    def test_sources_that_is_a_list(self, corpus, tmp_path):
+        save_corpus(corpus, tmp_path)
+        self._edit_manifest(
+            tmp_path, lambda manifest: manifest.update(sources=[])
+        )
+        with pytest.raises(DataFormatError, match="sources"):
+            load_stores(tmp_path)
+
+    def test_source_entry_that_is_a_string(self, corpus, tmp_path):
+        save_corpus(corpus, tmp_path)
+        self._edit_manifest(
+            tmp_path,
+            lambda manifest: manifest["sources"].update(GO="x"),
+        )
+        with pytest.raises(DataFormatError, match="sources"):
+            load_stores(tmp_path)
+
+    def test_file_name_that_is_a_number(self, corpus, tmp_path):
+        save_corpus(corpus, tmp_path)
+        self._edit_manifest(
+            tmp_path,
+            lambda manifest: manifest["sources"]["GO"].update(file=5),
+        )
+        with pytest.raises(DataFormatError, match="file"):
+            load_stores(tmp_path)
+
+    def test_manifest_that_is_not_utf8(self, tmp_path):
+        (tmp_path / MANIFEST_NAME).write_bytes(b"\xff\xfe{")
+        with pytest.raises(DataFormatError, match="corrupt manifest"):
+            load_stores(tmp_path)
+
+    def test_flat_file_that_is_not_utf8(self, corpus, tmp_path):
+        save_corpus(corpus, tmp_path)
+        (tmp_path / "omim.txt").write_bytes(b"*RECORD*\n\xff\xfe\n")
+        with pytest.raises(DataFormatError, match="omim.txt"):
+            load_stores(tmp_path)
+
+    def test_adoption_skips_a_file_name_that_is_a_number(self, corpus,
+                                                          tmp_path):
+        save_corpus(corpus, tmp_path, indexes=True)
+        stores = load_stores(tmp_path, adopt_indexes=False)
+        self._edit_manifest(
+            tmp_path,
+            lambda manifest: manifest["sources"]["GO"].update(file=5),
+        )
+        adopted = adopt_persisted_indexes(tmp_path, stores)
+        assert "GO" not in adopted
+
+    def test_file_name_that_is_a_directory(self, corpus, tmp_path):
+        save_corpus(corpus, tmp_path)
+        self._edit_manifest(
+            tmp_path,
+            lambda manifest: manifest["sources"]["GO"].update(file="."),
+        )
+        with pytest.raises(DataFormatError, match="cannot read"):
             load_stores(tmp_path)
 
 

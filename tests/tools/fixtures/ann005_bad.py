@@ -1,26 +1,15 @@
-"""ANN005 corpus: a stats counter never folded into the report."""
-
-from dataclasses import dataclass, field
-from typing import List
+"""ANN005 corpus: a counter registered but never counted."""
 
 
-@dataclass
-class ExecutionStats:
-    rows_fetched: int = 0
-    retries: int = 0
-    orphaned_counter: int = 0  # written by the executor, shown nowhere
-    _scratch: int = 0  # private: exempt
-
-    def total_rows_fetched(self) -> int:
-        return self.rows_fetched
+class MetricsRegistry:
+    def register(self, name, stage, description=""):
+        return name
 
 
-@dataclass
-class ExecutionReport:
-    stats: "ExecutionStats" = field(default_factory=lambda: ExecutionStats())
+METRICS = MetricsRegistry()
+METRICS.register("rows", stage="fetch", description="records per reply")
+METRICS.register("orphaned_counter", stage="fetch")  # nothing counts it
 
-    def describe(self) -> str:
-        return (
-            f"rows {self.stats.total_rows_fetched()} / "
-            f"retries {self.stats.retries}"
-        )
+
+def record_reply(report, reply):
+    report.incr("rows", len(reply.records))

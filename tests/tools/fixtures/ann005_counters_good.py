@@ -1,4 +1,4 @@
-"""ANN005 cross-file corpus: counter keys a stats module folds in
+"""ANN005 cross-file corpus: counter keys the report module folds in
 (lint together with ann005_counters_stats.py)."""
 
 

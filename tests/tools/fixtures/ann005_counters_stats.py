@@ -1,21 +1,10 @@
-"""ANN005 cross-file corpus: the stats side folding both keys."""
-
-from dataclasses import dataclass
-
-
-@dataclass
-class ExecutionStats:
-    index_hits: int = 0
-    scan_fetches: int = 0
-
-    def fold(self, counters) -> None:
-        self.index_hits += counters.get("index_hits", 0)
-        self.scan_fetches += counters.get("scan_queries", 0)
+"""ANN005 cross-file corpus: the report side folding both keys."""
 
 
 class ExecutionReport:
-    def __init__(self, stats) -> None:
-        self.stats = stats
+    def __init__(self) -> None:
+        self.counters = {"index_hits": 0, "scan_fetches": 0}
 
-    def describe(self) -> str:
-        return f"{self.stats.index_hits} / {self.stats.scan_fetches}"
+    def record_tally(self, tally) -> None:
+        self.counters["index_hits"] += tally["index_hits"]
+        self.counters["scan_fetches"] += tally["scan_queries"]

@@ -1,25 +1,16 @@
-"""ANN005 corpus: every stats counter is folded into the report."""
-
-from dataclasses import dataclass, field
-from typing import List
+"""ANN005 corpus: every registered counter is counted."""
 
 
-@dataclass
-class ExecutionStats:
-    rows_fetched: int = 0
-    retries: int = 0
-    wall_seconds: float = 0.0
-
-    def total_rows_fetched(self) -> int:
-        return self.rows_fetched
+class MetricsRegistry:
+    def register(self, name, stage, description=""):
+        return name
 
 
-@dataclass
-class ExecutionReport:
-    stats: "ExecutionStats" = field(default_factory=lambda: ExecutionStats())
+METRICS = MetricsRegistry()
+METRICS.register("rows", stage="fetch", description="records per reply")
+METRICS.register("retries", stage="fetch")
 
-    def describe(self) -> str:
-        return (
-            f"rows {self.stats.total_rows_fetched()} / "
-            f"retries {self.stats.retries} in {self.stats.wall_seconds}s"
-        )
+
+def record_reply(report, reply):
+    report.incr("rows", len(reply.records))
+    report.incr("retries", reply.retries)

@@ -101,7 +101,13 @@ class TestLockOrderGraph:
 
 class TestCounterAudit:
     def _hammer(self, counters, threads=4, locked_via=None):
+        # Every worker is alive before any writes: a thread ident is
+        # reused once its thread exits, so workers that ran one after
+        # another could all look like one writer.
+        start = threading.Barrier(threads)
+
         def worker():
+            start.wait(timeout=30)
             for _ in range(50):
                 if locked_via is not None:
                     with locked_via:

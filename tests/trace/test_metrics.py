@@ -11,7 +11,8 @@ class TestMetricsRegistry:
         registry = MetricsRegistry()
         metric = registry.register("rows", stage="fetch", description="x")
         assert registry.get("rows") is metric
-        assert registry.stage_of("rows") == "fetch"
+        assert metric.stages == ("fetch",)
+        assert registry.carried_by("fetch") == ["rows"]
         assert "rows" in registry
         assert registry.names() == ["rows"]
         assert len(registry) == 1
@@ -25,8 +26,19 @@ class TestMetricsRegistry:
     def test_unknown_lookups(self):
         registry = MetricsRegistry()
         assert registry.get("missing") is None
-        assert registry.stage_of("missing") is None
+        assert registry.carried_by("missing") == []
         assert "missing" not in registry
+
+    def test_a_counter_may_be_carried_by_several_stages(self):
+        registry = MetricsRegistry()
+        registry.register("batched_fetches", stage=("anchor", "enrichment"))
+        registry.register("enrichment_cache_hits", stage="enrichment")
+        metric = registry.get("batched_fetches")
+        assert metric.stages == ("anchor", "enrichment")
+        assert registry.carried_by("anchor") == ["batched_fetches"]
+        assert registry.carried_by("enrichment") == [
+            "batched_fetches", "enrichment_cache_hits",
+        ]
 
     def test_render_lists_every_metric(self):
         lines = METRICS.render().splitlines()
@@ -35,10 +47,10 @@ class TestMetricsRegistry:
 
 
 class TestGlobalRegistry:
-    #: Every ExecutionStats work counter must be declared as a span
-    #: metric (wall_seconds is the span duration itself; rows_fetched
-    #: per source folds into the fetch spans' ``rows``; degraded
-    #: sources and per-source reports are attributes, not counters).
+    #: Every execution work counter is declared as a metric
+    #: (wall_seconds is the span duration itself; rows_fetched per
+    #: source folds into the fetch spans' ``rows``; degraded sources
+    #: and per-source reports are attributes, not counters).
     EXPECTED = {
         "rows", "attempts", "retries", "timeouts",
         "residual_evaluations", "concurrent_batches", "batched_fetches",
@@ -52,8 +64,20 @@ class TestGlobalRegistry:
 
     def test_every_metric_has_a_stage_and_description(self):
         for metric in METRICS:
-            assert metric.stage
+            assert metric.stages
             assert metric.description
+
+    def test_stage_spans_carry_the_counters_they_move(self):
+        assert METRICS.carried_by("fetch") == [
+            "residual_evaluations", "concurrent_batches",
+        ]
+        assert METRICS.carried_by("anchor") == [
+            "residual_evaluations", "batched_fetches",
+        ]
+        assert METRICS.carried_by("enrichment") == [
+            "concurrent_batches", "batched_fetches",
+            "enrichment_cache_hits",
+        ]
 
 
 class TestCounterTotals:
