@@ -29,19 +29,17 @@ except ImportError:  # pragma: no cover - only during partial builds
     Annoda = None
     AnnodaConfig = None
 
-# The stable planning surface: the query type, the plan IR layers and
-# the optimizer that connects them.
+# The stable planning surface: the query type, the optimizer and the
+# plan it produces.
 try:
     from repro.mediator import (
         GlobalQuery,
-        LogicalPlan,
         Optimizer,
         OptimizerOptions,
         PhysicalPlan,
     )
 except ImportError:  # pragma: no cover - only during partial builds
     GlobalQuery = None
-    LogicalPlan = None
     Optimizer = None
     OptimizerOptions = None
     PhysicalPlan = None
@@ -68,7 +66,6 @@ __all__ = [
     "AnnodaConfig",
     "AnnodaService",
     "GlobalQuery",
-    "LogicalPlan",
     "Optimizer",
     "OptimizerOptions",
     "PhysicalPlan",

@@ -102,7 +102,7 @@ def build_parser():
         "--json",
         action="store_true",
         help=(
-            "emit the plan (logical tree, rule report, stage DAG) and "
+            "emit the plan (rule report, steps, semijoin driver) and "
             "the full trace (with timings) as JSON"
         ),
     )
@@ -256,7 +256,7 @@ def _command_explain(annoda, args, out):
         }
         print(json.dumps(payload, indent=2, sort_keys=True), file=out)
         return
-    print(annoda.explain(args.question), file=out)
+    print(plan.describe(), file=out)
     print(file=out)
     print(render_trace(result.trace), file=out)
     print(file=out)

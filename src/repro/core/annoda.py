@@ -6,7 +6,7 @@ from typing import Optional
 from repro.mediator.artifacts import ArtifactStore
 from repro.mediator.fetch import FederationPolicy
 from repro.mediator.mediator import Mediator
-from repro.mediator.optimizer import OptimizerOptions
+from repro.mediator.plan import OptimizerOptions
 from repro.mediator.reconcile import ReconciliationPolicy, Reconciler
 from repro.navigation.navigator import NavigationSession, Navigator
 from repro.navigation.render import (
@@ -188,8 +188,8 @@ class Annoda:
         )
 
     def explain(self, question):
-        """The full plan story for a question: logical tree, per-rule
-        fired/skipped report, execution steps, physical stage DAG."""
+        """The plan story for a question: the per-rule fired/skipped
+        report, then the numbered execution steps."""
         return self.mediator.explain(self._to_global_query(question))
 
     def plan(self, question):

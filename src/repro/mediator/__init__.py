@@ -9,8 +9,8 @@ before being returned to the user."*
 
 Pipeline::
 
-    GlobalQuery --decompose--> SubQueries --build--> LogicalPlan
-        --rule optimizer + lowering--> PhysicalPlan
+    GlobalQuery --decompose--> SubQueries
+        --optimize (one stage per subquery, four rules)--> PhysicalPlan
         --execute (via wrappers + reconciler)--> IntegratedResult (OEM)
 """
 
@@ -38,12 +38,11 @@ from repro.mediator.global_schema import GlobalSchema
 from repro.mediator.gml import GmlBuilder
 from repro.mediator.mapping import MappingModule, TransformRegistry
 from repro.mediator.mediator import Mediator
-from repro.mediator.optimizer import Optimizer, OptimizerOptions
 from repro.mediator.plan import (
     FetchStage,
-    LogicalPlan,
+    Optimizer,
+    OptimizerOptions,
     PhysicalPlan,
-    RuleOptimizer,
     RuleReport,
 )
 from repro.mediator.reconcile import (
@@ -68,7 +67,6 @@ __all__ = [
     "GmlBuilder",
     "IntegratedResult",
     "LinkConstraint",
-    "LogicalPlan",
     "MappingModule",
     "Mediator",
     "Optimizer",
@@ -79,7 +77,6 @@ __all__ = [
     "ReconciliationReport",
     "Reconciler",
     "ReplicaSet",
-    "RuleOptimizer",
     "RuleReport",
     "SourceReport",
     "SubQuery",

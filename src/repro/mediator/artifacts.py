@@ -70,7 +70,10 @@ from repro.util.locks import make_counters, new_lock
 #: match.  Schema 3: one entry per (kind, identity, versions), and the
 #: disk tier holds whole answers only.  Schema 4: a stored answer
 #: carries an ``ExecutionReport`` instead of the deleted stats object.
-ARTIFACT_SCHEMA = 4
+#: Schema 5: a stored answer's ``PhysicalPlan`` no longer carries a
+#: logical tree, and ``OptimizerOptions`` (part of an answer's
+#: identity) lost its semijoin threshold field.
+ARTIFACT_SCHEMA = 5
 
 #: First line of every on-disk artifact file.
 _MAGIC = b"annoda-artifact/1"

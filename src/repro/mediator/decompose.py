@@ -188,23 +188,6 @@ class QueryDecomposer:
             )
         return subqueries
 
-    def logical_plan(self, subqueries, select=()):
-        """The canonical logical tree over decomposed subqueries.
-
-        Decomposition owns the tree *shape* (which sources are scanned,
-        how links join, what is filtered where); the optimizer only
-        rewrites it.  See :func:`repro.mediator.plan.build_logical`.
-        """
-        from repro.mediator.plan import build_logical
-
-        return build_logical(subqueries, select=select)
-
-    def decompose_logical(self, query):
-        """Decompose a global query straight to its logical plan."""
-        return self.logical_plan(
-            self.decompose(query), select=query.select
-        )
-
     def _translate(self, source_name, condition):
         local_label = self.mapping_module.to_local_label(
             source_name, condition.attribute

@@ -296,7 +296,7 @@ class IntegratedResult:
 
 
 class Executor:
-    """Walk :class:`~repro.mediator.plan.PhysicalPlan` stage DAGs.
+    """Run a :class:`~repro.mediator.plan.PhysicalPlan`.
 
     Every :class:`~repro.mediator.plan.FetchStage` carries its full
     intent — pushed/residual/closure condition split, link join shape,
@@ -466,7 +466,7 @@ class Executor:
         with report.stage(recorder, "reconcile"):
             report.incr("anchors_considered", len(anchor_records))
             surviving, matched_links = self._reconcile_records(
-                plan, anchor_wrapper, anchor_records,
+                plan, query, anchor_wrapper, anchor_records,
                 report.reconciliation, allowed_by_step,
             )
             report.incr("anchors_returned", len(surviving))
@@ -582,8 +582,8 @@ class Executor:
         is skipped — partial answer).
         """
         _driver_source, via_label = plan.anchor.semijoin
-        # The planner resolved the driving step at lowering time; the
-        # executor never re-infers plan intent.
+        # The optimizer names the driving step; the executor never
+        # re-infers plan intent.
         driver_step = plan.link_steps[plan.driver_index]
         wrapper = self.wrappers[plan.anchor.source_name]
         key_local = self.mapping_module.to_local_label(
@@ -661,19 +661,39 @@ class Executor:
 
     # -- reconciliation ------------------------------------------------------------
 
-    def _reconcile_records(self, plan, anchor_wrapper, anchor_records,
-                           reconciliation, allowed_by_step):
+    def _reconcile_records(self, plan, query, anchor_wrapper,
+                           anchor_records, reconciliation, allowed_by_step):
         """Record-at-a-time link matching with include/exclude break
         semantics.
 
         Every field a step reads off the anchor records is resolved
         once per step (:meth:`_link_matcher`), so the per-record work
         is a link-table lookup, or one row build per new anchor.
+
+        A surviving anchor's links map each link source to its matched
+        ids.  A source several links name keeps the union of their ids,
+        in question order, each id once, so the answer does not depend
+        on how the optimizer ordered the steps (until an anchor
+        survives, each step of such a source files its ids under its
+        step index).
         """
         anchor_key = self._anchor_field(anchor_wrapper)
+        by_source = {}
+        for index in sorted(
+            range(len(plan.link_steps)),
+            key=lambda index: query.links.index(plan.link_steps[index].link),
+        ):
+            by_source.setdefault(
+                plan.link_steps[index].source_name, []
+            ).append(index)
+        shared = {
+            source_name: indexes
+            for source_name, indexes in by_source.items()
+            if len(indexes) > 1
+        }
         matchers = [
             (
-                step.source_name,
+                index if step.source_name in shared else step.source_name,
                 step.link.mode == "include",
                 # Degraded source: its constraint cannot be evaluated,
                 # so it is skipped — the YeastMed-style partial answer
@@ -685,24 +705,30 @@ class Executor:
                     step, anchor_wrapper, allowed_by_step.get(id(step))
                 ),
             )
-            for step in plan.link_steps
+            for index, step in enumerate(plan.link_steps)
         ]
         surviving = []
         matched_links = []
         for record in anchor_records:
             anchor_id = record.get(anchor_key)
             links_for_record = {}
-            for source_name, include, match in matchers:
+            for key, include, match in matchers:
                 if match is None:
-                    links_for_record[source_name] = []
+                    links_for_record[key] = []
                     continue
                 matched = match(record, anchor_id, reconciliation)
-                links_for_record[source_name] = matched
+                links_for_record[key] = matched
                 # An include without a link, or an exclude with one,
                 # drops the anchor; later steps never see it.
                 if bool(matched) != include:
                     break
             else:
+                for source_name, indexes in shared.items():
+                    links_for_record[source_name] = list(dict.fromkeys(
+                        link_id
+                        for index in indexes
+                        for link_id in links_for_record.pop(index)
+                    ))
                 surviving.append(record)
                 matched_links.append(links_for_record)
         return surviving, matched_links
@@ -962,19 +988,23 @@ class Executor:
                 }
             genes.append(gene_dict)
             anchor_ids.append(record.get(anchor_field))
-        view = AnswerView(
-            anchor_source=anchor_wrapper.name,
-            anchor_ids=tuple(anchor_ids),
-            link_steps=tuple(
+        # One view entry per link source, however many links name it.
+        link_views = {}
+        for step in plan.link_steps:
+            link_views.setdefault(
+                step.source_name,
                 (
                     step.source_name,
                     step.link.via,
                     LINK_CHILD_LABELS.get(
                         step.source_name, step.source_name
                     ),
-                )
-                for step in plan.link_steps
-            ),
+                ),
+            )
+        view = AnswerView(
+            anchor_source=anchor_wrapper.name,
+            anchor_ids=tuple(anchor_ids),
+            link_steps=tuple(link_views.values()),
             details=details,
         )
         return genes, view
@@ -1011,7 +1041,11 @@ class Executor:
         wanted = {}
         pending = []
         for step in plan.link_steps:
-            if id(step) in self._degraded_steps:
+            # A source several links name is enriched once.
+            if (
+                id(step) in self._degraded_steps
+                or step.source_name in wanted
+            ):
                 continue
             wrapper = self.wrappers[step.source_name]
             key_local = self.mapping_module.to_local_label(

@@ -9,15 +9,15 @@ sources and returns partial integrated answers; BioThings Explorer
 runs federated sub-queries concurrently with per-API timeouts.  This
 module gives ANNODA both behaviours behind one explicit protocol:
 
-- :class:`FetchRequest` — what to fetch (OML-label conditions) plus
-  how hard to try (per-attempt timeout, overall deadline, retry
-  budget);
+- :class:`FetchRequest` — what to fetch (OML-label conditions), a
+  diagnostic purpose and the request budget it shares with its
+  query;
 - :class:`FetchReply` — what came back: records, per-attempt timings,
   the request's own index/scan/failover tally, and a terminal status
   (``ok`` / ``error`` / ``timeout``) instead of an exception;
-- :class:`FederationPolicy` — the federation-wide defaults a request
-  inherits (worker count, timeout, retries, backoff, and whether a
-  failing source degrades the answer or aborts it);
+- :class:`FederationPolicy` — how hard every request tries (worker
+  count, timeout, deadline, retries, backoff, and whether a failing
+  source degrades the answer or aborts it);
 - :class:`FederatedFetcher` — issues independent per-source requests
   concurrently on a thread pool, retrying with exponential backoff;
 - :class:`FlakyWrapper` — fault injection (error rate, latency,
@@ -75,23 +75,17 @@ def _normalize_conditions(
 
 @dataclass(frozen=True)
 class FetchRequest:
-    """One source fetch: what to retrieve and how hard to try.
+    """One source fetch: what to retrieve.
 
     ``conditions`` are OML-label triples (the wrapper translates them
-    to source-native fields).  ``timeout`` bounds one attempt,
-    ``deadline`` bounds the whole request (all attempts + backoff),
-    both in seconds; ``retries`` is the retry budget *beyond* the
-    first attempt.  ``None`` means "inherit from the federation
-    policy".  ``purpose`` is a diagnostic tag carried into the reply
-    and the execution report.
+    to source-native fields).  ``purpose`` is a diagnostic tag carried
+    into the reply and the execution report.  How hard the fetch tries
+    (timeout, deadline, retries, backoff) is the
+    :class:`FederationPolicy`'s.
     """
 
     conditions: Tuple[Tuple[str, str, Any], ...] = ()
     purpose: str = "fetch"
-    timeout: Optional[float] = None
-    deadline: Optional[float] = None
-    retries: Optional[int] = None
-    backoff: Optional[float] = None
     #: Cooperative whole-request budget
     #: (:class:`~repro.util.cancel.RequestBudget`) shared by every
     #: fetch one mediator/service request issues: an expired or
@@ -357,27 +351,14 @@ class FederatedFetcher:
 
     def _run_request(self, wrapper: Any, request: FetchRequest) -> FetchReply:
         policy = self.policy
-        timeout = (
-            request.timeout if request.timeout is not None else policy.timeout
-        )
-        deadline = (
-            request.deadline
-            if request.deadline is not None
-            else policy.deadline
-        )
-        budget = (
-            request.retries if request.retries is not None else policy.retries
-        )
-        backoff = (
-            request.backoff if request.backoff is not None else policy.backoff
-        )
+        timeout, deadline = policy.timeout, policy.deadline
         request_budget = request.budget
         started = time.perf_counter()
         tally = new_tally()
         attempts: List[FetchAttempt] = []
         records: Any = ()
         status, error = "error", "no attempt made"
-        for number in range(budget + 1):
+        for number in range(policy.retries + 1):
             remaining = (
                 None
                 if deadline is None
@@ -422,8 +403,10 @@ class FederatedFetcher:
                 status, error = "ok", None
                 break
             status, error = outcome, attempt_error
-            if number < budget:
-                delay = min(backoff * (2 ** number), policy.backoff_cap)
+            if number < policy.retries:
+                delay = min(
+                    policy.backoff * (2 ** number), policy.backoff_cap
+                )
                 if remaining is not None:
                     delay = min(delay, max(0.0, remaining - elapsed))
                 if delay > 0:

@@ -14,7 +14,7 @@ from repro.mediator.fetch import FederatedFetcher, FederationPolicy
 from repro.mediator.global_schema import GlobalSchema
 from repro.mediator.gml import ROOT_NAME, GmlBuilder
 from repro.mediator.mapping import MappingModule
-from repro.mediator.optimizer import Optimizer, OptimizerOptions
+from repro.mediator.plan import Optimizer, OptimizerOptions
 from repro.mediator.reconcile import Reconciler
 from repro.trace.recorder import NULL_RECORDER
 from repro.util.errors import IntegrationError
@@ -134,29 +134,24 @@ class Mediator:
     # -- global query answering -------------------------------------------------------
 
     def plan(self, query, recorder=NULL_RECORDER):
-        """Decompose, build and optimize ``query`` into its
+        """Decompose and optimize ``query`` into its
         :class:`~repro.mediator.plan.PhysicalPlan`.
 
-        The decompose span covers subquery translation *and* the
-        logical-tree build (decomposition owns the tree shape); the
-        optimize span covers the rule passes and lowering, and its
-        attributes enumerate which rules fired and which were skipped.
+        The decompose span covers subquery translation; the optimize
+        span covers the stages and the rule passes, and its attributes
+        enumerate which rules fired and which were skipped.
         """
         decomposer = QueryDecomposer(self.mapping_module)
         optimizer = Optimizer(self._wrappers, self.optimizer_options)
         with recorder.span("decompose") as span:
             subqueries = decomposer.decompose(query)
-            logical = decomposer.logical_plan(
-                subqueries, select=query.select
-            )
             span.set("subqueries", len(subqueries))
         with recorder.span("optimize") as span:
-            optimized, rules = optimizer.optimize_logical(logical)
-            plan = optimizer.lower(optimized, rules=rules)
+            plan = optimizer.plan(subqueries)
             span.set("anchor", plan.anchor.source_name)
             span.set("link_steps", len(plan.link_steps))
-            span.set("rules_fired", list(rules.fired()))
-            span.set("rules_skipped", list(rules.skipped()))
+            span.set("rules_fired", list(plan.rules.fired()))
+            span.set("rules_skipped", list(plan.rules.skipped()))
             if plan.anchor.semijoin is not None:
                 span.set("semijoin", plan.anchor.semijoin[0])
         return plan
@@ -248,7 +243,6 @@ class Mediator:
         return identity, versions
 
     def explain(self, query):
-        """The full plan story as human-readable text: logical tree,
-        per-rule fired/skipped report, execution steps and stage
-        DAG."""
+        """The plan story as human-readable text: the per-rule
+        fired/skipped report, then the numbered execution steps."""
         return self.plan(query).describe()

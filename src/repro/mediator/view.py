@@ -51,11 +51,11 @@ class AnswerView:
 
     ``anchor_ids`` are the anchor records' raw identifiers, one per
     gene row, in answer order (the ``Self`` web-link input).
-    ``link_steps`` are the plan's link steps as ``(source, via, child
-    label)``.  ``details`` maps each link source to ``{link id: detail
-    pairs}`` (see :func:`link_detail`) for the ids the answer matched;
-    it is a copy, so later updates to the executor's shared
-    enrichment cache cannot change a view.
+    ``link_steps`` are ``(source, via, child label)``, one per link
+    source of the plan, in step order.  ``details`` maps each link
+    source to ``{link id: detail pairs}`` (see :func:`link_detail`)
+    for the ids the answer matched; it is a copy, so later updates to
+    the executor's shared enrichment cache cannot change a view.
 
     Instances are plain, picklable data shared by reference between
     results; treat them as immutable.

@@ -753,50 +753,36 @@ class DroppedCounterRule(Rule):
         return keys
 
 
-# -- ANN006: plan nodes are constructed frozen --------------------------------
+# -- ANN006: plan objects are constructed frozen ------------------------------
 
 
 @register
 class FrozenPlanNodeRule(Rule):
     code = "ANN006"
-    title = (
-        "plan nodes are constructed frozen — no post-hoc mutation "
-        "outside optimizer rules"
-    )
+    title = "plan objects are constructed frozen — no post-hoc mutation"
     rationale = (
-        "The plan IR's contract is immutability: the optimizer "
-        "rewrites logical trees with dataclasses.replace, lowering "
-        "produces fresh stages, and the executor only reads — so a "
-        "plan object can be shared, cached and fingerprinted safely. "
-        "Assigning to a node attribute (directly, via setattr, or via "
-        "object.__setattr__) after construction silently invalidates "
-        "estimates, rule records and artifact keys.  Optimizer rule "
-        "classes (name ending in 'Rule' or 'Optimizer') are the one "
-        "sanctioned place for low-level node surgery."
+        "The plan's contract is immutability: the optimizer rewrites "
+        "stages with dataclasses.replace and the executor only reads "
+        "them — so a plan object can be shared, cached and "
+        "fingerprinted safely.  Assigning to a stage attribute "
+        "(directly, via setattr, or via object.__setattr__) after "
+        "construction silently invalidates estimates, rule records and "
+        "artifact keys."
     )
 
     _PLAN_MODULE = "repro.mediator.plan"
-    _NODE_NAMES = {
-        "Scan", "Filter", "ClosureFilter", "SemiJoin", "AntiJoin",
-        "Reconcile", "Enrich", "Project", "LogicalPlan", "FetchStage",
-        "StageNode", "PhysicalPlan", "RuleRecord", "RuleReport",
-    }
+    _NODE_NAMES = {"FetchStage", "PhysicalPlan", "RuleRecord", "RuleReport"}
 
     def check(self, module: SourceModule) -> List[Diagnostic]:
         origins = _import_map(module.tree)
         constructors = self._constructor_names(origins)
         if not constructors:
             return []
-        exempt = self._exempt_spans(module.tree)
         node_vars = self._node_variables(module.tree, constructors)
         findings = []
         for node in ast.walk(module.tree):
             message = self._mutation(node, constructors, node_vars)
             if message is None:
-                continue
-            if any(
-                start <= node.lineno <= end for start, end in exempt
-            ):
                 continue
             findings.append(
                 Diagnostic(
@@ -812,9 +798,9 @@ class FrozenPlanNodeRule(Rule):
     def _constructor_names(
         self, origins: Dict[str, str]
     ) -> Dict[str, str]:
-        """local name -> node class, for every way this module can
-        reach a plan-node constructor (direct import, alias, or the
-        plan module itself for ``plan.Scan(...)`` dotted calls)."""
+        """local name -> plan class, for every way this module can
+        reach a plan constructor (direct import, alias, or the plan
+        module itself for ``plan.FetchStage(...)`` dotted calls)."""
         constructors: Dict[str, str] = {}
         for local, origin in origins.items():
             head, _, symbol = origin.rpartition(".")
@@ -826,34 +812,11 @@ class FrozenPlanNodeRule(Rule):
         return constructors
 
     @staticmethod
-    def _exempt_spans(tree: ast.Module) -> List[Tuple[int, int]]:
-        """Line spans of classes sanctioned to rewrite nodes in place
-        (optimizer rule classes)."""
-        spans = []
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ClassDef) and (
-                node.name.endswith("Rule")
-                or node.name.endswith("Optimizer")
-            ):
-                spans.append(
-                    (
-                        node.lineno,
-                        max(
-                            getattr(n, "end_lineno", None)
-                            or getattr(n, "lineno", node.lineno)
-                            for n in ast.walk(node)
-                            if hasattr(n, "lineno")
-                        ),
-                    )
-                )
-        return spans
-
-    @staticmethod
     def _node_variables(
         tree: ast.Module, constructors: Dict[str, str]
     ) -> Dict[str, str]:
-        """variable name -> node class, for names bound from a
-        plan-node constructor call anywhere in the module."""
+        """variable name -> plan class, for names bound from a
+        plan constructor call anywhere in the module."""
         bound: Dict[str, str] = {}
         for node in ast.walk(tree):
             if not (
@@ -893,7 +856,7 @@ class FrozenPlanNodeRule(Rule):
                     )
                     return (
                         f"assignment to {klass}.{attr} after "
-                        "construction; build the node with the final "
+                        "construction; build the object with the final "
                         "value or rewrite with dataclasses.replace"
                     )
         if isinstance(node, ast.Call):
@@ -908,7 +871,7 @@ class FrozenPlanNodeRule(Rule):
                     )
                 if klass is not None:
                     return (
-                        f"{dotted}() on a frozen {klass} node; rewrite "
+                        f"{dotted}() on a frozen {klass}; rewrite "
                         "with dataclasses.replace instead"
                     )
         return None

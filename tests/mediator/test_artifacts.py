@@ -70,12 +70,12 @@ PINNED_KEY_ARGS = dict(
     versions=(("LocusLink", 3), ("GO", 2)),
 )
 
-#: The digest the recipe produces at ``ARTIFACT_SCHEMA = 4``.  If this
+#: The digest the recipe produces at ``ARTIFACT_SCHEMA = 5``.  If this
 #: assertion ever fails, the key recipe changed shape — bump
 #: ARTIFACT_SCHEMA so old artifacts can never be misread (and re-pin
-#: this digest with the bump, as schemas 3 and 4 did).
+#: this digest with the bump, as schemas 3, 4 and 5 did).
 PINNED_DIGEST = (
-    "acb277c4f5d1756c6c8ec603bffbe2cf45c12dea3e4e624ed18876642175a9ee"
+    "ea645f40fc682da2f5208bc68ebcaeee16da4dbe9cf28f2caa97ca3c5ea06e79"
 )
 
 

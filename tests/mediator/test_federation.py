@@ -20,7 +20,7 @@ from repro.mediator.fetch import (
     FetchRequest,
     FlakyWrapper,
 )
-from repro.mediator.optimizer import OptimizerOptions
+from repro.mediator.plan import OptimizerOptions
 from repro.questions.catalog import QuestionCatalog
 from repro.util import clock
 from repro.util.clock import FakeClock

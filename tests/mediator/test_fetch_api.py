@@ -40,12 +40,6 @@ class TestFetchRequest:
         assert request.purpose == "anchor"
         assert "Organism" in request.render()
 
-    def test_defaults_inherit_from_policy(self):
-        request = FetchRequest()
-        assert request.timeout is None
-        assert request.retries is None
-        assert request.deadline is None
-
 
 class TestWrapperFetchMigration:
     """Satellite: the raw-conditions shim is gone — Wrapper.fetch only

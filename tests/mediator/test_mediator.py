@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.mediator import GlobalQuery, LinkConstraint, Mediator
+from repro.mediator import (
+    GlobalQuery,
+    LinkConstraint,
+    Mediator,
+    OptimizerOptions,
+)
+from repro.mediator.decompose import Condition
 from repro.util.errors import IntegrationError
 from repro.wrappers import PubmedLikeWrapper, default_wrappers
 
@@ -79,3 +85,64 @@ class TestExplain:
         text = mediator.explain(query)
         assert "execution plan" in text
         assert "LocusLink" in text
+
+
+class TestLinksIntoOneSource:
+    """Two links into GO: the answer's GO ids are the union of both
+    links' ids, whatever the optimizer options, and the view shows
+    each of them once."""
+
+    QUERY = GlobalQuery(
+        anchor_source="LocusLink",
+        links=(
+            LinkConstraint(
+                "GO", "include", via="AnnotationID",
+                conditions=(Condition("Aspect", "=", "molecular_function"),),
+            ),
+            LinkConstraint("GO", "include", via="AnnotationID"),
+        ),
+    )
+
+    @staticmethod
+    def answer(corpus, options):
+        mediator = Mediator(optimizer_options=options)
+        for wrapper in default_wrappers(corpus):
+            mediator.register_wrapper(wrapper)
+        return mediator.query(TestLinksIntoOneSource.QUERY)
+
+    def test_link_ids_do_not_depend_on_options(self, corpus):
+        answers = [
+            {
+                gene["GeneID"]: gene["_links"]["GO"]
+                for gene in self.answer(corpus, options).genes
+            }
+            for options in (
+                OptimizerOptions(),
+                OptimizerOptions(enable_pruning=False),
+                OptimizerOptions(enable_ordering=False),
+                OptimizerOptions(enable_semijoin=True),
+            )
+        ]
+        assert len(answers[0]) == 74
+        assert all(other == answers[0] for other in answers[1:])
+        # The unconditioned link matches every valid GO id of a gene.
+        assert sum(len(ids) for ids in answers[0].values()) == 209
+        for ids in answers[0].values():
+            assert len(ids) == len(set(ids))
+
+    def test_view_shows_each_link_once(self, corpus):
+        result = self.answer(corpus, OptimizerOptions())
+        sources = [source for source, _via, _label in result.view.link_steps]
+        assert sources == ["GO"]
+        graph, root = result.graph, result.root
+        genes = graph.children(root, "Gene")
+        assert len(genes) == len(result.genes)
+        for gene, row in zip(genes, result.genes):
+            ids = row["_links"]["GO"]
+            annotations = graph.children(gene, "Annotation")
+            assert sorted(
+                graph.child_value(child, "AnnotationID")
+                for child in annotations
+            ) == sorted(ids)
+            [links] = graph.children(gene, "Links")
+            assert len(graph.children(links, "GO")) == len(ids)

@@ -1,16 +1,16 @@
-"""The plan IR: logical tree shape, rule reports, lowering invariants.
+"""The plan: stage shape, rule reports, planning invariants.
 
-Locks in the three-layer planning contract:
+Locks in the planning contract:
 
-- ``build_logical`` produces the canonical tree shape for decomposed
-  subqueries (Scan/Filter/ClosureFilter per source, one join layer per
-  link, Reconcile/Enrich/Project on top);
+- ``Optimizer.plan`` builds one stage per decomposed subquery, the
+  anchor first (``under`` conditions in a link stage's closure; an
+  ``under`` on the anchor, or a missing anchor, is rejected);
 - every named optimizer rule records fired/skipped with a reason,
   under every ablation;
-- logical->physical lowering preserves the (source, purpose) step
-  multiset under *all* OptimizerOptions ablation combinations;
-- the physical stage DAG and fingerprints stay coherent with the
-  steps.
+- planning preserves the (source, purpose) step multiset and every
+  subquery condition under *all* OptimizerOptions ablation
+  combinations;
+- ``describe``/``to_dict`` report the rules and the steps.
 """
 
 from collections import Counter
@@ -27,21 +27,7 @@ from repro.mediator import (
     QueryDecomposer,
 )
 from repro.mediator.decompose import Condition
-from repro.mediator.plan import (
-    RULE_NAMES,
-    AntiJoin,
-    ClosureFilter,
-    Enrich,
-    Filter,
-    LogicalPlan,
-    PhysicalPlan,
-    Project,
-    Reconcile,
-    RuleReport,
-    Scan,
-    SemiJoin,
-    build_logical,
-)
+from repro.mediator.plan import RULE_NAMES, PhysicalPlan, RuleReport
 from repro.util.errors import ConfigurationError
 
 from tests.mediator.test_closure import term_with_descendants
@@ -148,49 +134,18 @@ def optimizer_for(mediator, options=None):
 
 
 class TestLogicalShape:
-    def test_tree_layers_in_order(self, mediator):
-        logical = build_logical(
-            subqueries_for(mediator, conditioned_query())
-        )
-        project = logical.root
-        assert isinstance(project, Project)
-        enrich = project.child
-        assert isinstance(enrich, Enrich)
-        reconcile = enrich.child
-        assert isinstance(reconcile, Reconcile)
-        # Link layers are left-deep in decomposition order: the
-        # topmost join is the last link (OMIM exclude).
-        anti = reconcile.child
-        assert isinstance(anti, AntiJoin)
-        semi = anti.left
-        assert isinstance(semi, SemiJoin)
-        anchor_filter = semi.left
-        assert isinstance(anchor_filter, Filter)
-        assert isinstance(anchor_filter.child, Scan)
-        assert anchor_filter.child.purpose == "anchor"
-
     def test_under_conditions_become_closure_filter(
         self, mediator, corpus
     ):
-        logical = build_logical(
+        plan = optimizer_for(mediator).plan(
             subqueries_for(mediator, closure_query(corpus))
         )
-        closures = [
-            node
-            for node in logical.walk()
-            if isinstance(node, ClosureFilter)
-        ]
-        assert len(closures) == 1
-        assert closures[0].conditions[0][1] == "under"
-
-    def test_scans_match_subqueries(self, mediator):
-        subqueries = subqueries_for(mediator, conditioned_query())
-        logical = build_logical(subqueries)
-        assert Counter(
-            (scan.source_name, scan.purpose) for scan in logical.scans()
-        ) == Counter(
-            (sub.source_name, sub.purpose) for sub in subqueries
-        )
+        [step] = plan.link_steps
+        assert step.source_name == "GO"
+        assert len(step.closure) == 1
+        assert step.closure[0][1] == "under"
+        assert not step.pushed and not step.residual
+        assert plan.anchor.closure == ()
 
     def test_anchor_under_rejected_at_build(self, mediator):
         query = GlobalQuery(
@@ -200,28 +155,18 @@ class TestLogicalShape:
             ),
         )
         with pytest.raises(ConfigurationError, match="ontology link"):
-            build_logical(subqueries_for(mediator, query))
+            optimizer_for(mediator).plan(subqueries_for(mediator, query))
 
-    def test_no_anchor_rejected(self):
+    def test_no_anchor_rejected(self, mediator):
         with pytest.raises(ConfigurationError, match="no anchor"):
-            build_logical([])
+            optimizer_for(mediator).plan([])
 
-    def test_render_and_dict_cover_every_node(self, mediator):
-        logical = build_logical(
-            subqueries_for(mediator, conditioned_query())
+    def test_second_anchor_rejected(self, mediator):
+        [anchor] = subqueries_for(
+            mediator, GlobalQuery(anchor_source="LocusLink")
         )
-        text = logical.render()
-        assert text.startswith("logical plan:")
-        for node in logical.walk():
-            assert node.label().split(" ")[0] in text
-        as_dict = logical.to_dict()
-        assert as_dict["node"] == "Project"
-
-    def test_decomposer_shortcut(self, mediator, corpus):
-        decomposer = QueryDecomposer(mediator.mapping_module)
-        logical = decomposer.decompose_logical(conditioned_query())
-        assert isinstance(logical, LogicalPlan)
-        assert len(logical.scans()) == 3
+        with pytest.raises(ConfigurationError, match="more than one"):
+            optimizer_for(mediator).plan([anchor, anchor])
 
 
 class TestRuleReports:
@@ -309,7 +254,8 @@ ALL_ABLATIONS = [
 
 
 class TestLoweringInvariants:
-    """Property: lowering preserves the step multiset under every
+    """Property: planning (subqueries into stages, then the rules)
+    preserves the step multiset and the conditions under every
     ablation combination, for every query shape."""
 
     @pytest.mark.parametrize(
@@ -331,14 +277,7 @@ class TestLoweringInvariants:
             (sub.source_name, sub.purpose) for sub in subqueries
         )
         for options in ALL_ABLATIONS:
-            optimizer = optimizer_for(mediator, options)
-            logical = optimizer.build_logical(subqueries)
-            assert Counter(
-                (scan.source_name, scan.purpose)
-                for scan in logical.scans()
-            ) == expected
-            optimized, rules = optimizer.optimize_logical(logical)
-            plan = optimizer.lower(optimized, rules=rules)
+            plan = optimizer_for(mediator, options).plan(subqueries)
             assert isinstance(plan, PhysicalPlan)
             assert Counter(
                 (step.source_name, step.purpose)
@@ -393,53 +332,36 @@ class TestLoweringInvariants:
 
 
 class TestPhysicalSurface:
-    def test_stage_dag_shape(self, mediator):
-        plan = optimizer_for(mediator).plan(
-            subqueries_for(mediator, conditioned_query())
-        )
-        stages = plan.stages()
-        # anchor + 2 links + reconcile + enrich + answer
-        assert [node.kind for node in stages] == [
-            "fetch", "fetch", "fetch", "reconcile", "enrich", "answer",
-        ]
-        edges = set(plan.edges())
-        reconcile_id = stages[3].stage_id
-        for fetch in stages[:3]:
-            assert (fetch.stage_id, reconcile_id) in edges
-
-    def test_semijoin_driver_edge(self, mediator):
-        options = OptimizerOptions(enable_semijoin=True)
-        plan = optimizer_for(mediator, options).plan(
-            subqueries_for(mediator, selective_query())
-        )
-        driver_id = f"s{plan.driver_index + 1}"
-        assert (driver_id, "s0") in plan.edges()
-
     def test_describe_tells_the_whole_story(self, mediator):
         plan = optimizer_for(mediator).plan(
             subqueries_for(mediator, conditioned_query())
         )
-        text = plan.describe()
-        assert "logical plan:" in text
-        assert "optimizer rules:" in text
-        assert "execution plan" in text
-        assert "physical stage DAG:" in text
+        rules, steps = plan.describe().split("\n\n")
+        assert rules == plan.rules.render()
+        assert rules.startswith("optimizer rules:")
+        assert steps == plan.explain()
+        assert steps.startswith("execution plan")
+        assert len(steps.splitlines()) == 1 + len(plan.steps())
 
     def test_to_dict_round_trips_to_json(self, mediator):
         import json
 
-        plan = optimizer_for(mediator).plan(
-            subqueries_for(mediator, conditioned_query())
+        options = OptimizerOptions(enable_semijoin=True)
+        plan = optimizer_for(mediator, options).plan(
+            subqueries_for(mediator, selective_query())
         )
         payload = json.loads(json.dumps(plan.to_dict()))
-        assert payload["logical"]["node"] == "Project"
+        assert set(payload) == {
+            "estimated_cost", "rules", "steps", "driver_index",
+        }
         assert [r["rule"] for r in payload["rules"]] == list(RULE_NAMES)
-        assert len(payload["steps"]) == 3
+        assert len(payload["steps"]) == 2
+        assert payload["driver_index"] == plan.driver_index == 0
 
 
 class TestDeprecatedAliases:
     def test_unknown_attribute_still_raises(self):
-        import repro.mediator.optimizer as optimizer_module
+        import repro.mediator.plan as plan_module
 
         with pytest.raises(AttributeError):
-            optimizer_module.NoSuchName
+            plan_module.NoSuchName

@@ -198,6 +198,31 @@ class TestExecution:
         slow = scan.query(query, enrich_links=False)
         assert set(fast.gene_ids()) == set(slow.gene_ids())
 
+    def test_driver_among_links_into_one_source(self, corpus):
+        """Two include-links into GO with one via label: the driver is
+        the step the rule chose (the kinase one), not the first GO
+        step, which is pruned and fetches nothing."""
+        kinase = Condition("Title", "contains", "kinase")
+        query = GlobalQuery(
+            anchor_source="LocusLink",
+            links=(
+                LinkConstraint("GO", "include", via="AnnotationID"),
+                LinkConstraint(
+                    "GO", "include", via="AnnotationID",
+                    conditions=(kinase,),
+                ),
+            ),
+        )
+        semijoin = build_mediator(corpus, enable_semijoin=True)
+        plan = semijoin.plan(query)
+        driver = plan.link_steps[plan.driver_index]
+        assert not driver.pruned
+        assert driver.pushed == (("Name", "contains", "kinase"),)
+        fast = semijoin.query(query, enrich_links=False)
+        slow = build_mediator(corpus).query(query, enrich_links=False)
+        assert set(fast.gene_ids()) == set(slow.gene_ids())
+        assert len(slow) == 8
+
 
 def _execute(mediator, plan, query, batch_fetch):
     executor = Executor(

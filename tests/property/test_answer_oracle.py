@@ -111,14 +111,21 @@ class Oracle:
                 continue
             gene_id = record[FIELDS[anchor]["GeneID"]]
             raised = []
-            found = {
-                link.source_name: self.linked(record, gene_id, link, raised)
+            per_link = [
+                self.linked(record, gene_id, link, raised)
                 for link in query.links
-            }
+            ]
             if all(
-                bool(found[link.source_name]) == (link.mode == "include")
-                for link in query.links
+                bool(ids) == (link.mode == "include")
+                for link, ids in zip(query.links, per_link)
             ):
+                # A source several links name keeps the union of their
+                # ids.
+                found = {}
+                for link, ids in zip(query.links, per_link):
+                    found[link.source_name] = (
+                        found.get(link.source_name, set()) | ids
+                    )
                 genes.add(gene_id)
                 links[gene_id] = found
                 conflicts.update(raised)
@@ -350,7 +357,6 @@ def queries(draw):
             st.sampled_from(["GO", "OMIM", "SwissProt", "PubMed"]),
             min_size=1,
             max_size=3,
-            unique=True,
         )
     )
     return GlobalQuery(

@@ -1,12 +1,12 @@
-"""ANN006 corpus: post-hoc mutation of frozen plan nodes (all fire)."""
+"""ANN006 corpus: post-hoc mutation of frozen plan stages (all fire)."""
 
-from repro.mediator.plan import FetchStage, Scan
+from repro.mediator.plan import FetchStage
 
 
 def mutate_attribute():
-    scan = Scan(source_name="LocusLink", purpose="anchor")
-    scan.pruned = True
-    scan.estimated_rows += 10
+    stage = FetchStage(source_name="LocusLink", purpose="anchor")
+    stage.pruned = True
+    stage.estimated_rows += 10
 
 
 def mutate_via_setattr():
@@ -16,4 +16,4 @@ def mutate_via_setattr():
 
 
 def mutate_fresh_construction():
-    Scan(source_name="OMIM", purpose="link").pruned = True
+    FetchStage(source_name="OMIM", purpose="link").pruned = True

@@ -1,25 +1,14 @@
-"""ANN006 corpus: frozen plan nodes built and rewritten correctly."""
+"""ANN006 corpus: frozen plan stages built and rewritten correctly."""
 
 from dataclasses import replace
 
-from repro.mediator.plan import Scan
+from repro.mediator.plan import FetchStage
 
 
 def build():
-    return Scan(source_name="LocusLink", purpose="anchor")
+    return FetchStage(source_name="LocusLink", purpose="anchor")
 
 
-def annotate(scan):
+def annotate(stage):
     # Rewrites go through dataclasses.replace, never in-place writes.
-    return replace(scan, estimated_rows=42)
-
-
-class EstimateRule:
-    """Optimizer rule classes are the sanctioned escape hatch."""
-
-    def apply(self, scan):
-        patched = Scan(
-            source_name=scan.source_name, purpose=scan.purpose
-        )
-        object.__setattr__(patched, "estimated_rows", 1)
-        return patched
+    return replace(stage, estimated_rows=42)
