@@ -153,7 +153,7 @@ def test_warehouse_pays_etl_and_staleness(benchmark, results_dir):
             locus_id=900001,
             organism="Homo sapiens",
             symbol="FRESH9",
-            go_ids=[corpus.go.term_ids()[5]],
+            go_ids=[corpus.go.keys()[5]],
         )
         corpus.locuslink.add(new_locus)
         try:

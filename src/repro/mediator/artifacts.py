@@ -72,8 +72,10 @@ from repro.util.locks import make_counters, new_lock
 #: carries an ``ExecutionReport`` instead of the deleted stats object.
 #: Schema 5: a stored answer's ``PhysicalPlan`` no longer carries a
 #: logical tree, and ``OptimizerOptions`` (part of an answer's
-#: identity) lost its semijoin threshold field.
-ARTIFACT_SCHEMA = 5
+#: identity) lost its semijoin threshold field.  Schema 6:
+#: ``FederationPolicy`` (part of an answer's identity) lost its
+#: ``deadline`` and ``backoff_cap`` fields.
+ARTIFACT_SCHEMA = 6
 
 #: First line of every on-disk artifact file.
 _MAGIC = b"annoda-artifact/1"

@@ -675,7 +675,8 @@ class Executor:
         in question order, each id once, so the answer does not depend
         on how the optimizer ordered the steps (until an anchor
         survives, each step of such a source files its ids under its
-        step index).
+        step index).  The same union rule holds for the conflicts its
+        rows raise: each is recorded once per anchor and source.
         """
         anchor_key = self._anchor_field(anchor_wrapper)
         by_source = {}
@@ -694,6 +695,7 @@ class Executor:
         matchers = [
             (
                 index if step.source_name in shared else step.source_name,
+                step.source_name,
                 step.link.mode == "include",
                 # Degraded source: its constraint cannot be evaluated,
                 # so it is skipped — the YeastMed-style partial answer
@@ -712,11 +714,20 @@ class Executor:
         for record in anchor_records:
             anchor_id = record.get(anchor_key)
             links_for_record = {}
-            for key, include, match in matchers:
+            recorded = {}
+            for key, source, include, match in matchers:
                 if match is None:
                     links_for_record[key] = []
                     continue
-                matched = match(record, anchor_id, reconciliation)
+                matched, issues = match(record, anchor_id)
+                if issues:
+                    if source in shared:
+                        seen = recorded.setdefault(source, set())
+                        issues = [
+                            issue for issue in issues if issue not in seen
+                        ]
+                        seen.update(issues)
+                    reconciliation.issues.extend(issues)
                 links_for_record[key] = matched
                 # An include without a link, or an exclude with one,
                 # drops the anchor; later steps never see it.
@@ -736,16 +747,16 @@ class Executor:
     # -- link matching -------------------------------------------------------------
 
     def _link_matcher(self, step, anchor_wrapper, allowed):
-        """``match(record, anchor_id, reconciliation)``: the linked ids
-        of one anchor record that satisfy one link step.
+        """``match(record, anchor_id) -> (ids, issues)``: the linked ids
+        of one anchor record that satisfy one link step, and the
+        conflicts its row raised.
 
         ``match`` replays the anchor's row (:meth:`_row_builder`) from
         the step's link table, building and publishing the row on a
-        miss: it appends the row's issues to ``reconciliation``, then
-        keeps the row's ids that are in ``allowed`` — the precomputed
-        id set of the step's conditioned fetch (``None`` for pruned
-        steps: any valid id counts).  A reverse join's own ids come
-        first, from its per-question reverse index.
+        miss, then keeps the row's ids that are in ``allowed`` — the
+        precomputed id set of the step's conditioned fetch (``None``
+        for pruned steps: any valid id counts).  A reverse join's own
+        ids come first, from its per-question reverse index.
         """
         link_wrapper = self.wrappers[step.source_name]
         symbol_index = (
@@ -768,7 +779,7 @@ class Executor:
             key_field = anchor_wrapper.source_field(anchor_wrapper.key_label)
             rows, unchanged = table
 
-        def match(record, anchor_id, reconciliation):
+        def match(record, anchor_id):
             if table is None:
                 row = build_row(record, anchor_id)
             else:
@@ -779,17 +790,17 @@ class Executor:
                     if unchanged():
                         rows[key] = row
             ids, issues = row
-            if issues:
-                reconciliation.issues.extend(issues)
             matched = (
                 list(ids)
                 if allowed is None
                 else [link_id for link_id in ids if link_id in allowed]
             )
-            if reverse is None:
-                return matched
-            own = sorted(reverse.get(anchor_id, ()), key=str)
-            return own + [link_id for link_id in matched if link_id not in own]
+            if reverse is not None:
+                own = sorted(reverse.get(anchor_id, ()), key=str)
+                matched = own + [
+                    link_id for link_id in matched if link_id not in own
+                ]
+            return matched, issues
 
         return match
 
@@ -812,7 +823,7 @@ class Executor:
         validate = None
         if hasattr(link_wrapper, "is_obsolete"):
             validate = reconciler.valid_annotation_ids
-        elif hasattr(link_wrapper, "entries_for_symbol"):
+        elif hasattr(link_wrapper, "exists"):
             validate = reconciler.valid_disease_ids
         via_field = None
         if not link.reverse_join:

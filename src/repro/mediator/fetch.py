@@ -16,8 +16,8 @@ module gives ANNODA both behaviours behind one explicit protocol:
   the request's own index/scan/failover tally, and a terminal status
   (``ok`` / ``error`` / ``timeout``) instead of an exception;
 - :class:`FederationPolicy` — how hard every request tries (worker
-  count, timeout, deadline, retries, backoff, and whether a failing
-  source degrades the answer or aborts it);
+  count, timeout, retries, backoff, and whether a failing source
+  degrades the answer or aborts it);
 - :class:`FederatedFetcher` — issues independent per-source requests
   concurrently on a thread pool, retrying with exponential backoff;
 - :class:`FlakyWrapper` — fault injection (error rate, latency,
@@ -47,6 +47,9 @@ from repro.util.rng import DeterministicRng
 
 #: Reply statuses a fetch can terminate with.
 FETCH_STATUSES = ("ok", "error", "timeout")
+
+#: Longest sleep between two attempts of one fetch, in seconds.
+BACKOFF_CAP = 0.5
 
 
 def _normalize_conditions(
@@ -80,8 +83,8 @@ class FetchRequest:
     ``conditions`` are OML-label triples (the wrapper translates them
     to source-native fields).  ``purpose`` is a diagnostic tag carried
     into the reply and the execution report.  How hard the fetch tries
-    (timeout, deadline, retries, backoff) is the
-    :class:`FederationPolicy`'s.
+    (timeout, retries, backoff) is the :class:`FederationPolicy`'s;
+    how long it may take in all is its ``budget``'s.
     """
 
     conditions: Tuple[Tuple[str, str, Any], ...] = ()
@@ -200,15 +203,13 @@ class FederationPolicy:
     max_workers: int = 4
     #: Per-attempt timeout in seconds (None: wait forever).
     timeout: Optional[float] = None
-    #: Overall per-request deadline in seconds (None: unbounded).
-    deadline: Optional[float] = None
     #: Retry budget beyond the first attempt.
     retries: int = 0
     #: Base of the exponential backoff between attempts, in seconds
-    #: (attempt *n* sleeps ``backoff * 2**(n-1)``, capped).  Kept
-    #: jitter-free so retried executions stay deterministic.
+    #: (attempt *n* sleeps ``backoff * 2**(n-1)``, capped at
+    #: :data:`BACKOFF_CAP`).  Kept jitter-free so retried executions
+    #: stay deterministic.
     backoff: float = 0.02
-    backoff_cap: float = 0.5
     #: ``"raise"`` aborts the query on a failed source (seed
     #: behaviour); ``"degrade"`` returns a partial integrated answer
     #: whose report marks the source degraded.
@@ -236,7 +237,7 @@ class FederatedFetcher:
     ``(wrapper, request)`` jobs concurrently and returns replies in
     job order, so callers stay deterministic regardless of completion
     order.  Each job retries with exponential backoff inside its
-    request's deadline; a per-attempt timeout abandons the attempt's
+    request's budget; a per-attempt timeout abandons the attempt's
     worker thread (the slow call keeps running in the background —
     exactly the semantics of abandoning a slow HTTP request).
     """
@@ -351,40 +352,23 @@ class FederatedFetcher:
 
     def _run_request(self, wrapper: Any, request: FetchRequest) -> FetchReply:
         policy = self.policy
-        timeout, deadline = policy.timeout, policy.deadline
-        request_budget = request.budget
+        budget = request.budget
         started = time.perf_counter()
         tally = new_tally()
         attempts: List[FetchAttempt] = []
         records: Any = ()
         status, error = "error", "no attempt made"
         for number in range(policy.retries + 1):
-            remaining = (
-                None
-                if deadline is None
-                else deadline - (time.perf_counter() - started)
-            )
             # The cooperative request budget bounds all fetches of one
-            # mediator/service request together, so it can only ever
-            # tighten the per-fetch deadline.
-            budget_remaining = (
-                None if request_budget is None else request_budget.remaining()
-            )
-            if budget_remaining is not None and (
-                remaining is None or budget_remaining < remaining
-            ):
-                remaining = budget_remaining
-            if remaining is not None and remaining <= 0:
-                bound = (
-                    request_budget.describe()
-                    if request_budget is not None and request_budget.expired
-                    else f"deadline of {deadline or 0.0:.3f}s"
-                )
+            # mediator/service request together.
+            remaining = None if budget is None else budget.remaining()
+            if budget is not None and remaining is not None and remaining <= 0:
                 status, error = "timeout", (
-                    f"{bound}; gave up after {len(attempts)} attempt(s)"
+                    f"{budget.describe()}; gave up after "
+                    f"{len(attempts)} attempt(s)"
                 )
                 break
-            attempt_timeout = timeout
+            attempt_timeout = policy.timeout
             if remaining is not None:
                 attempt_timeout = (
                     remaining
@@ -404,9 +388,7 @@ class FederatedFetcher:
                 break
             status, error = outcome, attempt_error
             if number < policy.retries:
-                delay = min(
-                    policy.backoff * (2 ** number), policy.backoff_cap
-                )
+                delay = min(policy.backoff * (2 ** number), BACKOFF_CAP)
                 if remaining is not None:
                     delay = min(delay, max(0.0, remaining - elapsed))
                 if delay > 0:

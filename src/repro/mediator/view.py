@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from repro.oem.graph import OEMGraph
 from repro.oem.types import OEMType
+from repro.sources.urls import url_for
 
 #: Link source -> label of its detail objects under a ``Gene``.
 LINK_CHILD_LABELS = {
@@ -98,8 +99,6 @@ class AnswerView:
         # *reconciled* answer (self + matched link ids), never from the
         # raw record — raw links may dangle, and the integrated view
         # must only offer links that resolve.
-        from repro.navigation.links import url_for
-
         links_object = graph.attach_complex(gene, "Links")
         graph.attach_atomic(
             links_object,

@@ -1,9 +1,9 @@
 """Web-link objects and URL resolution.
 
-The 2005-era NCBI/GO URL schemes used by the wrappers are parsed back
-into (source, identifier) pairs so the navigator can follow a link to
-the live record inside the federation instead of the (long gone)
-public website.
+The 2005-era NCBI/GO URL schemes the wrappers emit
+(:mod:`repro.sources.urls`) are parsed back into (source, identifier)
+pairs so the navigator can follow a link to the live record inside the
+federation instead of the (long gone) public website.
 """
 
 import re
@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from repro.oem.types import OEMType
 from repro.util.errors import QueryError
 
-#: URL pattern -> (source name, identifier converter).
+#: URL pattern -> (source name, identifier converter): the parser of
+#: :data:`repro.sources.urls.URL_TEMPLATES`.
 _URL_PATTERNS = (
     (re.compile(r"LocRpt\.cgi\?l=(\d+)"), "LocusLink", int),
     (re.compile(r"go\.cgi\?query=(GO:\d{7})"), "GO", str),
@@ -37,33 +38,6 @@ class WebLink:
 
     def render(self):
         return f"[{self.label}] {self.target_source}:{self.target_id} -> {self.url}"
-
-
-#: Source name -> URL template, the inverse of :data:`_URL_PATTERNS`.
-_URL_TEMPLATES = {
-    "LocusLink": "http://www.ncbi.nlm.nih.gov/LocusLink/LocRpt.cgi?l={0}",
-    "GO": "http://godatabase.org/cgi-bin/go.cgi?query={0}",
-    "OMIM": "http://www.ncbi.nlm.nih.gov/entrez/dispomim.cgi?id={0}",
-    "PubMed": (
-        "http://www.ncbi.nlm.nih.gov/entrez/query.fcgi"
-        "?cmd=Retrieve&db=PubMed&list_uids={0}"
-    ),
-    "SwissProt": "http://www.expasy.org/cgi-bin/niceprot.pl?{0}",
-}
-
-
-def url_for(source_name, target_id):
-    """The canonical web-link URL of one record in one source.
-
-    Raises
-    ------
-    QueryError
-        When the source has no registered URL scheme.
-    """
-    template = _URL_TEMPLATES.get(source_name)
-    if template is None:
-        raise QueryError(f"no URL scheme for source {source_name!r}")
-    return template.format(target_id)
 
 
 def resolve_url(url):

@@ -1,12 +1,22 @@
-"""The common contract every annotation source implements.
+"""The one keyed store every annotation source is.
 
 Wrappers (and the warehouse baseline's extractors) talk to sources only
-through this interface, so plugging a new source in means implementing
-one class — requirement 2 of section 3.1: *"a new relevant data source
+through this class, so plugging a new source in means declaring one
+subclass — requirement 2 of section 3.1: *"a new relevant data source
 should be wrapped and plugged in as it comes into existence"*.
 
-Beyond enumeration and native filtering, the contract now carries the
-fetch-path machinery the mediator's hot loop depends on:
+A store is its declarations: a ``name``, its ``FIELDS`` (the first is
+the primary key), the ``CAPABILITIES`` it evaluates natively, its
+``INDEXED_FIELDS``, the ``KEY`` attribute of its record objects, and
+its flat-file format (``parse``/``write``).  :class:`DataSource` keeps
+the records in one dict by primary key and implements everything
+else once: ``add``/``remove`` (each bumps ``version``; a duplicate
+key is a :class:`~repro.util.errors.DataFormatError`), ``get``,
+``keys``, ``all_records``, key-ordered ``records()``, ``count`` and
+the ``dump``/``from_text`` flat-file round trip.
+
+On top of the records sits the fetch-path machinery the mediator's
+hot loop depends on:
 
 - **one extent per version** — ``records()`` built once per
   ``version``, each record wrapped in a read-only
@@ -47,7 +57,6 @@ checker can observe acquisition order, and methods suffixed
 
 from __future__ import annotations
 
-import abc
 import contextlib
 import contextvars
 import warnings
@@ -55,7 +64,9 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import (
     Any,
+    ClassVar,
     Dict,
+    FrozenSet,
     Iterable,
     Iterator,
     List,
@@ -63,9 +74,11 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Type,
+    TypeVar,
 )
 
-from repro.util.errors import QueryError
+from repro.util.errors import DataFormatError, QueryError
 from repro.util.locks import make_counters, new_lock
 
 #: One source record, as exchanged across the wrapper boundary: a
@@ -166,46 +179,140 @@ class NativeCondition:
         return f"{self.field} {self.op} {self.value!r}"
 
 
-class DataSource(abc.ABC):
-    """Abstract annotation source.
+_Store = TypeVar("_Store", bound="DataSource")
 
-    Concrete sources differ wildly in storage structure; this contract
-    is intentionally minimal: enumerate records (as plain dicts), filter
-    natively where capable, and report schema and version metadata.
+
+class DataSource:
+    """An annotation source: record objects held by primary key.
+
+    A record object carries its key in the attribute :attr:`KEY`
+    names and gives its plain-dict view with ``as_dict()``.  Sources
+    differ in their declarations, not in their storage: every one
+    enumerates records (as plain dicts), filters natively where
+    capable, and reports schema and version metadata through the
+    methods below.
     """
 
     #: Stable source name ("LocusLink", "GO", "OMIM", ...).
     name: str = "abstract"
+
+    #: The record fields this source exposes, in schema order; the
+    #: first is the primary key.
+    FIELDS: Tuple[str, ...] = ()
+
+    #: The (field, op) pairs the source evaluates natively.
+    CAPABILITIES: FrozenSet[Tuple[str, str]] = frozenset()
+
+    #: Fields backed by a version-keyed equality index; ``None`` means
+    #: every field the source can test for ``=`` natively.
+    INDEXED_FIELDS: Optional[Tuple[str, ...]] = None
+
+    #: The record-object attribute holding the primary key.
+    KEY: str = ""
+
+    #: The flat-file format: ``parse(text)`` gives the record objects
+    #: of one flat file and ``write(records)`` its text.  A store
+    #: declares both as static methods.
+    parse: ClassVar[Any]
+    write: ClassVar[Any]
 
     #: Master switch for the equality-index fast path.  Benchmarks
     #: flip this off to measure the bare scan path; production leaves
     #: it on.
     use_indexes: bool = True
 
-    @abc.abstractmethod
+    def __init__(
+        self,
+        records: Iterable[Any] = (),
+        index_state: Optional[Dict[str, Any]] = None,
+    ) -> None:
+        """Hold ``records``; ``index_state`` (a matching
+        :meth:`export_index_state` snapshot) skips the cold-start
+        index rebuild."""
+        self._records: Dict[Any, Any] = {}
+        self._version = 0
+        for record in records:
+            self.add(record)
+        self._adopt_or_warn(index_state)
+
+    # -- the flat-file round trip -------------------------------------------------
+
+    def dump(self) -> str:
+        """The store's content as its flat file."""
+        return self.write(self.all_records())
+
+    @classmethod
+    def from_text(
+        cls: Type[_Store],
+        text: str,
+        index_state: Optional[Dict[str, Any]] = None,
+    ) -> _Store:
+        """Build a store by parsing its flat file; ``index_state`` as
+        for the constructor."""
+        return cls(cls.parse(text), index_state=index_state)
+
+    # -- the keyed records ---------------------------------------------------------
+
     def fields(self) -> Sequence[str]:
         """The record fields this source exposes, in schema order."""
+        return self.FIELDS
 
-    @abc.abstractmethod
-    def capabilities(self) -> Iterable[Tuple[str, str]]:
+    def capabilities(self) -> FrozenSet[Tuple[str, str]]:
         """Set of (field, op) pairs the source evaluates natively."""
-
-    @abc.abstractmethod
-    def records(self) -> List[Dict[str, Any]]:
-        """All records as fresh plain dicts, in a stable order (the
-        extent builder; must tolerate a concurrent ``add``/``remove``)."""
-
-    @abc.abstractmethod
-    def count(self) -> int:
-        """Number of records currently stored."""
+        return self.CAPABILITIES
 
     @property
-    @abc.abstractmethod
     def version(self) -> int:
         """Monotone counter bumped by every mutation; the freshness
         experiment compares it against a warehouse's loaded version."""
+        return self._version
 
-    # -- native filtering (shared implementation) ----------------------------
+    def add(self, record: Any) -> None:
+        """Insert a record; a duplicate primary key is rejected."""
+        key = getattr(record, self.KEY)
+        # Under the fetch mutex, so concurrent writers neither both
+        # pass the duplicate check nor lose a version bump.
+        with self._fetch_mutex():
+            if key in self._records:
+                raise DataFormatError(
+                    f"duplicate {self.FIELDS[0]} {key}", source_name=self.name
+                )
+            self._records[key] = record
+            self._version += 1
+
+    def remove(self, key: Any) -> None:
+        """Delete the record with primary key ``key``."""
+        with self._fetch_mutex():
+            if self._records.pop(key, None) is None:
+                raise DataFormatError(
+                    f"no {self.FIELDS[0]} {key} to remove",
+                    source_name=self.name,
+                )
+            self._version += 1
+
+    def get(self, key: Any) -> Any:
+        """The record object with primary key ``key``, or ``None``."""
+        return self._records.get(key)
+
+    def keys(self) -> List[Any]:
+        """Every primary key, in order."""
+        return sorted(self._records)
+
+    def all_records(self) -> List[Any]:
+        """Every record object, in key order."""
+        return [record for _, record in sorted(self._records.items())]
+
+    def records(self) -> List[Dict[str, Any]]:
+        """All records as fresh plain dicts, in key order (the extent
+        builder).  ``sorted`` copies the dict's items in one step, so
+        a concurrent ``add``/``remove`` cannot disturb the loop."""
+        return [record.as_dict() for _, record in sorted(self._records.items())]
+
+    def count(self) -> int:
+        """Number of records currently stored."""
+        return len(self._records)
+
+    # -- native filtering ------------------------------------------------------------
 
     def supports(self, condition: NativeCondition) -> bool:
         """True when ``condition`` can be evaluated natively here."""
@@ -218,11 +325,11 @@ class DataSource(abc.ABC):
         return (condition.field, condition.op) in capabilities
 
     def indexed_fields(self) -> Tuple[str, ...]:
-        """Fields eligible for a hash equality index.
-
-        By default every field the source can test for ``=`` natively;
-        stores narrow or widen this to match their real storage layout.
-        """
+        """Fields eligible for a hash equality index: the declared
+        :attr:`INDEXED_FIELDS`, by default every field the source can
+        test for ``=`` natively."""
+        if self.INDEXED_FIELDS is not None:
+            return self.INDEXED_FIELDS
         return tuple(
             sorted({field for field, op in self.capabilities() if op == "="})
         )

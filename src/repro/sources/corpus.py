@@ -130,11 +130,11 @@ class AnnotationCorpus:
         )
         go = GoOntology(go_terms)
         annotatable = [
-            term.go_id for term in go.all_terms()
+            term.go_id for term in go.all_records()
             if not term.obsolete and not term.is_root
         ]
         obsolete_ids = [
-            term.go_id for term in go.all_terms() if term.obsolete
+            term.go_id for term in go.all_records() if term.obsolete
         ]
 
         omim_generator = OmimGenerator(rng.substream("omim"))

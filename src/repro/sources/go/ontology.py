@@ -1,8 +1,8 @@
 """The GO ontology store: a rooted DAG per namespace.
 
-Stores terms indexed by accession, maintains the child index, computes
-transitive ancestor/descendant closures (memoized), checks acyclicity,
-and exposes the :class:`~repro.sources.base.DataSource` contract with
+Stores terms keyed by accession, derives the child index and memoizes
+transitive ancestor closures once per version, checks acyclicity, and
+exposes the :class:`~repro.sources.base.DataSource` contract with
 graph-flavoured native capabilities (ancestor-of is *not* native — the
 real GO flat files could only be grepped, so closure queries must run
 at the wrapper/mediator, which the optimizer bench exercises).
@@ -14,11 +14,17 @@ from repro.util.errors import DataFormatError
 
 
 class GoOntology(DataSource):
-    """In-memory OBO-backed ontology of :class:`GoTerm`."""
+    """In-memory OBO-backed ontology of :class:`GoTerm`.
+
+    Parents may be added after children (OBO files are unordered);
+    referential integrity is checked by :meth:`validate`.
+    """
 
     name = "GO"
 
-    _FIELDS = (
+    KEY = "go_id"
+
+    FIELDS = (
         "GoID",
         "Name",
         "Namespace",
@@ -28,7 +34,7 @@ class GoOntology(DataSource):
         "Obsolete",
     )
 
-    _CAPABILITIES = frozenset(
+    CAPABILITIES = frozenset(
         {
             ("GoID", "="),
             ("Name", "="),
@@ -44,71 +50,16 @@ class GoOntology(DataSource):
     #: fetches probe it), names, namespaces, and is_a back-references.
     #: ``Obsolete`` is deliberately unindexed — a boolean splits the
     #: extent in half, so the scan is as good as the index.
-    _INDEXED_FIELDS = ("GoID", "Name", "Namespace", "IsA")
+    INDEXED_FIELDS = ("GoID", "Name", "Namespace", "IsA")
 
-    def indexed_fields(self):
-        return self._INDEXED_FIELDS
-
-    def __init__(self, terms=(), index_state=None):
-        self._terms = {}
-        self._children = {}
-        self._version = 0
-        self._ancestor_cache = {}
-        for term in terms:
-            self.add(term)
-        self._adopt_or_warn(index_state)
-
-    # -- DataSource contract ---------------------------------------------------
-
-    def fields(self):
-        return self._FIELDS
-
-    def capabilities(self):
-        return self._CAPABILITIES
-
-    def records(self):
-        return [term.as_dict() for _, term in sorted(self._terms.items())]
-
-    def count(self):
-        return len(self._terms)
-
-    @property
-    def version(self):
-        return self._version
-
-    # -- store operations ---------------------------------------------------------
-
-    def add(self, term):
-        """Insert a term; duplicate accessions are rejected.
-
-        Parents may be added after children (OBO files are unordered);
-        referential integrity is checked by :meth:`validate`.
-        """
-        if term.go_id in self._terms:
-            raise DataFormatError(
-                f"duplicate GO accession {term.go_id}", source_name=self.name
-            )
-        self._terms[term.go_id] = term
-        for parent in term.is_a:
-            self._children.setdefault(parent, []).append(term.go_id)
-        self._version += 1
-        self._ancestor_cache.clear()
-
-    def get(self, go_id):
-        """The term with accession ``go_id``, or ``None``."""
-        return self._terms.get(go_id)
-
-    def all_terms(self):
-        return [self._terms[key] for key in sorted(self._terms)]
-
-    def term_ids(self):
-        return sorted(self._terms)
+    parse = staticmethod(parse_obo)
+    write = staticmethod(write_obo)
 
     def roots(self, namespace=None):
         """Terms without parents, optionally within one namespace."""
         return [
             term
-            for term in self.all_terms()
+            for term in self.all_records()
             if term.is_root
             and (namespace is None or term.namespace == namespace)
         ]
@@ -121,9 +72,9 @@ class GoOntology(DataSource):
 
     def children(self, go_id):
         self._require(go_id)
-        return [
-            self._terms[child] for child in self._children.get(go_id, ())
-        ]
+        with self._fetch_mutex():
+            children = self._graph_locked()["children"]
+        return list(children.get(go_id, ()))
 
     def ancestors(self, go_id):
         """All transitive ancestors' accessions (excluding the term).
@@ -136,7 +87,8 @@ class GoOntology(DataSource):
             return set(self._ancestors_locked(go_id))
 
     def _ancestors_locked(self, go_id):
-        cached = self._ancestor_cache.get(go_id)
+        memo = self._graph_locked()["ancestors"]
+        cached = memo.get(go_id)
         if cached is not None:
             return cached
         self._require(go_id)
@@ -147,7 +99,7 @@ class GoOntology(DataSource):
         in_progress = set()
         while stack:
             node, expanded = stack.pop()
-            if node in self._ancestor_cache:
+            if node in memo:
                 continue
             term = self._require(node)
             if expanded:
@@ -155,8 +107,8 @@ class GoOntology(DataSource):
                 closure = set()
                 for parent in term.is_a:
                     closure.add(parent)
-                    closure.update(self._ancestor_cache[parent])
-                self._ancestor_cache[node] = frozenset(closure)
+                    closure.update(memo[parent])
+                memo[node] = frozenset(closure)
             else:
                 if node in in_progress:
                     raise DataFormatError(
@@ -165,21 +117,45 @@ class GoOntology(DataSource):
                 in_progress.add(node)
                 stack.append((node, True))
                 for parent in term.is_a:
-                    if parent not in self._ancestor_cache:
+                    if parent not in memo:
                         stack.append((parent, False))
-        return self._ancestor_cache[go_id]
+        return memo[go_id]
+
+    def _graph_locked(self):
+        """This version's is_a graph: ``children`` (parent accession ->
+        child terms, in insertion order) and the ``ancestors`` memo.
+
+        Derived on first use after each mutation, the way the equality
+        indexes are, so ``add``/``remove`` need not maintain it; caller
+        holds the fetch mutex, which ``add``/``remove`` take too.
+        """
+        graph = self.__dict__.get("_graph")
+        if graph is None or graph["version"] != self.version:
+            children = {}
+            for term in self._records.values():
+                for parent in term.is_a:
+                    children.setdefault(parent, []).append(term)
+            graph = {
+                "version": self.version,
+                "children": children,
+                "ancestors": {},
+            }
+            self._graph = graph
+        return graph
 
     def descendants(self, go_id):
         """All transitive descendants' accessions (excluding the term)."""
         self._require(go_id)
+        with self._fetch_mutex():
+            children = self._graph_locked()["children"]
         closure = set()
-        stack = list(self._children.get(go_id, ()))
+        stack = [child.go_id for child in children.get(go_id, ())]
         while stack:
             child = stack.pop()
             if child in closure:
                 continue
             closure.add(child)
-            stack.extend(self._children.get(child, ()))
+            stack.extend(term.go_id for term in children.get(child, ()))
         return closure
 
     def is_ancestor(self, ancestor_id, descendant_id):
@@ -198,7 +174,7 @@ class GoOntology(DataSource):
         """Terms whose name or synonym contains ``needle`` (case-folded)."""
         lowered = needle.lower()
         found = []
-        for term in self.all_terms():
+        for term in self.all_records():
             names = [term.name] + list(term.synonyms)
             if any(lowered in name.lower() for name in names):
                 found.append(term)
@@ -209,13 +185,13 @@ class GoOntology(DataSource):
     def validate(self):
         """Referential and acyclicity problems as a list of strings."""
         problems = []
-        for term in self.all_terms():
+        for term in self.all_records():
             for parent in term.is_a:
-                if parent not in self._terms:
+                if parent not in self._records:
                     problems.append(
                         f"{term.go_id} is_a missing term {parent}"
                     )
-                elif self._terms[parent].namespace != term.namespace:
+                elif self._records[parent].namespace != term.namespace:
                     problems.append(
                         f"{term.go_id} crosses namespaces via is_a {parent}"
                     )
@@ -224,13 +200,13 @@ class GoOntology(DataSource):
 
     def _find_cycles(self):
         WHITE, GRAY, BLACK = 0, 1, 2
-        color = {go_id: WHITE for go_id in self._terms}
+        color = {go_id: WHITE for go_id in self._records}
         problems = []
 
         def visit(go_id, trail):
             color[go_id] = GRAY
-            for parent in self._terms[go_id].is_a:
-                if parent not in self._terms:
+            for parent in self._records[go_id].is_a:
+                if parent not in self._records:
                     continue
                 if color[parent] == GRAY:
                     problems.append(
@@ -240,13 +216,13 @@ class GoOntology(DataSource):
                     visit(parent, trail + [parent])
             color[go_id] = BLACK
 
-        for go_id in self._terms:
+        for go_id in self._records:
             if color[go_id] == WHITE:
                 visit(go_id, [go_id])
         return problems
 
     def _require(self, go_id):
-        term = self._terms.get(go_id)
+        term = self._records.get(go_id)
         if term is None:
             raise DataFormatError(
                 f"unknown GO accession {go_id}", source_name=self.name
@@ -255,13 +231,10 @@ class GoOntology(DataSource):
 
     # -- flat-file round trip ---------------------------------------------------
 
-    def dump(self):
-        """The ontology as OBO text."""
-        return write_obo(self.all_terms())
-
     @classmethod
     def from_text(cls, text, index_state=None):
-        ontology = cls(parse_obo(text), index_state=index_state)
+        """Parse OBO text, rejecting an inconsistent ontology."""
+        ontology = super().from_text(text, index_state=index_state)
         problems = ontology.validate()
         if problems:
             raise DataFormatError(

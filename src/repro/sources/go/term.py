@@ -62,10 +62,6 @@ class GoTerm:
     def is_root(self):
         return not self.is_a
 
-    def web_link(self):
-        """The term's web link for interactive navigation."""
-        return f"http://godatabase.org/cgi-bin/go.cgi?query={self.go_id}"
-
     def as_dict(self):
         """Plain-dict view for the :class:`~repro.sources.base.DataSource`
         contract."""

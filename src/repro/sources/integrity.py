@@ -178,7 +178,7 @@ class IntegrityAuditor:
 
     @staticmethod
     def _audit_citations(locuslink, pubmed, report):
-        for citation in pubmed.all_citations():
+        for citation in pubmed.all_records():
             for locus_id in citation.locus_ids:
                 report.checked_references += 1
                 if locuslink.get(locus_id) is None:

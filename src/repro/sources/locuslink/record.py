@@ -61,10 +61,6 @@ class LocusRecord:
                 f"locus {self.locus_id} has an empty organism"
             )
 
-    def web_link(self):
-        """The locus's web link, used for interactive navigation."""
-        return f"http://www.ncbi.nlm.nih.gov/LocusLink/LocRpt.cgi?l={self.locus_id}"
-
     def as_dict(self):
         """Plain-dict view used by the :class:`~repro.sources.base.DataSource`
         contract (lists are copied so callers cannot mutate the record)."""

@@ -43,13 +43,6 @@ class OmimRecord:
                 f"entry {self.mim_number} has an empty title"
             )
 
-    def web_link(self):
-        """The entry's web link for interactive navigation."""
-        return (
-            "http://www.ncbi.nlm.nih.gov/entrez/dispomim.cgi"
-            f"?id={self.mim_number}"
-        )
-
     def as_dict(self):
         return {
             "MimNumber": self.mim_number,

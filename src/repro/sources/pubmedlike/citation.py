@@ -40,12 +40,6 @@ class Citation:
                 f"citation {self.pmid} year {self.year} outside 1950-2010"
             )
 
-    def web_link(self):
-        return (
-            "http://www.ncbi.nlm.nih.gov/entrez/query.fcgi"
-            f"?cmd=Retrieve&db=PubMed&list_uids={self.pmid}"
-        )
-
     def as_dict(self):
         return {
             "Pmid": self.pmid,

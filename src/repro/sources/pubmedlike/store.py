@@ -105,9 +105,11 @@ class CitationStore(DataSource):
 
     name = "PubMed"
 
-    _FIELDS = ("Pmid", "Title", "Journal", "Year", "LocusIDs")
+    KEY = "pmid"
 
-    _CAPABILITIES = frozenset(
+    FIELDS = ("Pmid", "Title", "Journal", "Year", "LocusIDs")
+
+    CAPABILITIES = frozenset(
         {
             ("Pmid", "="),
             ("Title", "contains"),
@@ -123,62 +125,7 @@ class CitationStore(DataSource):
 
     #: Hash-indexed fields: the PMID key, the locus back-references the
     #: reverse join probes, plus the low-cardinality journal/year pair.
-    _INDEXED_FIELDS = ("Pmid", "Journal", "Year", "LocusIDs")
+    INDEXED_FIELDS = ("Pmid", "Journal", "Year", "LocusIDs")
 
-    def indexed_fields(self):
-        return self._INDEXED_FIELDS
-
-    def __init__(self, citations=(), index_state=None):
-        self._by_pmid = {}
-        self._by_locus = {}
-        self._version = 0
-        for citation in citations:
-            self.add(citation)
-        self._adopt_or_warn(index_state)
-
-    # -- DataSource contract ---------------------------------------------------
-
-    def fields(self):
-        return self._FIELDS
-
-    def capabilities(self):
-        return self._CAPABILITIES
-
-    def records(self):
-        return [citation.as_dict() for _, citation in sorted(self._by_pmid.items())]
-
-    def count(self):
-        return len(self._by_pmid)
-
-    @property
-    def version(self):
-        return self._version
-
-    # -- store operations -----------------------------------------------------
-
-    def add(self, citation):
-        if citation.pmid in self._by_pmid:
-            raise DataFormatError(
-                f"duplicate PMID {citation.pmid}", source_name=self.name
-            )
-        self._by_pmid[citation.pmid] = citation
-        for locus_id in citation.locus_ids:
-            self._by_locus.setdefault(locus_id, []).append(citation)
-        self._version += 1
-
-    def get(self, pmid):
-        return self._by_pmid.get(pmid)
-
-    def by_locus(self, locus_id):
-        """Citations annotating a locus."""
-        return list(self._by_locus.get(locus_id, ()))
-
-    def all_citations(self):
-        return [self._by_pmid[key] for key in sorted(self._by_pmid)]
-
-    def dump(self):
-        return write_medline(self.all_citations())
-
-    @classmethod
-    def from_text(cls, text, index_state=None):
-        return cls(parse_medline(text), index_state=index_state)
+    parse = staticmethod(parse_medline)
+    write = staticmethod(write_medline)

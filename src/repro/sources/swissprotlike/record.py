@@ -53,9 +53,6 @@ class ProteinRecord:
                 f"protein {self.accession} has negative length"
             )
 
-    def web_link(self):
-        return f"http://www.expasy.org/cgi-bin/niceprot.pl?{self.accession}"
-
     def as_dict(self):
         return {
             "Accession": self.accession,

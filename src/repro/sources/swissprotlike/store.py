@@ -159,7 +159,9 @@ class ProteinStore(DataSource):
 
     name = "SwissProt"
 
-    _FIELDS = (
+    KEY = "accession"
+
+    FIELDS = (
         "Accession",
         "ProteinName",
         "Organism",
@@ -169,7 +171,7 @@ class ProteinStore(DataSource):
         "Keywords",
     )
 
-    _CAPABILITIES = frozenset(
+    CAPABILITIES = frozenset(
         {
             ("Accession", "="),
             ("ProteinName", "contains"),
@@ -190,7 +192,7 @@ class ProteinStore(DataSource):
     #: the reverse join probes, symbols, organisms, and keywords.
     #: ``SequenceLength`` stays scan-only: it is queried by range, and
     #: an equality index cannot serve range predicates.
-    _INDEXED_FIELDS = (
+    INDEXED_FIELDS = (
         "Accession",
         "Organism",
         "GeneSymbol",
@@ -198,66 +200,5 @@ class ProteinStore(DataSource):
         "Keywords",
     )
 
-    def indexed_fields(self):
-        return self._INDEXED_FIELDS
-
-    def __init__(self, records=(), index_state=None):
-        self._by_accession = {}
-        self._by_locus = {}
-        self._version = 0
-        for record in records:
-            self.add(record)
-        self._adopt_or_warn(index_state)
-
-    # -- DataSource contract --------------------------------------------------
-
-    def fields(self):
-        return self._FIELDS
-
-    def capabilities(self):
-        return self._CAPABILITIES
-
-    def records(self):
-        return [
-            record.as_dict()
-            for _, record in sorted(self._by_accession.items())
-        ]
-
-    def count(self):
-        return len(self._by_accession)
-
-    @property
-    def version(self):
-        return self._version
-
-    # -- store operations -------------------------------------------------------
-
-    def add(self, record):
-        if record.accession in self._by_accession:
-            raise DataFormatError(
-                f"duplicate accession {record.accession}",
-                source_name=self.name,
-            )
-        self._by_accession[record.accession] = record
-        if record.locus_id:
-            self._by_locus.setdefault(record.locus_id, []).append(record)
-        self._version += 1
-
-    def get(self, accession):
-        return self._by_accession.get(accession)
-
-    def by_locus(self, locus_id):
-        """Proteins whose DR line references ``locus_id``."""
-        return list(self._by_locus.get(locus_id, ()))
-
-    def all_records(self):
-        return [
-            self._by_accession[key] for key in sorted(self._by_accession)
-        ]
-
-    def dump(self):
-        return write_dat(self.all_records())
-
-    @classmethod
-    def from_text(cls, text, index_state=None):
-        return cls(parse_dat(text), index_state=index_state)
+    parse = staticmethod(parse_dat)
+    write = staticmethod(write_dat)

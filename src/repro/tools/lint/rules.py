@@ -170,12 +170,13 @@ def _expressions_under(statement: ast.AST) -> Iterable[ast.AST]:
 @register
 class RawConditionFetchRule(Rule):
     code = "ANN001"
-    title = "no in-repo use of the deprecated raw-conditions fetch shim"
+    title = "fetch() called without a FetchRequest"
     rationale = (
-        "Every in-repo fetch must pass a FetchRequest: the raw "
-        "condition-sequence shim exists only for external "
-        "pre-FetchRequest callers, bypasses the purpose/timeout/retry "
-        "accounting, and is slated for removal."
+        "Wrapper.fetch accepts only a FetchRequest and raises TypeError "
+        "on a raw condition sequence or a missing argument; this rule "
+        "finds such calls before they run, so every fetch carries the "
+        "purpose tag and request budget its reply and accounting rely "
+        "on."
     )
 
     _LITERALS = (

@@ -1,9 +1,8 @@
 """The Gene Ontology wrapper."""
 
 from repro.oem.types import OEMType
+from repro.sources.urls import url_for
 from repro.wrappers.base import Wrapper
-
-_SELF_URL = "http://godatabase.org/cgi-bin/go.cgi?query={go_id}"
 
 
 class GoWrapper(Wrapper):
@@ -38,9 +37,9 @@ class GoWrapper(Wrapper):
         return self._SPECS
 
     def web_links(self, record):
-        links = [("Self", _SELF_URL.format(go_id=record["GoID"]))]
+        links = [("Self", url_for("GO", record["GoID"]))]
         for parent in record.get("IsA", ()):
-            links.append(("Parent", _SELF_URL.format(go_id=parent)))
+            links.append(("Parent", url_for("GO", parent)))
         return links
 
     # -- graph-aware helpers (mediator-side evaluation) ------------------------

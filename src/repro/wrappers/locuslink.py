@@ -1,15 +1,8 @@
 """The LocusLink wrapper (Figures 2 and 3 of the paper)."""
 
 from repro.oem.types import OEMType
+from repro.sources.urls import url_for
 from repro.wrappers.base import Wrapper
-
-_GO_URL = "http://godatabase.org/cgi-bin/go.cgi?query={go_id}"
-_OMIM_URL = "http://www.ncbi.nlm.nih.gov/entrez/dispomim.cgi?id={mim}"
-_PUBMED_URL = (
-    "http://www.ncbi.nlm.nih.gov/entrez/query.fcgi"
-    "?cmd=Retrieve&db=PubMed&list_uids={pmid}"
-)
-_SELF_URL = "http://www.ncbi.nlm.nih.gov/LocusLink/LocRpt.cgi?l={locus_id}"
 
 
 class LocusLinkWrapper(Wrapper):
@@ -48,11 +41,10 @@ class LocusLinkWrapper(Wrapper):
         return self._SPECS
 
     def web_links(self, record):
-        links = [("Self", _SELF_URL.format(locus_id=record["LocusID"]))]
-        for go_id in record.get("GoIDs", ()):
-            links.append(("GO", _GO_URL.format(go_id=go_id)))
-        for mim in record.get("OmimIDs", ()):
-            links.append(("OMIM", _OMIM_URL.format(mim=mim)))
-        for pmid in record.get("PubmedIDs", ()):
-            links.append(("PubMed", _PUBMED_URL.format(pmid=pmid)))
+        links = [("Self", url_for("LocusLink", record["LocusID"]))]
+        for source, field in (
+            ("GO", "GoIDs"), ("OMIM", "OmimIDs"), ("PubMed", "PubmedIDs")
+        ):
+            for target_id in record.get(field, ()):
+                links.append((source, url_for(source, target_id)))
         return links

@@ -1,19 +1,18 @@
 """The OMIM wrapper."""
 
 from repro.oem.types import OEMType
+from repro.sources.urls import url_for
 from repro.wrappers.base import Wrapper
-
-_SELF_URL = "http://www.ncbi.nlm.nih.gov/entrez/dispomim.cgi?id={mim}"
 
 
 class OmimWrapper(Wrapper):
     """ANNODA-OML view of an :class:`~repro.sources.omim.OmimStore`.
 
-    OMIM links to genes by symbol; :meth:`symbols_with_entries` gives
-    the mediator the symbol join key set, and
-    :meth:`entries_for_symbol` performs the (exact, source-level)
-    symbol lookup — reconciliation of case/alias variants is mediator
-    work.
+    OMIM links to genes by symbol: the source's ``GeneSymbols``
+    equality index answers the exact, source-level lookup, while
+    reconciling case and alias variants is mediator work.
+    :meth:`exists` is what the reconciler's MIM-number validation
+    asks.
     """
 
     entry_label = "Disease"
@@ -36,22 +35,7 @@ class OmimWrapper(Wrapper):
         return self._SPECS
 
     def web_links(self, record):
-        return [("Self", _SELF_URL.format(mim=record["MimNumber"]))]
-
-    # -- symbol join helpers ------------------------------------------------------
-
-    def entries_for_symbol(self, symbol):
-        """Entry dicts listing exactly ``symbol`` (source semantics)."""
-        return [
-            record.as_dict() for record in self.source.by_gene_symbol(symbol)
-        ]
-
-    def symbols_with_entries(self):
-        """Every symbol string that appears in some entry's GS field."""
-        symbols = set()
-        for record in self.source.all_records():
-            symbols.update(record.gene_symbols)
-        return symbols
+        return [("Self", url_for("OMIM", record["MimNumber"]))]
 
     def exists(self, mim_number):
         return self.source.get(mim_number) is not None

@@ -8,13 +8,8 @@ demonstrates end to end.
 """
 
 from repro.oem.types import OEMType
+from repro.sources.urls import url_for
 from repro.wrappers.base import Wrapper
-
-_SELF_URL = (
-    "http://www.ncbi.nlm.nih.gov/entrez/query.fcgi"
-    "?cmd=Retrieve&db=PubMed&list_uids={pmid}"
-)
-_LOCUS_URL = "http://www.ncbi.nlm.nih.gov/LocusLink/LocRpt.cgi?l={locus_id}"
 
 
 class PubmedLikeWrapper(Wrapper):
@@ -41,13 +36,7 @@ class PubmedLikeWrapper(Wrapper):
         return self._SPECS
 
     def web_links(self, record):
-        links = [("Self", _SELF_URL.format(pmid=record["Pmid"]))]
+        links = [("Self", url_for("PubMed", record["Pmid"]))]
         for locus_id in record.get("LocusIDs", ()):
-            links.append(("LocusLink", _LOCUS_URL.format(locus_id=locus_id)))
+            links.append(("LocusLink", url_for("LocusLink", locus_id)))
         return links
-
-    def citations_for_locus(self, locus_id):
-        """Citation dicts annotating ``locus_id``."""
-        return [
-            citation.as_dict() for citation in self.source.by_locus(locus_id)
-        ]

@@ -8,10 +8,8 @@ joins.
 """
 
 from repro.oem.types import OEMType
+from repro.sources.urls import url_for
 from repro.wrappers.base import Wrapper
-
-_SELF_URL = "http://www.expasy.org/cgi-bin/niceprot.pl?{accession}"
-_LOCUS_URL = "http://www.ncbi.nlm.nih.gov/LocusLink/LocRpt.cgi?l={locus_id}"
 
 
 class SwissProtLikeWrapper(Wrapper):
@@ -42,18 +40,9 @@ class SwissProtLikeWrapper(Wrapper):
         return self._SPECS
 
     def web_links(self, record):
-        links = [
-            ("Self", _SELF_URL.format(accession=record["Accession"]))
-        ]
+        links = [("Self", url_for("SwissProt", record["Accession"]))]
         if record.get("LocusID"):
             links.append(
-                ("LocusLink",
-                 _LOCUS_URL.format(locus_id=record["LocusID"]))
+                ("LocusLink", url_for("LocusLink", record["LocusID"]))
             )
         return links
-
-    def proteins_for_locus(self, locus_id):
-        """Protein dicts with a curated cross-reference to a locus."""
-        return [
-            record.as_dict() for record in self.source.by_locus(locus_id)
-        ]

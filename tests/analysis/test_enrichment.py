@@ -43,7 +43,7 @@ class TestAnnotations:
     def test_obsolete_terms_dropped(self, analyzer, annoda):
         obsolete = {
             term.go_id
-            for term in annoda.corpus.go.all_terms()
+            for term in annoda.corpus.go.all_records()
             if term.obsolete
         }
         for terms in analyzer.annotations(propagate=False).values():

@@ -108,7 +108,7 @@ class TestWarehouse:
             locus_id=777778,
             organism="Homo sapiens",
             symbol="FRESH1",
-            go_ids=[corpus.go.term_ids()[5]],
+            go_ids=[corpus.go.keys()[5]],
         )
         corpus.locuslink.add(new_locus)
         try:

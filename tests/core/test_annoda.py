@@ -127,7 +127,7 @@ class TestSourceLifecycle:
             result = annoda.ask("genes cited in some PubMed article")
             expected = {
                 locus_id
-                for citation in citations.all_citations()
+                for citation in citations.all_records()
                 for locus_id in citation.locus_ids
             }
             assert set(result.gene_ids()) == expected

@@ -103,7 +103,7 @@ class TestCompoundQueries:
         result = annoda.ask(question, enrich_links=False)
         kinase_terms = {
             term.go_id
-            for term in corpus.go.all_terms()
+            for term in corpus.go.all_records()
             if "kinase" in term.name.lower() and not term.obsolete
         }
         expected = {

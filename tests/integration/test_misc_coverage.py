@@ -3,6 +3,7 @@
 import pytest
 
 from repro.matching import Correspondence, CorrespondenceSet
+from repro.mediator.fetch import FetchRequest
 from repro.navigation.links import make_web_link
 from repro.sources import AnnotationCorpus, CorpusParameters
 from repro.util.errors import QueryError
@@ -53,11 +54,15 @@ class TestSwissProtWrapperExtras:
             for record in store.all_records()
             if record.locus_id
         )
-        hits = wrapper.proteins_for_locus(curated.locus_id)
+        hits = wrapper.fetch(
+            FetchRequest.where(("LocusID", "=", curated.locus_id))
+        )
         assert any(
             hit["Accession"] == curated.accession for hit in hits
         )
-        assert wrapper.proteins_for_locus(999999999) == []
+        assert wrapper.fetch(
+            FetchRequest.where(("LocusID", "=", 999999999))
+        ) == []
 
 
 class TestEngineWorkspaceGrowth:

@@ -70,12 +70,12 @@ PINNED_KEY_ARGS = dict(
     versions=(("LocusLink", 3), ("GO", 2)),
 )
 
-#: The digest the recipe produces at ``ARTIFACT_SCHEMA = 5``.  If this
+#: The digest the recipe produces at ``ARTIFACT_SCHEMA = 6``.  If this
 #: assertion ever fails, the key recipe changed shape — bump
 #: ARTIFACT_SCHEMA so old artifacts can never be misread (and re-pin
-#: this digest with the bump, as schemas 3, 4 and 5 did).
+#: this digest with the bump, as schemas 3, 4, 5 and 6 did).
 PINNED_DIGEST = (
-    "ea645f40fc682da2f5208bc68ebcaeee16da4dbe9cf28f2caa97ca3c5ea06e79"
+    "3c973b6919a1e4e7e2884237b73b7ba753e6835279080f2d2261588fa25ec82e"
 )
 
 

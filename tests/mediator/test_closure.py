@@ -9,7 +9,7 @@ from repro.util.errors import ConfigurationError
 
 
 def term_with_descendants(corpus, minimum=2):
-    for term in corpus.go.all_terms():
+    for term in corpus.go.all_records():
         if term.is_root:
             continue
         if len(corpus.go.descendants(term.go_id)) >= minimum:

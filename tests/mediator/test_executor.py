@@ -235,7 +235,7 @@ class TestReconciliationInExecution:
         result = conflicted_mediator.query(query, enrich_links=False)
         obsolete = {
             term.go_id
-            for term in conflicted_corpus.go.all_terms()
+            for term in conflicted_corpus.go.all_records()
             if term.obsolete
         }
         for gene in result.genes:

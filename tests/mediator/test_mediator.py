@@ -69,7 +69,7 @@ class TestPlugInNewSource:
         result = mediator.query(query)
         expected = {
             locus_id
-            for citation in citations.all_citations()
+            for citation in citations.all_records()
             for locus_id in citation.locus_ids
         }
         assert expected  # the corpus wires citations bidirectionally
@@ -146,3 +146,23 @@ class TestLinksIntoOneSource:
             ) == sorted(ids)
             [links] = graph.children(gene, "Links")
             assert len(graph.children(links, "GO")) == len(ids)
+
+    def test_conflicts_counted_once_per_source(self, conflicted_corpus):
+        """The same link given twice raises each conflict once: the
+        report and the ``conflicts`` counter match the single link's."""
+        link = LinkConstraint("GO", "include", via="AnnotationID")
+        once, twice = Mediator(), Mediator()
+        for mediator in (once, twice):
+            for wrapper in default_wrappers(conflicted_corpus):
+                mediator.register_wrapper(wrapper)
+        single = once.query(
+            GlobalQuery(anchor_source="LocusLink", links=(link,))
+        )
+        double = twice.query(
+            GlobalQuery(anchor_source="LocusLink", links=(link, link))
+        )
+        assert double.gene_ids() == single.gene_ids()
+        assert len(single.genes) == 166
+        assert single.reconciliation.count() == 9
+        assert double.reconciliation.issues == single.reconciliation.issues
+        assert double.report.counters["conflicts"] == 9

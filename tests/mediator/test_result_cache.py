@@ -66,7 +66,7 @@ class TestCacheHits:
 class TestFreshness:
     def test_source_update_invalidates(self, cached_mediator, corpus):
         first = cached_mediator.query(disease_query(), enrich_links=False)
-        mim = corpus.omim.mim_numbers()[0]
+        mim = corpus.omim.keys()[0]
         new_locus = LocusRecord(
             locus_id=955555,
             organism="Homo sapiens",
@@ -160,7 +160,7 @@ class TestFetchPathFreshness:
         self, private_federation
     ):
         corpus, mediator = private_federation
-        mim = corpus.omim.mim_numbers()[0]
+        mim = corpus.omim.keys()[0]
         first = mediator.query(disease_query(), enrich_links=True)
         assert 91111 not in first.gene_ids()
         corpus.locuslink.add(

@@ -13,7 +13,8 @@ forward, reverse and symbol joins) directly.
 
 Compared per answer: the gene-id set, each gene's per-source link-id
 sets, and the multiset of reconciliation conflicts raised for the
-surviving genes.  (Which conflicts a dropped anchor raises depends on
+surviving genes, each source's counted once per gene however many
+links name it.  (Which conflicts a dropped anchor raises depends on
 the plan's step order and the include/exclude early break, so those
 are pinned by ``tests/mediator/test_link_table.py`` instead.)
 """
@@ -110,9 +111,12 @@ class Oracle:
             if not all(holds(record, anchor, c) for c in query.conditions):
                 continue
             gene_id = record[FIELDS[anchor]["GeneID"]]
-            raised = []
+            raised = {}
             per_link = [
-                self.linked(record, gene_id, link, raised)
+                self.linked(
+                    record, gene_id, link,
+                    raised.setdefault(link.source_name, []),
+                )
                 for link in query.links
             ]
             if all(
@@ -128,7 +132,9 @@ class Oracle:
                     )
                 genes.add(gene_id)
                 links[gene_id] = found
-                conflicts.update(raised)
+                # ... and each conflict its links raise once.
+                for issues in raised.values():
+                    conflicts.update(set(issues))
         return genes, links, conflicts
 
     def linked(self, record, gene_id, link, raised):
@@ -471,7 +477,7 @@ def mutate(corpus, source, pick):
     locus_id = loci.locus_ids()[pick % len(loci.locus_ids())]
     record = loci.get(locus_id)
     if source == "LocusLink":
-        go_ids = corpus.go.term_ids()
+        go_ids = corpus.go.keys()
         loci.remove(locus_id)
         loci.add(
             dataclasses.replace(

@@ -174,7 +174,7 @@ class TestExtras:
         citations = corpus.make_citation_store(count=50)
         assert citations.count() == 50
         pool = set(corpus.locuslink.locus_ids())
-        for record in citations.all_citations():
+        for record in citations.all_records():
             assert set(record.locus_ids) <= pool
 
     def test_citation_pmids_bump_the_locuslink_version(self):
@@ -192,7 +192,7 @@ class TestExtras:
         citations = corpus.make_citation_store(40)
         assert store.version > before
         cited = 0
-        for citation in citations.all_citations():
+        for citation in citations.all_records():
             condition = [NativeCondition("PubmedIDs", "=", citation.pmid)]
             indexed = store.native_query(condition, use_index=True)
             scanned = store.native_query(condition, use_index=False)

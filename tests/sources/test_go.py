@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.navigation.links import resolve_url
 from repro.sources.base import NativeCondition
 from repro.sources.go import (
     GoGenerator,
@@ -12,6 +13,7 @@ from repro.sources.go import (
     write_obo,
 )
 from repro.sources.go.term import make_go_id
+from repro.sources.urls import url_for
 from repro.util.errors import DataFormatError
 from repro.util.rng import DeterministicRng
 
@@ -63,7 +65,9 @@ class TestTerm:
 
     def test_web_link(self):
         term = GoTerm("GO:0003700", "tf activity", "molecular_function")
-        assert "GO:0003700" in term.web_link()
+        url = url_for("GO", term.go_id)
+        assert url.endswith("go.cgi?query=GO:0003700")
+        assert resolve_url(url) == ("GO", "GO:0003700")
 
 
 class TestObo:

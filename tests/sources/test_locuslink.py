@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.navigation.links import resolve_url
 from repro.sources.base import NativeCondition
 from repro.sources.locuslink import (
     LocusLinkGenerator,
@@ -10,6 +11,7 @@ from repro.sources.locuslink import (
     parse_ll_tmpl,
     write_ll_tmpl,
 )
+from repro.sources.urls import url_for
 from repro.util.errors import DataFormatError, QueryError
 from repro.util.rng import DeterministicRng
 
@@ -39,7 +41,9 @@ class TestRecord:
             LocusRecord(locus_id=1, organism="Homo sapiens", symbol="")
 
     def test_web_link_carries_locus_id(self, fosb):
-        assert "l=2354" in fosb.web_link()
+        url = url_for("LocusLink", fosb.locus_id)
+        assert url.endswith("LocRpt.cgi?l=2354")
+        assert resolve_url(url) == ("LocusLink", 2354)
 
     def test_as_dict_copies_lists(self, fosb):
         view = fosb.as_dict()
@@ -100,7 +104,9 @@ class TestStore:
     def test_indexes(self, fosb):
         store = LocusLinkStore([fosb])
         assert store.get(2354) is fosb
-        assert store.by_symbol("FOSB") == [fosb]
+        assert store.native_query(
+            [NativeCondition("Symbol", "=", "FOSB")]
+        ) == [fosb.as_dict()]
         assert store.get(1) is None
 
     def test_duplicate_rejected(self, fosb):
@@ -112,7 +118,9 @@ class TestStore:
         store = LocusLinkStore([fosb])
         store.remove(2354)
         assert store.count() == 0
-        assert store.by_symbol("FOSB") == []
+        assert store.native_query(
+            [NativeCondition("Symbol", "=", "FOSB")]
+        ) == []
         with pytest.raises(DataFormatError):
             store.remove(2354)
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.navigation.links import resolve_url
 from repro.sources.base import NativeCondition
 from repro.sources.omim import (
     OmimGenerator,
@@ -10,6 +11,7 @@ from repro.sources.omim import (
     parse_omim_txt,
     write_omim_txt,
 )
+from repro.sources.urls import url_for
 from repro.util.errors import DataFormatError
 from repro.util.rng import DeterministicRng
 
@@ -37,7 +39,9 @@ class TestRecord:
             OmimRecord(mim_number=100050, title="")
 
     def test_web_link(self, fosb_entry):
-        assert "164772" in fosb_entry.web_link()
+        url = url_for("OMIM", fosb_entry.mim_number)
+        assert url.endswith("dispomim.cgi?id=164772")
+        assert resolve_url(url) == ("OMIM", 164772)
 
 
 class TestFormat:
@@ -89,8 +93,12 @@ class TestStore:
     def test_indexes(self, fosb_entry):
         store = OmimStore([fosb_entry])
         assert store.get(164772) is fosb_entry
-        assert store.by_gene_symbol("FOSB") == [fosb_entry]
-        assert store.by_gene_symbol("NOPE") == []
+        assert store.native_query(
+            [NativeCondition("GeneSymbols", "=", "FOSB")]
+        ) == [fosb_entry.as_dict()]
+        assert store.native_query(
+            [NativeCondition("GeneSymbols", "=", "NOPE")]
+        ) == []
 
     def test_duplicate_rejected(self, fosb_entry):
         store = OmimStore([fosb_entry])

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.navigation.links import resolve_url
 from repro.sources.base import NativeCondition
 from repro.sources.pubmedlike import (
     Citation,
@@ -10,6 +11,7 @@ from repro.sources.pubmedlike import (
     parse_medline,
     write_medline,
 )
+from repro.sources.urls import url_for
 from repro.util.errors import DataFormatError
 from repro.util.rng import DeterministicRng
 
@@ -31,7 +33,9 @@ class TestCitation:
             Citation(pmid=1, title="T", journal="J", year=2049)
 
     def test_web_link(self, citation):
-        assert "8889548" in citation.web_link()
+        url = url_for("PubMed", citation.pmid)
+        assert url.endswith("db=PubMed&list_uids=8889548")
+        assert resolve_url(url) == ("PubMed", 8889548)
 
 
 class TestFormat:
@@ -66,8 +70,12 @@ class TestFormat:
 class TestStore:
     def test_by_locus_index(self, citation):
         store = CitationStore([citation])
-        assert store.by_locus(2354) == [citation]
-        assert store.by_locus(999) == []
+        assert store.native_query(
+            [NativeCondition("LocusIDs", "=", 2354)]
+        ) == [citation.as_dict()]
+        assert store.native_query(
+            [NativeCondition("LocusIDs", "=", 999)]
+        ) == []
 
     def test_native_year_range(self, citation):
         store = CitationStore([citation])

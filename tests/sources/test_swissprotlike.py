@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.navigation.links import resolve_url
 from repro.sources import AnnotationCorpus, CorpusParameters
 from repro.sources.base import NativeCondition
 from repro.sources.swissprotlike import (
@@ -11,6 +12,7 @@ from repro.sources.swissprotlike import (
     parse_dat,
     write_dat,
 )
+from repro.sources.urls import url_for
 from repro.util.errors import DataFormatError
 from repro.util.rng import DeterministicRng
 
@@ -42,7 +44,9 @@ class TestRecord:
             ProteinRecord(accession="P53539", protein_name="", organism="o")
 
     def test_web_link(self, fosb_protein):
-        assert "P53539" in fosb_protein.web_link()
+        url = url_for("SwissProt", fosb_protein.accession)
+        assert url.endswith("niceprot.pl?P53539")
+        assert resolve_url(url) == ("SwissProt", "P53539")
 
 
 class TestDatFormat:
@@ -110,8 +114,10 @@ class TestStore:
     def test_indexes(self, fosb_protein):
         store = ProteinStore([fosb_protein])
         assert store.get("P53539") is fosb_protein
-        assert store.by_locus(2354) == [fosb_protein]
-        assert store.by_locus(1) == []
+        assert store.native_query(
+            [NativeCondition("LocusID", "=", 2354)]
+        ) == [fosb_protein.as_dict()]
+        assert store.native_query([NativeCondition("LocusID", "=", 1)]) == []
 
     def test_duplicate_rejected(self, fosb_protein):
         store = ProteinStore([fosb_protein])

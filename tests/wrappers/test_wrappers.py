@@ -3,6 +3,7 @@
 import pytest
 
 from repro.mediator.fetch import FetchRequest
+from repro.mediator.reconcile import SymbolIndex
 from repro.oem import OEMGraph, OEMType, write_figure3
 from repro.sources import AnnotationCorpus, CorpusParameters
 from repro.util.errors import QueryError
@@ -184,7 +185,7 @@ class TestGoWrapperGraphHelpers:
     def test_ancestors_passthrough(self, corpus):
         wrapper = GoWrapper(corpus.go)
         term = next(
-            term for term in corpus.go.all_terms() if term.is_a
+            term for term in corpus.go.all_records() if term.is_a
         )
         assert wrapper.ancestors(term.go_id) == corpus.go.ancestors(
             term.go_id
@@ -198,6 +199,10 @@ class TestGoWrapperGraphHelpers:
 
 
 class TestOmimWrapperSymbolHelpers:
+    """OMIM's symbol lookups go through the ordinary fetch path: the
+    source's exact ``GeneSymbols`` index, and the mediator's
+    :class:`~repro.mediator.reconcile.SymbolIndex` over one fetch."""
+
     def test_entries_for_symbol_exact(self, corpus):
         wrapper = OmimWrapper(corpus.omim)
         linked = next(
@@ -206,15 +211,17 @@ class TestOmimWrapperSymbolHelpers:
             if entry.gene_symbols
         )
         symbol = linked.gene_symbols[0]
-        hits = wrapper.entries_for_symbol(symbol)
+        hits = wrapper.fetch(FetchRequest.where(("GeneSymbol", "=", symbol)))
         assert any(hit["MimNumber"] == linked.mim_number for hit in hits)
-        assert wrapper.entries_for_symbol(symbol.lower()) == []
+        assert wrapper.fetch(
+            FetchRequest.where(("GeneSymbol", "=", symbol.lower()))
+        ) == []
 
     def test_symbols_with_entries(self, corpus):
-        wrapper = OmimWrapper(corpus.omim)
-        symbols = wrapper.symbols_with_entries()
+        index = SymbolIndex.from_wrapper(OmimWrapper(corpus.omim))
         for entry in corpus.omim.all_records():
-            assert set(entry.gene_symbols) <= symbols
+            for symbol in entry.gene_symbols:
+                assert entry.mim_number in index.exact(symbol)
 
 
 class TestPubmedLikeWrapper:
@@ -229,10 +236,12 @@ class TestPubmedLikeWrapper:
         wrapper = PubmedLikeWrapper(store)
         cited = next(
             citation
-            for citation in store.all_citations()
+            for citation in store.all_records()
             if citation.locus_ids
         )
-        hits = wrapper.citations_for_locus(cited.locus_ids[0])
+        hits = wrapper.fetch(
+            FetchRequest.where(("LocusID", "=", cited.locus_ids[0]))
+        )
         assert any(hit["Pmid"] == cited.pmid for hit in hits)
 
 
