@@ -27,7 +27,12 @@ from repro.mediator.fetch import (
     FetchRequest,
 )
 from repro.mediator.reconcile import ReconciliationReport, SymbolIndex
-from repro.mediator.view import LINK_CHILD_LABELS, AnswerView, link_detail
+from repro.mediator.view import (
+    LINK_CHILD_LABELS,
+    AnswerRows,
+    AnswerView,
+    link_detail,
+)
 from repro.sources.base import NativeCondition, _evaluate, new_tally, tallying
 from repro.trace.metrics import METRICS
 from repro.trace.recorder import NULL_RECORDER
@@ -204,21 +209,36 @@ class ExecutionReport:
 
 
 class IntegratedResult:
-    """One integrated answer: plain records + OEM view + diagnostics.
+    """One integrated answer: gene rows + OEM view + diagnostics.
 
-    ``result.genes`` are the translated gene rows.  ``result.graph``
-    and ``result.root`` are the integrated OEM view, built from
+    ``result.genes`` are the answer's gene rows in the global
+    vocabulary, built from ``rows`` (an
+    :class:`~repro.mediator.view.AnswerRows`) on the first read that
+    needs them: ``genes``, :meth:`gene`, the OEM view, the renderers,
+    pivot and export, or a pickle.  ``result.graph`` and
+    ``result.root`` are the integrated OEM view, built from
     ``result.view`` (an :class:`~repro.mediator.view.AnswerView`) on
-    the first read of either — once per result, even when the answer
-    cache hands the same result to many threads.
+    the first read of either.  Each is built once per result, even
+    when the answer cache hands the same result to many threads.
+    :meth:`gene_ids`, ``len(result)`` and ``repr(result)`` read no row.
 
     ``result.report`` is the :class:`ExecutionReport`;
     ``result.reconciliation`` its
     :class:`~repro.mediator.reconcile.ReconciliationReport`.
     """
 
-    def __init__(self, genes, view, report, plan):
-        self.genes = genes
+    def __init__(self, rows, view, report, plan):
+        # ``rows`` is an AnswerRows, or — for an answer unpickled from
+        # the cache's disk tier — the built gene rows.
+        if isinstance(rows, AnswerRows):
+            self._rows = rows
+            self._genes = None
+            self._gene_ids = rows.gene_ids()
+        else:
+            self._rows = None
+            self._genes = rows
+            self._gene_ids = [gene["GeneID"] for gene in rows]
+        self._genes_by_id = None
         self.view = view
         self._built = None
         self._build_lock = new_lock("IntegratedResult._build_lock")
@@ -235,20 +255,16 @@ class IntegratedResult:
         #: miss: accounting that must count each execution once (the
         #: service's ``/metrics``) tracks result objects instead.
         self.from_result_cache = False
-        # GeneID -> gene dict, first occurrence winning, so lookups are
-        # O(1) instead of a scan per call.
-        self._genes_by_id = {}
-        for gene in genes:
-            self._genes_by_id.setdefault(gene["GeneID"], gene)
 
     def __len__(self):
-        return len(self.genes)
+        return len(self._gene_ids)
 
     def __reduce__(self):
         # A pickled answer (the cache's disk tier) keeps what it
-        # answered — the sources it is partial with respect to and the
-        # conflicts it reconciled — not what it cost: it loads with
-        # its other counters at 0, no trace and no built graph.
+        # answered — its built rows, the sources it is partial with
+        # respect to and the conflicts it reconciled — not what it
+        # cost: it loads with its other counters at 0, no trace and no
+        # built graph.
         report = ExecutionReport(self.reconciliation, self.report.degraded)
         report.record_reconciliation()
         return (
@@ -256,10 +272,25 @@ class IntegratedResult:
             (self.genes, self.view, report, self.plan),
         )
 
+    def _genes_locked(self):
+        """The gene rows, built on the first call; the caller holds
+        ``_build_lock``."""
+        if self._genes is None:
+            self._genes = self._rows.build()
+            self._rows = None
+        return self._genes
+
+    @property
+    def genes(self):
+        """The answer's gene rows, each carrying its matched link ids
+        under ``_links``."""
+        with self._build_lock:
+            return self._genes_locked()
+
     def _graph_and_root(self):
         with self._build_lock:
             if self._built is None:
-                self._built = self.view.build(self.genes)
+                self._built = self.view.build(self._genes_locked())
             return self._built
 
     @property
@@ -273,11 +304,20 @@ class IntegratedResult:
         return self._graph_and_root()[1]
 
     def gene_ids(self):
-        return [gene["GeneID"] for gene in self.genes]
+        return list(self._gene_ids)
 
     def gene(self, gene_id):
+        with self._build_lock:
+            if self._genes_by_id is None:
+                # GeneID -> gene row, first occurrence winning, so
+                # lookups are O(1) instead of a scan per call.
+                by_id = {}
+                for gene in self._genes_locked():
+                    by_id.setdefault(gene["GeneID"], gene)
+                self._genes_by_id = by_id
+            genes_by_id = self._genes_by_id
         try:
-            return self._genes_by_id[gene_id]
+            return genes_by_id[gene_id]
         except KeyError:
             raise IntegrationError(
                 f"no gene {gene_id} in this result"
@@ -290,7 +330,7 @@ class IntegratedResult:
             else ""
         )
         return (
-            f"IntegratedResult({len(self.genes)} genes, "
+            f"IntegratedResult({len(self)} genes, "
             f"{self.reconciliation.count()} conflicts observed{partial})"
         )
 
@@ -475,12 +515,13 @@ class Executor:
         with recorder.span(
             "navigate", attributes={"enrich": bool(enrich_links)}
         ) as navigate_span:
-            genes, view = self._combine(
+            rows, view = self._combine(
                 plan, query, anchor_wrapper, surviving, matched_links,
                 enrich_links, report, recorder,
             )
-            navigate_span.set("genes", len(genes))
-        return IntegratedResult(genes, view, report, plan)
+            result = IntegratedResult(rows, view, report, plan)
+            navigate_span.set("genes", len(result))
+        return result
 
     # -- fetching ---------------------------------------------------------------
 
@@ -974,31 +1015,25 @@ class Executor:
 
     def _combine(self, plan, query, anchor_wrapper, records, matched_links,
                  enrich_links, report, recorder=NULL_RECORDER):
-        """The answer's translated gene rows and its
-        :class:`~repro.mediator.view.AnswerView`; the OEM view itself
-        is built when first read (:attr:`IntegratedResult.graph`)."""
+        """The answer's :class:`~repro.mediator.view.AnswerRows` and
+        :class:`~repro.mediator.view.AnswerView`; the gene rows and the
+        OEM view themselves are built when first read
+        (:class:`IntegratedResult`)."""
         details = {}
         if enrich_links:
             details = self._enrichment_indexes(
                 plan, matched_links, report, recorder
             )
 
+        rows = AnswerRows(
+            anchors=records,
+            links=matched_links,
+            select=query.select,
+            steps=self.mapping_module.translation_steps(
+                anchor_wrapper.name, anchor_wrapper
+            ),
+        )
         anchor_field = self._anchor_field(anchor_wrapper)
-        genes = []
-        anchor_ids = []
-        for record, links_for_record in zip(records, matched_links):
-            gene_dict = self.mapping_module.translate_record(
-                anchor_wrapper.name, record, anchor_wrapper
-            )
-            gene_dict["_links"] = links_for_record
-            if query.select:
-                gene_dict = {
-                    key: value
-                    for key, value in gene_dict.items()
-                    if key in query.select or key in ("GeneID", "_links")
-                }
-            genes.append(gene_dict)
-            anchor_ids.append(record.get(anchor_field))
         # One view entry per link source, however many links name it.
         link_views = {}
         for step in plan.link_steps:
@@ -1014,11 +1049,11 @@ class Executor:
             )
         view = AnswerView(
             anchor_source=anchor_wrapper.name,
-            anchor_ids=tuple(anchor_ids),
+            anchor_ids=tuple(record.get(anchor_field) for record in records),
             link_steps=tuple(link_views.values()),
             details=details,
         )
-        return genes, view
+        return rows, view
 
     def _enrichment_indexes(self, plan, matched_links, report,
                             recorder=NULL_RECORDER):

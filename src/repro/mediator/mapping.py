@@ -12,16 +12,43 @@ Translation follows a *compiled plan* per source: the ordered
 resolved once instead of once per record.  A plan is rebuilt whenever
 a rule change (:meth:`MappingModule.add_transform_rule`) or a
 re-registration could have changed it, and it names its transforms
-instead of holding them, so a function re-registered under a name in
-the :class:`TransformRegistry` takes effect on the next translation.
-Values cached from translated records — whole answers and enrichment
-details — carry :meth:`MappingModule.transform_rules` in their
-identity, so a rule change re-keys them.
+instead of holding them.  :meth:`MappingModule.translation_steps`
+resolves those names to functions when it is called, so a function
+re-registered under a name in the :class:`TransformRegistry` reaches
+the next translation — and steps taken earlier keep the functions of
+their own time.  :func:`translate` is the one per-field loop over
+them.  Values cached from translated records — whole answers and
+enrichment details — carry :meth:`MappingModule.transform_rules` in
+their identity, so a rule change re-keys them.
 """
 
 from repro.matching.mdsm import MdsmMatcher
 from repro.mediator.global_schema import GlobalSchema
 from repro.util.errors import ConfigurationError, IntegrationError
+
+
+def translate(record, steps):
+    """``record`` re-keyed into global vocabulary by translation
+    ``steps`` (:meth:`MappingModule.translation_steps`).
+
+    A step whose source field the record lacks is skipped.  List
+    values are copied, so a translated row never shares a list with
+    the source's extent.
+    """
+    translated = {}
+    for source_field, key, transform in steps:
+        if source_field not in record:
+            continue
+        value = record[source_field]
+        if transform is not None:
+            if isinstance(value, list):
+                value = [transform(item) for item in value]
+            else:
+                value = transform(value)
+        elif isinstance(value, list):
+            value = list(value)
+        translated[key] = value
+    return translated
 
 
 class TransformRegistry:
@@ -79,7 +106,7 @@ class MappingModule:
         # are dropped when their source unregisters.
         self._local_label_memo = {}
         # source -> (wrapper, rules generation, plan): the compiled
-        # translation plan (see translate_record).  A plan is valid for
+        # translation plan (see translation_steps).  A plan is valid for
         # its wrapper while the generation, bumped by every rule change
         # and unregistration, stands.
         self._plans = {}
@@ -194,29 +221,31 @@ class MappingModule:
 
         Unmatched local fields are kept under their local names
         prefixed with the source (provenance-preserving, per OEM's
-        tolerance of irregular structure).  List values are copied, so
-        answer rows never share a list with the source's extent.
+        tolerance of irregular structure); see :func:`translate`.
         """
+        return translate(
+            record, self.translation_steps(source_name, wrapper)
+        )
+
+    def translation_steps(self, source_name, wrapper):
+        """The ``(source field, global key, transform function or
+        None)`` steps translating ``wrapper``'s records: the compiled
+        plan, with each transform resolved to its function now.  A
+        holder of the steps keeps these functions even when a rule is
+        added or a function re-registered later."""
         plan = self._plans.get(source_name)
         if plan is None or plan[0] is not wrapper or (
             plan[1] != self._rules_generation
         ):
             plan = self._compile_plan(source_name, wrapper)
-        translated = {}
-        for source_field, key, transform_name in plan[2]:
-            if source_field not in record:
-                continue
-            value = record[source_field]
-            if transform_name is not None:
-                transform = self.transforms.get(transform_name)
-                if isinstance(value, list):
-                    value = [transform(item) for item in value]
-                else:
-                    value = transform(value)
-            elif isinstance(value, list):
-                value = list(value)
-            translated[key] = value
-        return translated
+        if source_name not in self._transform_rules:
+            # No rule, so every transform name in the plan is None.
+            return plan[2]
+        get = self.transforms.get
+        return tuple(
+            (source_field, key, None if name is None else get(name))
+            for source_field, key, name in plan[2]
+        )
 
     def _compile_plan(self, source_name, wrapper):
         """``(wrapper, generation, steps)``: the ordered ``(source

@@ -212,7 +212,7 @@ class Mediator:
             result = executor.execute(
                 plan, query, enrich_links=enrich_links, recorder=recorder
             )
-            query_span.set("genes", len(result.genes))
+            query_span.set("genes", len(result))
         if recorder.enabled:
             result.trace = recorder.root
         budget_cut = (

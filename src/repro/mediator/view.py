@@ -1,22 +1,27 @@
-"""The integrated answer's OEM view, built when it is first read.
+"""The integrated answer's gene rows and OEM view, built when first read.
 
 Section 4.2's answer is *"one integrated, navigable result with
-web-links"*: an OEM graph of ``Gene`` objects, each carrying its
-attributes, one detail object per matched link (Annotation / Disease /
-Citation / Protein) and a ``Links`` object of ``Url`` children.
+web-links"*: gene rows in the global vocabulary and an OEM graph of
+``Gene`` objects, each carrying its attributes, one detail object per
+matched link (Annotation / Disease / Citation / Protein) and a
+``Links`` object of ``Url`` children.
 
-Most consumers never read that graph — the service answers with gene
-ids, the benchmarks check gene ids — so the executor does not build
-it.  It returns an :class:`AnswerView`: the plain data the graph is a
-pure function of, small enough to share through the mediator's answer
-cache and to persist in its disk tier.  :meth:`AnswerView.build` turns
-it (plus the answer's translated gene rows) into the graph;
-:class:`~repro.mediator.executor.IntegratedResult` calls it once, on
-the first read of ``result.graph`` or ``result.root``.
+Most consumers read neither — the service answers with gene ids and a
+count, the benchmarks check gene ids — so the executor builds neither.
+It keeps the plain data each is a pure function of: an
+:class:`AnswerRows` (the surviving anchor records, their matched
+links, the query's ``select`` and the anchor source's translation
+steps) and an :class:`AnswerView`.  :meth:`AnswerRows.gene_ids` reads
+the gene ids off the anchor records without building a row.
+:class:`~repro.mediator.executor.IntegratedResult` calls
+:meth:`AnswerRows.build` once, on the first read that needs rows, and
+:meth:`AnswerView.build` once, on the first read of ``result.graph``
+or ``result.root``.
 """
 
 from dataclasses import dataclass
 
+from repro.mediator.mapping import translate
 from repro.oem.graph import OEMGraph
 from repro.oem.types import OEMType
 from repro.sources.urls import url_for
@@ -44,6 +49,56 @@ def link_detail(translated):
         for label in DETAIL_LABELS
         if translated.get(label) not in (None, "", [])
     )
+
+
+@dataclass(frozen=True, eq=False)
+class AnswerRows:
+    """Everything the answer's gene rows are a pure function of.
+
+    ``anchors`` are the surviving anchor records in answer order: the
+    source's read-only extent records (the record contract of
+    :mod:`repro.sources.base`), held, not copied.  ``links`` holds each
+    anchor's matched link ids (source -> ids).  ``select`` is the
+    query's projection.  ``steps`` are the anchor source's translation
+    steps (:meth:`~repro.mediator.mapping.MappingModule.translation_steps`),
+    their transform functions resolved when the question ran, so a
+    rule added or a function re-registered later does not reach
+    these rows.
+    """
+
+    anchors: list
+    links: list
+    select: tuple
+    steps: tuple
+
+    def gene_ids(self):
+        """The rows' ``GeneID`` values, in answer order, without
+        building a row: each anchor's GeneID field passed through the
+        GeneID step alone."""
+        [(source_field, _key, transform)] = [
+            step for step in self.steps if step[1] == "GeneID"
+        ]
+        ids = [record[source_field] for record in self.anchors]
+        if transform is None:
+            return ids
+        return [transform(value) for value in ids]
+
+    def build(self):
+        """The gene rows: each anchor record translated, carrying its
+        matched link ids under ``_links``, and cut to ``select`` (plus
+        ``GeneID`` and ``_links``) when the query selects."""
+        genes = []
+        for record, links_for_record in zip(self.anchors, self.links):
+            gene = translate(record, self.steps)
+            gene["_links"] = links_for_record
+            if self.select:
+                gene = {
+                    key: value
+                    for key, value in gene.items()
+                    if key in self.select or key in ("GeneID", "_links")
+                }
+            genes.append(gene)
+        return genes
 
 
 @dataclass(frozen=True, eq=False)

@@ -91,5 +91,6 @@ class QuestionCatalog:
             "disease_genes",
             "unannotated_genes",
             "genes_by_annotation_keyword",
+            "genes_under_term",
             "cited_disease_genes",
         ]

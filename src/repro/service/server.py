@@ -223,7 +223,7 @@ class AnnodaService:
         self.metrics.observe_result(result)
         body = self._envelope(ticket, outcome=outcome)
         body["result"] = {
-            "gene_count": len(result.genes),
+            "gene_count": len(result),
             "gene_ids": sorted(result.gene_ids()),
             "degraded_sources": degraded,
         }
@@ -265,7 +265,7 @@ class AnnodaService:
                 ) from None
         name = request.question
         factory = getattr(QuestionCatalog, name, None)
-        known = QuestionCatalog.all_names() + ["genes_under_term"]
+        known = QuestionCatalog.all_names()
         if factory is None or name not in known:
             raise BadRequest(
                 f"unknown catalog question {name!r}; "
@@ -325,11 +325,10 @@ class AnnodaService:
     # -- introspection -------------------------------------------------------
 
     def questions(self) -> Dict[str, Any]:
-        names = QuestionCatalog.all_names() + ["genes_under_term"]
         return {
             "questions": [
                 {"name": name, "params": list(CATALOG_PARAMS.get(name, ()))}
-                for name in sorted(names)
+                for name in sorted(QuestionCatalog.all_names())
             ]
         }
 

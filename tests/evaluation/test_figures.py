@@ -1,10 +1,25 @@
 """Tests for the figure-regeneration harness."""
 
+import hashlib
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.core import Annoda
 from repro.evaluation import FigureGenerator
 from repro.sources.corpus import CorpusParameters
+
+ROOT = pathlib.Path(__file__).resolve().parents[2]
+
+#: SHA-256 of ``python -m repro --loci 400 figures`` stdout.  Figure
+#: 5(b) renders answer rows, so this pins the rows, the OEM view and
+#: every other figure byte for byte.
+FIGURES_DIGEST = (
+    "663059321c2abe94284f9c1bd99464b0a4203064ca3e52d19106b1fade1b8e3e"
+)
 
 
 @pytest.fixture(scope="module")
@@ -81,3 +96,16 @@ class TestFigure5:
             "figure5c",
         }
         assert all(rendered.values())
+
+
+def test_figures_command_output_is_pinned():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    completed = subprocess.run(
+        [sys.executable, "-m", "repro", "--loci", "400", "figures"],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        timeout=300,
+    )
+    assert completed.returncode == 0, completed.stderr[-4000:]
+    assert hashlib.sha256(completed.stdout).hexdigest() == FIGURES_DIGEST

@@ -14,6 +14,8 @@ Three contracts pinned here:
    source re-registration miss stale entries.
 """
 
+import hashlib
+import json
 import subprocess
 import sys
 from dataclasses import dataclass
@@ -27,6 +29,7 @@ from repro.mediator.artifacts import (
     stage_key,
 )
 from repro.mediator.decompose import Condition
+from repro.oem.serialize import to_json_table
 from repro.wrappers import default_wrappers
 
 #: The (source, version) pairs the store unit tests build entries from.
@@ -60,6 +63,12 @@ def _probe(mediator, query, **kwargs):
         outcome: after[outcome] - before[outcome]
         for outcome in ("hits", "misses")
     }
+
+
+def _graph_digest(result):
+    """SHA-256 of the answer's OEM view, oids included."""
+    text = json.dumps(to_json_table(result.graph), sort_keys=True)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 PINNED_KEY_ARGS = dict(
@@ -360,6 +369,25 @@ class TestExecutorIntegration:
         warm, warm_probe = _probe(second, query)
         assert warm_probe["hits"] > 0
         assert warm.gene_ids() == expected
+
+
+    def test_never_read_answer_round_trips_the_disk_tier(
+        self, corpus, tmp_path
+    ):
+        """An answer nobody read persists its rows: reloaded through a
+        fresh store on the same directory, its rows, gene ids and view
+        equal those of an answer read as soon as it was answered."""
+        query = _flagship_query()
+        eager = _mediator(corpus).query(query, use_cache=False)
+        expected = (eager.genes, eager.gene_ids(), _graph_digest(eager))
+        first = _mediator(corpus, artifacts=ArtifactStore(directory=tmp_path))
+        first.query(query)  # persisted without a read
+        second = _mediator(
+            corpus, artifacts=ArtifactStore(directory=tmp_path)
+        )
+        warm, warm_probe = _probe(second, query)
+        assert warm_probe["hits"] == 1
+        assert (warm.genes, warm.gene_ids(), _graph_digest(warm)) == expected
 
 
 class TestAnswerStage:

@@ -1,14 +1,18 @@
-"""The integrated OEM view is built on first read, not inside ``ask``.
+"""The integrated answer's gene rows and OEM view are built on first
+read, not inside ``ask``.
 
-Three contracts pinned here:
+Three contracts pinned here, for the rows and for the view:
 
-1. **Same view** — for every catalog question the lazily built graph
+1. **Same rows, same view** — for every catalog question (and, for the
+   rows, one question with ``select``) the lazily built rows and graph
    (its full object table, oids included) and the rendered views equal
-   digests taken from the eager builder this replaced.
+   digests taken from the eager executor this replaced.
 2. **Built once** — many threads making the first read of one cached
-   result all get the same graph, built exactly once.
+   result all get the same rows, from one translation pass, and the
+   same graph, built exactly once.
 3. **Not built at all** — answering a question and reading its gene
-   ids, in process or through ``POST /query``, constructs no
+   ids, its length or its repr, in process or through ``POST /query``,
+   translates no anchor record into a row and constructs no
    :class:`~repro.oem.graph.OEMGraph`.
 """
 
@@ -23,6 +27,7 @@ import pytest
 
 from repro import Annoda
 from repro.core.annoda import AnnodaConfig
+from repro.mediator import mapping, view
 from repro.mediator.view import AnswerView
 from repro.navigation.render import (
     render_integrated_view,
@@ -30,6 +35,7 @@ from repro.navigation.render import (
 )
 from repro.oem.graph import OEMGraph
 from repro.oem.serialize import to_json_table
+from repro.questions import QuestionBuilder
 from repro.service import ServiceConfig, serve
 from repro.sources.corpus import CorpusParameters
 from repro.wrappers import PubmedLikeWrapper, SwissProtLikeWrapper
@@ -51,6 +57,47 @@ QUESTIONS = {
         catalog.genes_under_term("GO:0000002")
     ),
     "cited_disease_genes": lambda catalog: catalog.cited_disease_genes(),
+}
+
+#: The catalog questions plus one that projects its rows.
+ROW_QUESTIONS = dict(
+    QUESTIONS,
+    selected=lambda catalog: (
+        QuestionBuilder(
+            "Find the symbol and species of genes annotated with some "
+            "GO function"
+        )
+        .include("GO")
+        .select("GeneSymbol", "Species")
+        .build()
+    ),
+)
+
+#: Question -> SHA-256 of the sorted-key JSON of ``result.genes``, taken
+#: from the executor that translated every surviving anchor inside
+#: every answer.
+PINNED_ROWS = {
+    "figure5b": (
+        "affebe642424c74a7bef62a09174407260d7141de05666bbfbcb0f71114e1685"
+    ),
+    "disease_genes": (
+        "d8d194b81b32f4d72351b900647516e3dcd3cb3baea401415487265ea28944b7"
+    ),
+    "unannotated_genes": (
+        "8a14e84c2f8951bcbaf85022cfeb5ce82fd0a072eafd3517edb9264b9a48e2cb"
+    ),
+    "genes_by_annotation_keyword": (
+        "e34ecd9785740059bf64b209f5510837e64ad8c1c41c077aebecb64b9219ffbd"
+    ),
+    "genes_under_term": (
+        "c7632c2dffa92dc4694cd589fa356cf4ab477c2242e5922d25ae2a681a4bb9f9"
+    ),
+    "cited_disease_genes": (
+        "78e374d6cc610983504d697d2b70ddb731c4722c0f51e6a64087364a457e97a6"
+    ),
+    "selected": (
+        "48d1f4685b264726b30f7869688df40d720e78eb22f540ef590758dce1dc6760"
+    ),
 }
 
 #: Question -> SHA-256 of (sorted-key JSON of ``to_json_table(graph)``,
@@ -105,6 +152,11 @@ def build_federation(config=None):
     return annoda
 
 
+def rows_digest(result):
+    text = json.dumps(result.genes, sort_keys=True)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def view_digests(result):
     def sha(text):
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -133,6 +185,39 @@ def graphs_constructed(monkeypatch):
 
     monkeypatch.setattr(OEMGraph, "__init__", counting_init)
     return constructed
+
+
+@pytest.fixture
+def rows_translated(monkeypatch):
+    """A function counting the anchor records of ``annoda`` translated
+    into gene rows while the test runs (a spy on the translation)."""
+    translated = []
+    for module in (mapping, view):
+        real = module.translate
+
+        def spy(record, steps, real=real):
+            translated.append(steps)
+            return real(record, steps)
+
+        monkeypatch.setattr(module, "translate", spy)
+
+    def count(annoda):
+        anchor = annoda.mediator.wrapper("LocusLink")
+        steps = annoda.mediator.mapping_module.translation_steps(
+            "LocusLink", anchor
+        )
+        return sum(1 for seen in translated if seen == steps)
+
+    return count
+
+
+class TestSameRows:
+    @pytest.mark.parametrize("name", sorted(ROW_QUESTIONS))
+    def test_rows_match_the_eager_executor(self, federation, name):
+        result = federation.ask(ROW_QUESTIONS[name](federation.catalog))
+        assert rows_digest(result) == PINNED_ROWS[name]
+        assert result.gene_ids() == [gene["GeneID"] for gene in result.genes]
+        assert len(result) == len(result.genes)
 
 
 class TestSameView:
@@ -211,21 +296,77 @@ class TestBuiltOnce:
         assert all(pair[0] is graph and pair[1] is root for pair in seen)
         assert result.graph is graph
 
+    def test_concurrent_first_reads_share_one_row_build(
+        self, rows_translated
+    ):
+        annoda = build_federation()
+        question = annoda.catalog.figure5b()
+        result = annoda.ask(question)
+        assert annoda.ask(question) is result  # one cached, shared result
+        assert rows_translated(annoda) == 0
+        readers = 8
+        start = threading.Barrier(readers)
+        seen = [None] * readers
+        errors = []
+
+        def read(slot):
+            try:
+                start.wait(timeout=30)
+                seen[slot] = result.genes
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=read, args=(slot,), daemon=True)
+            for slot in range(readers)
+        ]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        # One translation pass: each anchor translated exactly once.
+        assert rows_translated(annoda) == len(result) > 0
+        assert all(genes is seen[0] for genes in seen)
+        assert result.genes is seen[0]
+
 
 class TestNotBuilt:
-    def test_ask_and_gene_ids_construct_no_graph(self, graphs_constructed):
+    def test_ask_and_gene_ids_construct_no_graph(
+        self, graphs_constructed, rows_translated
+    ):
+        """``ask``, ``gene_ids()``, ``len()`` and ``repr()`` translate no
+        anchor record into a row and construct no graph."""
         annoda = build_federation()
         graphs_constructed.clear()  # federation set-up is not asked
         for make in QUESTIONS.values():
             result = annoda.ask(make(annoda.catalog), use_cache=False)
             assert result.gene_ids()
+            assert len(result) == len(result.gene_ids())
+            assert repr(result).startswith(
+                f"IntegratedResult({len(result)} genes, "
+            )
         assert graphs_constructed == []
+        assert rows_translated(annoda) == 0
         assert isinstance(result.graph, OEMGraph)
         assert len(graphs_constructed) == 1
+        assert rows_translated(annoda) == len(result)
 
-    def test_post_query_constructs_no_graph(self, graphs_constructed):
+    def test_post_query_constructs_no_graph(
+        self, graphs_constructed, rows_translated
+    ):
+        """``POST /query`` answers with gene ids and a count: it
+        translates no anchor record into a row and constructs no
+        graph."""
+        annoda = build_federation()
         http_server = serve(
-            build_federation(),
+            annoda,
             port=0,
             config=ServiceConfig(queue_capacity=2, workers=1),
         )
@@ -249,5 +390,8 @@ class TestNotBuilt:
             http_server.close(drain=True)
             thread.join(timeout=30)
         assert not thread.is_alive()
-        assert body["result"]["gene_count"] > 0
+        assert body["result"]["gene_count"] == len(
+            body["result"]["gene_ids"]
+        ) > 0
         assert graphs_constructed == []
+        assert rows_translated(annoda) == 0

@@ -5,7 +5,8 @@ mediator caches from them — whole answers and each link source's
 enrichment index — is keyed on the transform rules as well as on the
 source versions.  The mapping module's compiled translation plan is
 rebuilt when a rule changes, and names its transforms instead of
-holding them.
+holding them.  An answer's rows are built on first read, with the
+transform functions resolved when its question ran.
 """
 
 import pytest
@@ -85,6 +86,40 @@ class TestCompiledPlan:
         )
         second = annoda.ask(question, use_cache=False)
         assert symbols(second) == ["x-" + symbol for symbol in symbols(first)]
+
+    def test_a_result_keeps_the_rules_of_its_own_execution(self, annoda):
+        question = annoda.catalog.disease_genes()
+        module = annoda.mediator.mapping_module
+        module.add_transform_rule("LocusLink", "GeneSymbol", "lowercase")
+        eager = annoda.ask(question, use_cache=False).genes
+        result = annoda.ask(question, use_cache=False)  # rows not read
+        module.add_transform_rule("LocusLink", "Species", "uppercase")
+        module.transforms.register(
+            "lowercase", lambda value: "x-" + str(value).lower()
+        )
+        assert result.genes == eager
+        assert all(
+            gene["GeneSymbol"] == gene["GeneSymbol"].lower()
+            and not gene["GeneSymbol"].startswith("x-")
+            and gene["Species"] != gene["Species"].upper()
+            for gene in result.genes
+        )
+        later = annoda.ask(question, use_cache=False).genes
+        assert [gene["GeneSymbol"] for gene in later] == [
+            "x-" + gene["GeneSymbol"] for gene in eager
+        ]
+
+    def test_gene_ids_of_an_unread_result_follow_a_gene_id_rule(
+        self, annoda
+    ):
+        annoda.mediator.mapping_module.add_transform_rule(
+            "LocusLink", "GeneID", "to_string"
+        )
+        result = annoda.ask(annoda.catalog.figure5b(), use_cache=False)
+        gene_ids = result.gene_ids()
+        assert gene_ids and all(isinstance(i, str) for i in gene_ids)
+        assert gene_ids == [gene["GeneID"] for gene in result.genes]
+        assert result.gene(gene_ids[0])["GeneID"] == gene_ids[0]
 
     def test_unregistering_drops_the_rules_and_the_plan(self, annoda):
         module = annoda.mediator.mapping_module

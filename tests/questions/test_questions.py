@@ -9,7 +9,16 @@ from repro.questions import (
     QuestionCatalog,
     QuestionParser,
 )
+from repro.service.types import CATALOG_PARAMS
 from repro.util.errors import QueryError
+
+#: A value for every catalog parameter (see ``CATALOG_PARAMS``).
+PARAM_VALUES = {
+    "organism": "Homo sapiens",
+    "keyword": "binding",
+    "aspect": "molecular_function",
+    "go_id": "GO:0000002",
+}
 
 
 class TestBuilder:
@@ -201,4 +210,19 @@ class TestCatalog:
         assert catalog.disease_genes("Homo sapiens").anchor_conditions
         assert len(catalog.unannotated_genes().exclude_links()) == 2
         assert catalog.cited_disease_genes().links[1].source_name == "PubMed"
-        assert "figure5b" in QuestionCatalog.all_names()
+        names = QuestionCatalog.all_names()
+        factories = {
+            name
+            for name, member in vars(QuestionCatalog).items()
+            if isinstance(member, staticmethod)
+        }
+        assert sorted(names) == sorted(factories)
+        assert set(CATALOG_PARAMS) <= set(names)
+        for name in names:
+            params = {
+                param: PARAM_VALUES[param]
+                for param in CATALOG_PARAMS.get(name, ())
+            }
+            question = getattr(catalog, name)(**params)
+            assert isinstance(question, BiologicalQuestion)
+            assert question.links, name
