@@ -22,7 +22,8 @@ acceptance bar: adopted beats lazy by ``min_speedup`` at the largest
 corpus.
 
 Writes ``benchmarks/results/coldstart.txt`` and the machine-readable
-``BENCH_coldstart.json`` at the repo root.
+``BENCH_coldstart.json`` at the repo root; ``--smoke`` prints its
+table and writes nothing.
 
 Run standalone (CI smoke)::
 
@@ -241,7 +242,7 @@ def main(argv=None):
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="reduced corpus for CI",
+        help="reduced corpus for CI; prints the table, writes nothing",
     )
     arguments = parser.parse_args(argv)
     config = SMOKE if arguments.smoke else FULL
@@ -250,7 +251,11 @@ def main(argv=None):
         f"sizes={config['sizes']}"
     )
     trajectory = _sweep(config)
-    artifact = _write(trajectory, RESULTS_DIR)
+    artifact = (
+        _render(trajectory)
+        if arguments.smoke
+        else _write(trajectory, RESULTS_DIR)
+    )
     print()
     print(artifact)
 

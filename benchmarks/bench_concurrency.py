@@ -19,7 +19,8 @@ rate, asserting:
    nothing degrades.
 
 Writes ``benchmarks/results/concurrency.txt`` and the
-machine-readable ``BENCH_concurrency.json`` at the repo root.
+machine-readable ``BENCH_concurrency.json`` at the repo root;
+``--smoke`` prints its table and writes nothing.
 
 Run standalone (CI smoke)::
 
@@ -347,7 +348,8 @@ def main(argv=None):
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="reduced corpus and sweep for CI",
+        help="reduced corpus and sweep for CI; prints the table, "
+        "writes nothing",
     )
     arguments = parser.parse_args(argv)
     mode = "smoke" if arguments.smoke else "full"
@@ -360,7 +362,11 @@ def main(argv=None):
     rows, trajectory = _sweep(config)
     blackout = _blackout_scenario(config)
     dead = _dead_replica_scenario(config)
-    artifact = _write(rows, trajectory, blackout, dead, RESULTS_DIR)
+    artifact = (
+        _render(rows, blackout, dead)
+        if arguments.smoke
+        else _write(rows, trajectory, blackout, dead, RESULTS_DIR)
+    )
     print()
     print(artifact)
 

@@ -17,7 +17,8 @@ HTTP shell uses, minus socket overhead) across four scenarios:
    + one scheduling quantum.
 
 Writes ``benchmarks/results/service.txt`` and the machine-readable
-``BENCH_service.json`` at the repo root.
+``BENCH_service.json`` at the repo root; ``--smoke`` prints its table
+and writes nothing.
 
 Run standalone (CI smoke)::
 
@@ -354,7 +355,8 @@ def main(argv=None):
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="reduced client fleet for CI",
+        help="reduced client fleet for CI; prints the table, writes "
+        "nothing",
     )
     arguments = parser.parse_args(argv)
     config = SMOKE if arguments.smoke else FULL
@@ -365,7 +367,11 @@ def main(argv=None):
     load = _load_scenarios(config)
     shedding = _shedding_scenario(config)
     deadline = _deadline_scenario(config)
-    artifact = _write(load, shedding, deadline, RESULTS_DIR)
+    artifact = (
+        _render(load, shedding, deadline)
+        if arguments.smoke
+        else _write(load, shedding, deadline, RESULTS_DIR)
+    )
     print()
     print(artifact)
 

@@ -20,6 +20,8 @@ degraded.
 import contextlib
 import time
 from dataclasses import dataclass
+from itertools import chain, compress
+from operator import itemgetter, not_
 
 from repro.mediator.fetch import (
     FederatedFetcher,
@@ -213,9 +215,11 @@ class IntegratedResult:
 
     ``result.genes`` are the answer's gene rows in the global
     vocabulary, built from ``rows`` (an
-    :class:`~repro.mediator.view.AnswerRows`) on the first read that
-    needs them: ``genes``, :meth:`gene`, the OEM view, the renderers,
-    pivot and export, or a pickle.  ``result.graph`` and
+    :class:`~repro.mediator.view.AnswerRows`: the surviving anchor
+    records and their matched link ids, still columns) on the first
+    read that needs them: ``genes``, :meth:`gene`, the OEM view, the
+    renderers, pivot and export, or a pickle; until then no gene
+    carries a ``_links`` dict of its own.  ``result.graph`` and
     ``result.root`` are the integrated OEM view, built from
     ``result.view`` (an :class:`~repro.mediator.view.AnswerView`) on
     the first read of either.  Each is built once per result, even
@@ -505,7 +509,7 @@ class Executor:
 
         with report.stage(recorder, "reconcile"):
             report.incr("anchors_considered", len(anchor_records))
-            surviving, matched_links = self._reconcile_records(
+            surviving, anchor_ids, links = self._reconcile_records(
                 plan, query, anchor_wrapper, anchor_records,
                 report.reconciliation, allowed_by_step,
             )
@@ -516,7 +520,7 @@ class Executor:
             "navigate", attributes={"enrich": bool(enrich_links)}
         ) as navigate_span:
             rows, view = self._combine(
-                plan, query, anchor_wrapper, surviving, matched_links,
+                plan, query, anchor_wrapper, surviving, anchor_ids, links,
                 enrich_links, report, recorder,
             )
             result = IntegratedResult(rows, view, report, plan)
@@ -704,100 +708,118 @@ class Executor:
 
     def _reconcile_records(self, plan, query, anchor_wrapper,
                            anchor_records, reconciliation, allowed_by_step):
-        """Record-at-a-time link matching with include/exclude break
-        semantics.
+        """Step-at-a-time link matching with include/exclude break
+        semantics: ``(survivors, their anchor ids, link columns)``.
 
-        Every field a step reads off the anchor records is resolved
-        once per step (:meth:`_link_matcher`), so the per-record work
-        is a link-table lookup, or one row build per new anchor.
+        Each link step runs once over the anchors still alive.  It
+        reads their rows from its link table in one pass
+        (:meth:`_step_rows`), keeps the ids its conditions allow
+        (:meth:`_matched_ids`), and narrows the live anchors and the
+        matched-id columns of earlier steps by one mask: an include
+        without a link, or an exclude with one, drops the anchor, and
+        later steps never see it.  So the steps reach exactly the
+        (anchor, step) pairs an anchor-at-a-time loop with an early
+        break would.  A degraded step's constraint cannot be evaluated,
+        so it is skipped: the partial answer is computed from the
+        sources that responded, and the report marks the gap.
 
-        A surviving anchor's links map each link source to its matched
-        ids.  A source several links name keeps the union of their ids,
-        in question order, each id once, so the answer does not depend
-        on how the optimizer ordered the steps (until an anchor
-        survives, each step of such a source files its ids under its
-        step index).  The same union rule holds for the conflicts its
-        rows raise: each is recorded once per anchor and source.
+        The conflicts the rows raised are recorded after the last step,
+        in anchor-then-step order; a source several links name records
+        each of its conflicts once per anchor.
+
+        The link columns are ``(source, column)`` pairs, one per link
+        source, in the order of the answer rows' ``_links`` keys; each
+        column holds one tuple of matched ids per survivor.  A source
+        several links name gets the union of their ids, in question
+        order, each id once, so the answer does not depend on how the
+        optimizer ordered the steps; those sources come after the ones
+        named once, which keep step order.
         """
-        anchor_key = self._anchor_field(anchor_wrapper)
+        steps = plan.link_steps
         by_source = {}
         for index in sorted(
-            range(len(plan.link_steps)),
-            key=lambda index: query.links.index(plan.link_steps[index].link),
+            range(len(steps)),
+            key=lambda index: query.links.index(steps[index].link),
         ):
-            by_source.setdefault(
-                plan.link_steps[index].source_name, []
-            ).append(index)
+            by_source.setdefault(steps[index].source_name, []).append(index)
         shared = {
             source_name: indexes
             for source_name, indexes in by_source.items()
             if len(indexes) > 1
         }
-        matchers = [
-            (
-                index if step.source_name in shared else step.source_name,
-                step.source_name,
-                step.link.mode == "include",
-                # Degraded source: its constraint cannot be evaluated,
-                # so it is skipped — the YeastMed-style partial answer
-                # is computed from the sources that responded, and the
-                # report marks the gap.
-                None
-                if id(step) in self._degraded_steps
-                else self._link_matcher(
-                    step, anchor_wrapper, allowed_by_step.get(id(step))
-                ),
+        live = list(anchor_records)
+        positions = range(len(live))
+        # Step index -> one tuple of matched ids per live anchor; a
+        # degraded step keeps None.
+        columns = [None] * len(steps)
+        # (anchor position, step index, issues), step by step.
+        raised = []
+        for index, step in enumerate(steps):
+            if id(step) in self._degraded_steps:
+                continue
+            rows = self._step_rows(step, anchor_wrapper, live)
+            issues = list(map(itemgetter(1), rows))
+            raised.extend(
+                (position, index, found)
+                for position, found in compress(
+                    zip(positions, issues), issues
+                )
             )
-            for index, step in enumerate(plan.link_steps)
+            matched = self._matched_ids(
+                step, anchor_wrapper, live, rows,
+                allowed_by_step.get(id(step)),
+            )
+            columns[index] = matched
+            keep = (
+                matched
+                if step.link.mode == "include"
+                else list(map(not_, matched))
+            )
+            if not all(keep):
+                live = list(compress(live, keep))
+                positions = list(compress(positions, keep))
+                columns = [
+                    None if column is None else list(compress(column, keep))
+                    for column in columns
+                ]
+
+        # Sorting by position alone keeps each anchor's issues in step
+        # order.
+        raised.sort(key=itemgetter(0))
+        recorded = {}
+        for position, index, found in raised:
+            source_name = steps[index].source_name
+            if source_name in shared:
+                seen = recorded.setdefault((position, source_name), set())
+                fresh = [issue for issue in found if issue not in seen]
+                seen.update(found)
+                found = fresh
+            reconciliation.issues.extend(found)
+
+        empty = [()] * len(live)
+        columns = [empty if column is None else column for column in columns]
+        links = [
+            (step.source_name, columns[index])
+            for index, step in enumerate(steps)
+            if step.source_name not in shared
         ]
-        surviving = []
-        matched_links = []
-        for record in anchor_records:
-            anchor_id = record.get(anchor_key)
-            links_for_record = {}
-            recorded = {}
-            for key, source, include, match in matchers:
-                if match is None:
-                    links_for_record[key] = []
-                    continue
-                matched, issues = match(record, anchor_id)
-                if issues:
-                    if source in shared:
-                        seen = recorded.setdefault(source, set())
-                        issues = [
-                            issue for issue in issues if issue not in seen
-                        ]
-                        seen.update(issues)
-                    reconciliation.issues.extend(issues)
-                links_for_record[key] = matched
-                # An include without a link, or an exclude with one,
-                # drops the anchor; later steps never see it.
-                if bool(matched) != include:
-                    break
-            else:
-                for source_name, indexes in shared.items():
-                    links_for_record[source_name] = list(dict.fromkeys(
-                        link_id
-                        for index in indexes
-                        for link_id in links_for_record.pop(index)
-                    ))
-                surviving.append(record)
-                matched_links.append(links_for_record)
-        return surviving, matched_links
+        for source_name, indexes in shared.items():
+            links.append((source_name, [
+                tuple(dict.fromkeys(chain.from_iterable(ids)))
+                for ids in zip(*(columns[index] for index in indexes))
+            ]))
+        anchor_field = self._anchor_field(anchor_wrapper)
+        anchor_ids = [record.get(anchor_field) for record in live]
+        return live, anchor_ids, tuple(links)
 
-    # -- link matching -------------------------------------------------------------
+    def _step_rows(self, step, anchor_wrapper, records):
+        """Every live anchor's row for one link step, in anchor order.
 
-    def _link_matcher(self, step, anchor_wrapper, allowed):
-        """``match(record, anchor_id) -> (ids, issues)``: the linked ids
-        of one anchor record that satisfy one link step, and the
-        conflicts its row raised.
-
-        ``match`` replays the anchor's row (:meth:`_row_builder`) from
-        the step's link table, building and publishing the row on a
-        miss, then keeps the row's ids that are in ``allowed`` — the
-        precomputed id set of the step's conditioned fetch (``None``
-        for pruned steps: any valid id counts).  A reverse join's own
-        ids come first, from its per-question reverse index.
+        The rows are read from the step's link table in one pass; only
+        the misses are built (:meth:`_row_builder`), and they are
+        published together once all are built, if ``unchanged()`` still
+        holds then (:meth:`_link_table`).  With no link table every row
+        is built.
         """
         link_wrapper = self.wrappers[step.source_name]
         symbol_index = (
@@ -805,62 +827,72 @@ class Executor:
             if step.link.symbol_join
             else None
         )
-        build_row, validates, fields = self._row_builder(
+        build_row, fields = self._row_builder(
             step.link, anchor_wrapper, link_wrapper, symbol_index
         )
-        reverse = (
-            self._reverse_indexes[id(step)]
-            if step.link.reverse_join
-            else None
-        )
-        table = self._link_table(
-            step, anchor_wrapper, fields, symbol_index, validates
-        )
-        if table is not None:
-            key_field = anchor_wrapper.source_field(anchor_wrapper.key_label)
-            rows, unchanged = table
-
-        def match(record, anchor_id):
-            if table is None:
-                row = build_row(record, anchor_id)
-            else:
-                key = record[key_field]
-                row = rows.get(key)
+        table = self._link_table(step, anchor_wrapper, fields, symbol_index)
+        if table is None:
+            return list(map(build_row, records))
+        rows, unchanged = table
+        keys = list(map(
+            itemgetter(anchor_wrapper.source_field(anchor_wrapper.key_label)),
+            records,
+        ))
+        found = list(map(rows.get, keys))
+        if None in found:
+            built = {}
+            for position, row in enumerate(found):
                 if row is None:
-                    row = build_row(record, anchor_id)
-                    if unchanged():
-                        rows[key] = row
-            ids, issues = row
-            matched = (
-                list(ids)
-                if allowed is None
-                else [link_id for link_id in ids if link_id in allowed]
-            )
-            if reverse is not None:
-                own = sorted(reverse.get(anchor_id, ()), key=str)
-                matched = own + [
-                    link_id for link_id in matched if link_id not in own
-                ]
-            return matched, issues
+                    row = found[position] = build_row(records[position])
+                    built[keys[position]] = row
+            if unchanged():
+                for key, row in built.items():
+                    rows.setdefault(key, row)
+        return found
 
-        return match
+    def _matched_ids(self, step, anchor_wrapper, records, rows, allowed):
+        """Per anchor record and its row, the tuple of the row's ids
+        that satisfy the step.
+
+        ``allowed`` is the precomputed id set of the step's conditioned
+        fetch (``None`` for pruned steps: any valid id counts, and the
+        row's own tuple is kept).  A reverse join's own ids come first,
+        from its per-question reverse index.
+        """
+        matched = list(map(itemgetter(0), rows))
+        if allowed is not None:
+            allows = allowed.__contains__
+            matched = [ids and tuple(filter(allows, ids)) for ids in matched]
+        if step.link.reverse_join:
+            reverse = self._reverse_indexes[id(step)]
+            anchor_field = self._anchor_field(anchor_wrapper)
+            for position, record in enumerate(records):
+                own = sorted(
+                    reverse.get(record.get(anchor_field), ()), key=str
+                )
+                matched[position] = (*own, *(
+                    link_id
+                    for link_id in matched[position]
+                    if link_id not in own
+                ))
+        return matched
 
     def _row_builder(self, link, anchor_wrapper, link_wrapper, symbol_index):
-        """``(build_row, validates, fields)`` for one link step.
+        """``(build_row, fields)`` for one link step.
 
-        ``build_row(record, anchor_id)`` is the per-record link
-        validation, the one place it happens: it returns the anchor's
-        row, ``(ids, issues)`` — the reconciler-validated direct link
+        ``build_row(record)`` is the per-record link validation, the
+        one place it happens: it returns the anchor's row,
+        ``(ids, issues)`` — the reconciler-validated direct link
         ids (none for a reverse join), then the ids the symbol index
         adds that are not already among them, and the
         :class:`~repro.mediator.reconcile.Issue` objects validation
         raised, in the order the reconciler raised them.  The ids are
         not yet filtered by the step's conditions, so a row depends
         only on the anchor record, the link source and the policy.
-        ``validates`` says whether a row can hold more than the
-        record's own ids; ``fields`` are the anchor fields rows read.
+        ``fields`` are the anchor fields rows read.
         """
         reconciler = self.reconciler
+        anchor_field = self._anchor_field(anchor_wrapper)
         validate = None
         if hasattr(link_wrapper, "is_obsolete"):
             validate = reconciler.valid_annotation_ids
@@ -891,8 +923,9 @@ class Executor:
         found = ReconciliationReport()
         issues = found.issues
 
-        def build_row(record, anchor_id):
+        def build_row(record):
             issues.clear()
+            anchor_id = record.get(anchor_field)
             ids = []
             if via_field is not None:
                 ids = record.get(via_field) or []
@@ -922,23 +955,19 @@ class Executor:
                 return _EMPTY_ROW
             return tuple(ids), tuple(issues)
 
-        validates = (
-            via_field is not None and validate is not None
-        ) or symbol_index is not None
         fields = (
-            self._anchor_field(anchor_wrapper),
+            anchor_field,
             via_field,
             symbol_field,
             alias_field,
         )
-        return build_row, validates, fields
+        return build_row, fields
 
-    def _link_table(self, step, anchor_wrapper, fields, symbol_index,
-                    validates):
+    def _link_table(self, step, anchor_wrapper, fields, symbol_index):
         """``(rows, unchanged)``: the step's shared link table and a
         check that neither source it is keyed on has moved since this
-        execution began, or ``None`` when the step validates nothing or
-        the anchor has no primary key to file rows under.
+        execution began, or ``None`` when the anchor has no primary key
+        to file rows under.
 
         The table is an ``ArtifactStore`` ``links`` entry: anchor
         primary key -> row.  It is identified by the anchor and link
@@ -948,13 +977,14 @@ class Executor:
         execution fetched anything — nothing about the question, so
         every question over the same link shares it.
 
-        A row is published right after it is built, and only while
-        ``unchanged()`` holds: the row was then built wholly from data
-        at the table's versions.  So a table only ever grows by
-        complete rows valid at its versions, and a published row is
-        never changed.
+        A step publishes the rows it built once all are built, and only
+        if ``unchanged()`` holds then: version counters only grow, so
+        the rows were then built wholly from data at the table's
+        versions.  A row another execution published meanwhile is kept.
+        So a table only ever grows by complete rows valid at its
+        versions, and a published row is never changed.
         """
-        if not validates or anchor_wrapper.key_label is None:
+        if anchor_wrapper.key_label is None:
             return None
         link_source = step.source_name
         identity = (
@@ -1013,27 +1043,26 @@ class Executor:
 
     # -- combination into the integrated answer ---------------------------------
 
-    def _combine(self, plan, query, anchor_wrapper, records, matched_links,
-                 enrich_links, report, recorder=NULL_RECORDER):
+    def _combine(self, plan, query, anchor_wrapper, records, anchor_ids,
+                 links, enrich_links, report, recorder=NULL_RECORDER):
         """The answer's :class:`~repro.mediator.view.AnswerRows` and
-        :class:`~repro.mediator.view.AnswerView`; the gene rows and the
-        OEM view themselves are built when first read
+        :class:`~repro.mediator.view.AnswerView`, from the survivors,
+        their anchor ids and their link columns
+        (:meth:`_reconcile_records`); the gene rows and the OEM view
+        themselves are built when first read
         (:class:`IntegratedResult`)."""
         details = {}
         if enrich_links:
-            details = self._enrichment_indexes(
-                plan, matched_links, report, recorder
-            )
+            details = self._enrichment_indexes(plan, links, report, recorder)
 
         rows = AnswerRows(
             anchors=records,
-            links=matched_links,
+            links=links,
             select=query.select,
             steps=self.mapping_module.translation_steps(
                 anchor_wrapper.name, anchor_wrapper
             ),
         )
-        anchor_field = self._anchor_field(anchor_wrapper)
         # One view entry per link source, however many links name it.
         link_views = {}
         for step in plan.link_steps:
@@ -1049,13 +1078,13 @@ class Executor:
             )
         view = AnswerView(
             anchor_source=anchor_wrapper.name,
-            anchor_ids=tuple(record.get(anchor_field) for record in records),
+            anchor_ids=tuple(anchor_ids),
             link_steps=tuple(link_views.values()),
             details=details,
         )
         return rows, view
 
-    def _enrichment_indexes(self, plan, matched_links, report,
+    def _enrichment_indexes(self, plan, links, report,
                             recorder=NULL_RECORDER):
         """Per link source: matched id -> detail pairs, for the view.
 
@@ -1076,13 +1105,12 @@ class Executor:
             recorder, "enrichment",
             attributes={"sources": len(plan.link_steps)},
         ):
-            return self._enrichment_fetch(
-                plan, matched_links, report, recorder
-            )
+            return self._enrichment_fetch(plan, links, report, recorder)
 
-    def _enrichment_fetch(self, plan, matched_links, report, recorder):
+    def _enrichment_fetch(self, plan, links, report, recorder):
         """The enrichment body, running inside the ``enrichment``
-        span."""
+        span; ``links`` are the answer's link columns."""
+        columns = dict(links)
         # source -> (the shared cache's index, ids the answer matched)
         wanted = {}
         pending = []
@@ -1098,9 +1126,7 @@ class Executor:
                 step.source_name, step.link.via
             )
             key_field = wrapper.source_field(key_local)
-            needed = set()
-            for links_for_record in matched_links:
-                needed.update(links_for_record.get(step.source_name, ()))
+            needed = set(chain.from_iterable(columns[step.source_name]))
             # Details are translated records, so the source's transform
             # rules are part of what the entry holds.
             identity = (

@@ -9,10 +9,11 @@ matched link (Annotation / Disease / Citation / Protein) and a
 Most consumers read neither — the service answers with gene ids and a
 count, the benchmarks check gene ids — so the executor builds neither.
 It keeps the plain data each is a pure function of: an
-:class:`AnswerRows` (the surviving anchor records, their matched
-links, the query's ``select`` and the anchor source's translation
-steps) and an :class:`AnswerView`.  :meth:`AnswerRows.gene_ids` reads
-the gene ids off the anchor records without building a row.
+:class:`AnswerRows` (the surviving anchor records, their matched link
+ids as columns, the query's ``select`` and the anchor source's
+translation steps) and an :class:`AnswerView`.
+:meth:`AnswerRows.gene_ids` reads the gene ids off the anchor records
+without building a row.
 :class:`~repro.mediator.executor.IntegratedResult` calls
 :meth:`AnswerRows.build` once, on the first read that needs rows, and
 :meth:`AnswerView.build` once, on the first read of ``result.graph``
@@ -57,17 +58,20 @@ class AnswerRows:
 
     ``anchors`` are the surviving anchor records in answer order: the
     source's read-only extent records (the record contract of
-    :mod:`repro.sources.base`), held, not copied.  ``links`` holds each
-    anchor's matched link ids (source -> ids).  ``select`` is the
-    query's projection.  ``steps`` are the anchor source's translation
-    steps (:meth:`~repro.mediator.mapping.MappingModule.translation_steps`),
+    :mod:`repro.sources.base`), held, not copied.  ``links`` holds
+    their matched link ids as columns: ``(source, column)`` pairs in
+    the order of each row's ``_links`` keys, each column one tuple of
+    ids per anchor (a pruned step's tuples are its link table's own).
+    ``select`` is the query's projection.  ``steps`` are the anchor
+    source's translation steps
+    (:meth:`~repro.mediator.mapping.MappingModule.translation_steps`),
     their transform functions resolved when the question ran, so a
     rule added or a function re-registered later does not reach
     these rows.
     """
 
     anchors: list
-    links: list
+    links: tuple
     select: tuple
     steps: tuple
 
@@ -85,12 +89,15 @@ class AnswerRows:
 
     def build(self):
         """The gene rows: each anchor record translated, carrying its
-        matched link ids under ``_links``, and cut to ``select`` (plus
-        ``GeneID`` and ``_links``) when the query selects."""
+        matched link ids under ``_links`` (source -> list of ids), and
+        cut to ``select`` (plus ``GeneID`` and ``_links``) when the
+        query selects."""
+        sources = [source for source, _column in self.links]
+        columns = [column for _source, column in self.links]
         genes = []
-        for record, links_for_record in zip(self.anchors, self.links):
+        for record, *ids in zip(self.anchors, *columns):
             gene = translate(record, self.steps)
-            gene["_links"] = links_for_record
+            gene["_links"] = dict(zip(sources, map(list, ids)))
             if self.select:
                 gene = {
                     key: value
@@ -105,8 +112,8 @@ class AnswerRows:
 class AnswerView:
     """Everything the integrated OEM view needs besides the gene rows.
 
-    ``anchor_ids`` are the anchor records' raw identifiers, one per
-    gene row, in answer order (the ``Self`` web-link input).
+    ``anchor_ids`` are the surviving anchor records' raw identifiers,
+    one per gene row, in answer order (the ``Self`` web-link input).
     ``link_steps`` are ``(source, via, child label)``, one per link
     source of the plan, in step order.  ``details`` maps each link
     source to ``{link id: detail pairs}`` (see :func:`link_detail`)

@@ -12,18 +12,30 @@ question replays the rows in today's order, so pinned here:
 (b) concurrent questions against a cold table get the serial answers;
 (c) mutations, re-registration, a policy change and a degraded symbol
     index all miss the table where they must;
-(d) a warm table spares every per-id validation call.
+(d) a warm table spares every per-id validation call, and a warm pass
+    builds no row at all;
+(e) the ordered list of reconciliation issues, cold and warm, equals
+    digests taken from the anchor-at-a-time replay this one replaced,
+    for every catalog question, a question naming GO twice around an
+    OMIM exclude, and figure5b with GO dark under a degrading policy
+    (with and without link-fetch pruning, so GO degrades at enrichment
+    and at its link step).
 """
 
 import dataclasses
+import hashlib
+import json
 import threading
 
 import pytest
 
 from repro import Annoda
 from repro.core.annoda import AnnodaConfig
-from repro.mediator import FederationPolicy
+from repro.mediator import FederationPolicy, GlobalQuery, LinkConstraint
 from repro.mediator.artifacts import ArtifactStore
+from repro.mediator.executor import Executor
+from repro.mediator.fetch import FlakyWrapper
+from repro.mediator.plan import OptimizerOptions
 from repro.mediator.reconcile import ReconciliationPolicy, Reconciler
 from repro.questions.catalog import QuestionCatalog
 from repro.sources.corpus import AnnotationCorpus, CorpusParameters
@@ -125,6 +137,119 @@ class TestWarmTableMatchesAFreshFederation:
             assert cold[name] == fresh, name
             assert warm[name] == fresh, name
             assert fresh["issues"] or name == "genes_under_term", name
+
+
+def sha256(value):
+    return hashlib.sha256(json.dumps(value).encode("utf-8")).hexdigest()
+
+
+def issues_digest(result):
+    """SHA-256 of the ordered reconciliation issues."""
+    return sha256([
+        (issue.kind, issue.anchor_id, issue.detail, issue.repaired)
+        for issue in result.reconciliation.issues
+    ])
+
+
+def rows_digest(result):
+    """SHA-256 of the gene rows in their own key order, so the order
+    of each row's ``_links`` sources is pinned too."""
+    return sha256(result.genes)
+
+
+#: Question -> SHA-256 of its ordered issues (:func:`issues_digest`).
+PINNED_ISSUES = {
+    "figure5b": (
+        "ab868b582e9e09330c0a5dc9869be76d0674ac0c41906848a1ee9424bacdf481"
+    ),
+    "disease_genes": (
+        "6277e541c76124bd75b932bb6a77c40814cd8b64ab0d02fa8a258129db6a56d9"
+    ),
+    "unannotated_genes": (
+        "e6accc1c30bd03cb5a09c0e496bcf05d8a3a0c6deb22e5c71f03d22e9cd51c7f"
+    ),
+    "genes_by_annotation_keyword": (
+        "d1386e83ce603f17b6738f1bab3e5639bd1c55673389735bf76fde4a28d91ab1"
+    ),
+    "genes_under_term": (
+        "d1386e83ce603f17b6738f1bab3e5639bd1c55673389735bf76fde4a28d91ab1"
+    ),
+    "cited_disease_genes": (
+        "e00bb0969ad3ce1e480ccdc4a1f6487fbf3abdd879f9b8df50a20456538a6a20"
+    ),
+}
+
+GO_LINK = LinkConstraint("GO", "include", via="AnnotationID")
+
+#: GO named twice around an OMIM exclude: GO's conflicts are raised
+#: once per anchor, and its ids merge into one ``_links`` entry.
+GO_TWICE = GlobalQuery(
+    anchor_source="LocusLink",
+    links=(
+        GO_LINK,
+        LinkConstraint("OMIM", "exclude", via="DiseaseID"),
+        GO_LINK,
+    ),
+)
+
+#: ``(genes, issues digest, rows digest)`` of GO_TWICE.
+PINNED_GO_TWICE = (
+    54,
+    "d9f876b32be314a9c69f1fc03d21cab887166ec285fb16c940074483a8002bad",
+    "f67753e3eea8bc46e746965fc9d3e242e94a51f1091c147061b6ac4b38be6c1d",
+)
+
+#: Link-fetch pruning -> ``(genes, issues digest, rows digest)`` of
+#: figure5b with GO dark.  Pruned, GO's link step reads only the anchor
+#: ids and GO degrades at enrichment; unpruned, its link fetch fails,
+#: so the step is skipped.
+PINNED_GO_DARK = {
+    True: (
+        48,
+        "ab868b582e9e09330c0a5dc9869be76d0674ac0c41906848a1ee9424bacdf481",
+        "5af73bcf8bb0fde72c1fa72c582f0a18a01e2c55152658859e8658fe4f96c7b6",
+    ),
+    False: (
+        69,
+        "6277e541c76124bd75b932bb6a77c40814cd8b64ab0d02fa8a258129db6a56d9",
+        "5583ae169d20bcef9d68821ad1fdd2c44c48ef063a6068afcd38d2fdf928521c",
+    ),
+}
+
+
+class TestOrderedConflicts:
+    def test_every_catalog_question(self, corpus, extra_stores):
+        annoda = federation(corpus, extra_stores)
+        for _round in ("cold", "warm"):
+            for name, question in questions().items():
+                result = annoda.ask(question, use_cache=False)
+                assert issues_digest(result) == PINNED_ISSUES[name], name
+        assert links_stats(annoda)["hits"] > 0
+
+    def test_go_twice_around_an_omim_exclude(self, corpus, extra_stores):
+        annoda = federation(corpus, extra_stores)
+        for _round in ("cold", "warm"):
+            result = annoda.ask(GO_TWICE, use_cache=False)
+            assert (
+                len(result), issues_digest(result), rows_digest(result)
+            ) == PINNED_GO_TWICE
+
+    @pytest.mark.parametrize("pruning", [True, False])
+    def test_figure5b_with_go_dark(self, corpus, extra_stores, pruning):
+        config = AnnodaConfig(
+            optimizer=OptimizerOptions(enable_pruning=pruning),
+            federation=FederationPolicy(on_failure="degrade"),
+        )
+        dark = FlakyWrapper(GoWrapper(corpus.go), blackout=True)
+        annoda = federation(
+            corpus, extra_stores, go_wrapper=dark, config=config
+        )
+        for _round in ("cold", "warm"):
+            result = annoda.ask(QuestionCatalog.figure5b(), use_cache=False)
+            assert result.report.degraded == ("GO",)
+            assert (
+                len(result), issues_digest(result), rows_digest(result)
+            ) == PINNED_GO_DARK[pruning]
 
 
 class TestConcurrentColdTable:
@@ -397,3 +522,28 @@ class TestWarmTableSparesValidation:
         assert ask_all(annoda) == first
         assert CountingGoWrapper.calls == 0
         assert CountingReconciler.calls == 0
+
+    def test_second_pass_builds_no_row(
+        self, corpus, extra_stores, monkeypatch
+    ):
+        """Every step keeps a table, the PubMed link (which validates
+        nothing) too, so a warm pass only replays rows."""
+        built = []
+        row_builder = Executor._row_builder
+
+        def counting_row_builder(executor, link, *args):
+            build_row, fields = row_builder(executor, link, *args)
+
+            def counting_build_row(record):
+                built.append(link.source_name)
+                return build_row(record)
+
+            return counting_build_row, fields
+
+        monkeypatch.setattr(Executor, "_row_builder", counting_row_builder)
+        annoda = federation(corpus, extra_stores)
+        first = ask_all(annoda)
+        assert set(built) == {"GO", "OMIM", "PubMed"}
+        built.clear()
+        assert ask_all(annoda) == first
+        assert built == []
