@@ -9,9 +9,9 @@ HTTP shell uses, minus socket overhead) across four scenarios:
 2. **warm** — the same repeated-question workload after a cache warmup
    pass (answers from the mediator's cache); the acceptance bar is
    warm throughput >= ``min_warm_speedup`` x cold.
-3. **shedding** — a burst far beyond a small queue's capacity: some
-   requests must shed with 429, every ticket must resolve (no
-   deadlock), the backlog never exceeds capacity.
+3. **shedding** — a burst far beyond a small wait line's capacity:
+   some requests must shed with 429, every client must get a response
+   (no deadlock), the wait line never exceeds capacity.
 4. **deadline** — slow sources plus a short per-request deadline:
    every answer comes back degraded within deadline + source latency
    + one scheduling quantum.
@@ -107,7 +107,7 @@ def _fire(service, requests, timeout=300):
 
     def client(slot, request):
         with Timer() as timer:
-            response = service.ask(request, timeout=timeout)
+            response = service.ask(request)
         outcomes[slot] = (
             response.status, timer.elapsed,
             response.body.get("outcome"),
@@ -149,7 +149,7 @@ def _load_scenarios(config, log=print):
     annoda = _build_annoda()
     service = AnnodaService(annoda, ServiceConfig(
         queue_capacity=config["clients"], workers=config["workers"],
-    )).start()
+    ))
     try:
         cold_requests = [
             _request(index, use_cache=False)
@@ -164,8 +164,7 @@ def _load_scenarios(config, log=print):
 
         # Warm every question once, then measure the cached workload.
         for index in range(len(QUESTIONS)):
-            response = service.ask(_request(index, use_cache=True),
-                                   timeout=300)
+            response = service.ask(_request(index, use_cache=True))
             assert response.status == 200, response.body
         warm_requests = [
             _request(index, use_cache=True)
@@ -197,14 +196,14 @@ def _shedding_scenario(config, log=print):
     """A burst beyond capacity sheds with 429 and never deadlocks.
 
     The sources answer after ``source_latency``, so the burst outlasts
-    the workers: over in-memory sources an uncached answer can finish
+    the seats: over in-memory sources an uncached answer can finish
     before the next client thread even submits, and the seats would
     never fill."""
     annoda = _build_annoda(latency=config["source_latency"])
     service = AnnodaService(annoda, ServiceConfig(
         queue_capacity=config["shed_capacity"],
         workers=config["shed_workers"],
-    )).start()
+    ))
     try:
         requests = [
             _request(index, use_cache=False)
@@ -249,7 +248,7 @@ def _deadline_scenario(config, log=print):
     service = AnnodaService(annoda, ServiceConfig(
         queue_capacity=config["deadline_clients"],
         workers=config["shed_workers"],
-    )).start()
+    ))
     try:
         requests = [
             ServiceRequest(

@@ -161,11 +161,12 @@ def build_parser():
                        help="0 binds an ephemeral port")
     serve.add_argument(
         "--service-workers", type=int, default=4,
-        help="query worker threads (default 4)",
+        help="requests answered at once (default 4)",
     )
     serve.add_argument(
         "--queue-capacity", type=int, default=64,
-        help="admission queue seats; a full queue sheds with 429",
+        help="requests that may wait for a seat; one more sheds "
+             "with 429",
     )
     serve.add_argument(
         "--deadline", type=float, default=None,

@@ -152,7 +152,7 @@ class ArtifactStore:
     """The version-keyed memory LRU, plus an optional disk tier.
 
     Thread-safe: every execution of the owning mediator probes and
-    fills it, concurrently under the service's worker pool.
+    fills it, concurrently on the service's request threads.
     """
 
     def __init__(

@@ -94,9 +94,6 @@ class ExecutionReport:
     are summed from the request-scoped tallies of this execution's own
     fetches (:meth:`record_tally`), never from the sources' cumulative
     counters, so concurrent executions do not count each other.
-    Stores adopt their snapshot indexes when they load, not during a
-    fetch, so an execution's ``indexes_adopted`` is 0; the stores'
-    ``fetch_stats()`` keep the cumulative counts.
     """
 
     def __init__(self, reconciliation=None, degraded=()):
@@ -146,7 +143,6 @@ class ExecutionReport:
         self.incr("index_hits", tally["index_hits"])
         self.incr("scan_fetches", tally["scan_queries"])
         self.incr("indexes_rebuilt", tally["index_builds"])
-        self.incr("indexes_adopted", tally["index_adoptions"])
         self.incr("replica_failovers", tally["replica_failovers"])
 
     def record_reply(self, reply):
@@ -1055,8 +1051,10 @@ class Executor:
         if enrich_links:
             details = self._enrichment_indexes(plan, links, report, recorder)
 
+        anchor_ids = tuple(anchor_ids)
         rows = AnswerRows(
             anchors=records,
+            anchor_ids=anchor_ids,
             links=links,
             select=query.select,
             steps=self.mapping_module.translation_steps(
@@ -1078,7 +1076,7 @@ class Executor:
             )
         view = AnswerView(
             anchor_source=anchor_wrapper.name,
-            anchor_ids=tuple(anchor_ids),
+            anchor_ids=anchor_ids,
             link_steps=tuple(link_views.values()),
             details=details,
         )

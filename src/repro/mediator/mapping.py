@@ -189,15 +189,6 @@ class MappingModule:
     def description(self, source_name):
         return self._descriptions.get(source_name, "")
 
-    def sources_providing(self, global_name):
-        """Sources whose local model covers a global attribute."""
-        return [
-            source_name
-            for source_name in self.sources()
-            if self._correspondences[source_name].to_local(global_name)
-            is not None
-        ]
-
     # -- translation ----------------------------------------------------------------
 
     def to_local_label(self, source_name, global_name):
@@ -212,9 +203,6 @@ class MappingModule:
                 )
             self._local_label_memo[memo_key] = local
         return local
-
-    def to_global_label(self, source_name, local_name):
-        return self.correspondences(source_name).to_global(local_name)
 
     def translate_record(self, source_name, record, wrapper):
         """A source record dict re-keyed into global vocabulary.

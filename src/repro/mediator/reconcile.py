@@ -208,30 +208,6 @@ class Reconciler:
             valid.append(mim)
         return valid
 
-    def symbol_match(self, official_symbol, aliases, listed_symbol):
-        """Does an OMIM-listed symbol denote this gene under the policy?
-
-        Returns ``(matched, via)`` where ``via`` explains how:
-        ``exact``, ``case`` or ``alias``.
-        """
-        if listed_symbol == official_symbol:
-            return True, "exact"
-        if (
-            self.policy.case_insensitive_symbols
-            and listed_symbol.lower() == official_symbol.lower()
-        ):
-            return True, "case"
-        if self.policy.use_alias_symbols:
-            candidates = {alias for alias in aliases}
-            if listed_symbol in candidates:
-                return True, "alias"
-            if self.policy.case_insensitive_symbols and any(
-                listed_symbol.lower() == alias.lower()
-                for alias in candidates
-            ):
-                return True, "alias"
-        return False, "none"
-
     def disease_ids_via_symbols(self, anchor_id, official_symbol, aliases,
                                 omim_wrapper, report, index=None):
         """MIM numbers OMIM associates with this gene through symbols.
@@ -274,31 +250,3 @@ class Reconciler:
                         if listed != alias:
                             adopt(listed, ids, "alias")
         return found
-
-    # -- attribute merging ----------------------------------------------------------
-
-    @staticmethod
-    def merge_values(values_by_source, trusted_order):
-        """Resolve one attribute reported differently by several sources.
-
-        Strategy: the first source in ``trusted_order`` that reports a
-        value wins; disagreement among the rest is surfaced by the
-        caller.  Returns ``(winner_value, winner_source, conflicting)``.
-        """
-        ordered = [
-            source for source in trusted_order if source in values_by_source
-        ] + [
-            source
-            for source in sorted(values_by_source)
-            if source not in trusted_order
-        ]
-        if not ordered:
-            return None, None, []
-        winner_source = ordered[0]
-        winner = values_by_source[winner_source]
-        conflicting = [
-            (source, values_by_source[source])
-            for source in ordered[1:]
-            if values_by_source[source] != winner
-        ]
-        return winner, winner_source, conflicting

@@ -9,11 +9,11 @@ matched link (Annotation / Disease / Citation / Protein) and a
 Most consumers read neither — the service answers with gene ids and a
 count, the benchmarks check gene ids — so the executor builds neither.
 It keeps the plain data each is a pure function of: an
-:class:`AnswerRows` (the surviving anchor records, their matched link
-ids as columns, the query's ``select`` and the anchor source's
-translation steps) and an :class:`AnswerView`.
-:meth:`AnswerRows.gene_ids` reads the gene ids off the anchor records
-without building a row.
+:class:`AnswerRows` (the surviving anchor records, their ids and
+matched link ids as columns, the query's ``select`` and the anchor
+source's translation steps) and an :class:`AnswerView`.
+:meth:`AnswerRows.gene_ids` reads the gene ids off the anchor-id
+column without building a row.
 :class:`~repro.mediator.executor.IntegratedResult` calls
 :meth:`AnswerRows.build` once, on the first read that needs rows, and
 :meth:`AnswerView.build` once, on the first read of ``result.graph``
@@ -58,7 +58,8 @@ class AnswerRows:
 
     ``anchors`` are the surviving anchor records in answer order: the
     source's read-only extent records (the record contract of
-    :mod:`repro.sources.base`), held, not copied.  ``links`` holds
+    :mod:`repro.sources.base`), held, not copied.  ``anchor_ids`` is
+    the column of their raw GeneID field values.  ``links`` holds
     their matched link ids as columns: ``(source, column)`` pairs in
     the order of each row's ``_links`` keys, each column one tuple of
     ids per anchor (a pruned step's tuples are its link table's own).
@@ -71,21 +72,22 @@ class AnswerRows:
     """
 
     anchors: list
+    anchor_ids: tuple
     links: tuple
     select: tuple
     steps: tuple
 
     def gene_ids(self):
         """The rows' ``GeneID`` values, in answer order, without
-        building a row: each anchor's GeneID field passed through the
-        GeneID step alone."""
-        [(source_field, _key, transform)] = [
-            step for step in self.steps if step[1] == "GeneID"
+        building a row: the anchor-id column passed through the GeneID
+        step's transform, if it has one."""
+        [transform] = [
+            transform for _field, key, transform in self.steps
+            if key == "GeneID"
         ]
-        ids = [record[source_field] for record in self.anchors]
         if transform is None:
-            return ids
-        return [transform(value) for value in ids]
+            return list(self.anchor_ids)
+        return [transform(value) for value in self.anchor_ids]
 
     def build(self):
         """The gene rows: each anchor record translated, carrying its

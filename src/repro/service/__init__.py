@@ -1,15 +1,15 @@
 """ANNODA as a long-lived, admission-controlled query service.
 
-The transport-independent core (:class:`AnnodaService`) wraps one
-federation in a bounded admission queue and a worker pool with
-per-request deadline budgets; the stdlib HTTP shell
-(:func:`serve` / :class:`AnnodaHTTPServer`) exposes it as
+The transport-independent core (:class:`AnnodaService`) admits each
+request through one gate (a bounded number run at once, a bounded
+number wait for a seat, the rest are shed) and answers it on the
+calling thread, with a per-request deadline budget; the stdlib HTTP
+shell (:func:`serve` / :class:`AnnodaHTTPServer`) exposes it as
 ``POST /query`` plus ``/questions``, ``/metrics``, ``/requests`` and
 ``/healthz``.  See DESIGN §14.
 """
 
 from repro.service.metrics import SERVICE_COUNTERS, ServiceMetrics
-from repro.service.queue import AdmissionQueue, Ticket
 from repro.service.requestlog import RequestLog, log_record_shape
 from repro.service.server import (
     AnnodaHTTPServer,
@@ -22,10 +22,8 @@ from repro.service.types import (
     ServiceRequest,
     ServiceResponse,
 )
-from repro.service.workers import WorkerPool
 
 __all__ = [
-    "AdmissionQueue",
     "AnnodaHTTPServer",
     "AnnodaService",
     "BadRequest",
@@ -35,8 +33,6 @@ __all__ = [
     "ServiceMetrics",
     "ServiceRequest",
     "ServiceResponse",
-    "Ticket",
-    "WorkerPool",
     "log_record_shape",
     "serve",
 ]

@@ -1,38 +1,42 @@
 """ANNODA as a long-lived query service.
 
-:class:`AnnodaService` is the transport-independent core: admission
-control (bounded queue, immediate 429 shedding), a worker pool
-executing queries against one shared federation, per-request deadline
-budgets, a structured request log and merged service/pipeline metrics.
-The HTTP layer (:class:`AnnodaHTTPServer`, stdlib
-``ThreadingHTTPServer`` — no new dependencies) is a thin shell over
-it, so the whole concurrency surface is testable in-process without
-sockets.
+:class:`AnnodaService` is the transport-independent core.  It admits
+each request through one gate (at most ``workers`` requests run at
+once, at most ``queue_capacity`` more wait for a seat, and the rest are
+shed at once with 429) and answers it on the calling thread, with a
+per-request deadline budget, a structured request log and merged
+service/pipeline metrics.  The HTTP layer (:class:`AnnodaHTTPServer`,
+stdlib ``ThreadingHTTPServer``, no new dependencies) is a thin shell
+over it, in which each ``POST /query`` runs on the handler thread the
+server starts for its connection; so the whole concurrency surface is
+testable in-process without sockets.
 
 Endpoints:
 
 - ``POST /query`` — a :class:`~repro.service.types.ServiceRequest`
   JSON body; answers 200 (full or degraded-partial), 400 (malformed),
-  429 + ``Retry-After`` (queue full), 503 (shutting down);
+  429 + ``Retry-After`` (every seat taken and the wait line full),
+  503 (shutting down);
 - ``GET /questions`` — the catalog question names and their params;
 - ``GET /metrics`` — the service + pipeline counter snapshot, plus
   the federation cache's per-kind hits, misses and entries;
 - ``GET /requests`` — recent structured request-log records;
-- ``GET /healthz`` — liveness plus queue depth.
+- ``GET /healthz`` — liveness plus waiting and running counts.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import threading
+from collections import deque
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional
+from typing import Any, Deque, Dict, Optional
 from urllib.parse import urlparse
 
 from repro.questions.catalog import QuestionCatalog
 from repro.service.metrics import ServiceMetrics
-from repro.service.queue import AdmissionQueue, Ticket
 from repro.service.requestlog import RequestLog, log_record_shape
 from repro.service.types import (
     CATALOG_PARAMS,
@@ -46,7 +50,6 @@ from repro.service.types import (
     ServiceRequest,
     ServiceResponse,
 )
-from repro.service.workers import WorkerPool
 from repro.trace.export import trace_shape
 from repro.util.cancel import RequestBudget
 from repro.util.errors import QueryError
@@ -57,9 +60,10 @@ from repro.util.locks import new_lock
 class ServiceConfig:
     """Operating knobs of one :class:`AnnodaService`."""
 
-    #: Seats in the admission queue; a full queue sheds with 429.
+    #: Requests that may wait for a seat; a full wait line sheds with
+    #: 429.
     queue_capacity: int = 64
-    #: Worker threads executing queries.
+    #: Requests that may run at once (the seats).
     workers: int = 4
     #: Deadline (seconds) applied to requests that don't set one;
     #: ``None`` leaves them unbounded.
@@ -71,86 +75,142 @@ class ServiceConfig:
 
 
 class AnnodaService:
-    """Admission-controlled query execution over one federation."""
+    """Admission-controlled query execution over one federation.
+
+    :meth:`ask` answers each request on the thread that calls it.  One
+    gate admits them: a condition over ``AnnodaService._seats`` guards
+    the ids waiting for a seat (first come, first served), the running
+    requests' budgets, the closing flag and the request-id counter.  A
+    request takes its seat and registers its budget under one hold of
+    that lock, so a fast shutdown's refusal of the waiters and its
+    cancellation of the running budgets miss no request between them.
+    """
 
     def __init__(self, annoda: Any,
                  config: Optional[ServiceConfig] = None) -> None:
         self.annoda = annoda
         self.config = config or ServiceConfig()
+        if self.config.queue_capacity < 1:
+            raise ValueError("queue capacity must be at least 1")
+        if self.config.workers < 1:
+            raise ValueError("the service needs at least 1 worker")
         self.metrics = ServiceMetrics()
         self.request_log = RequestLog(self.config.request_log_size)
-        self.queue = AdmissionQueue(self.config.queue_capacity)
-        self.pool = WorkerPool(
-            self.queue, self._handle, workers=self.config.workers
-        )
-        self._ids_lock = new_lock("AnnodaService._ids_lock")
+        self._seats = threading.Condition(new_lock("AnnodaService._seats"))
+        self._waiting: Deque[int] = deque()
+        self._running: Dict[int, RequestBudget] = {}
+        self._closing = False
         self._next_id = 0
-        self._started = False
-        self._stopped = False
 
     # -- lifecycle -----------------------------------------------------------
 
-    def start(self) -> "AnnodaService":
-        if not self._started:
-            self._started = True
-            self.pool.start()
-        return self
-
     def shutdown(self, drain: bool = True,
                  timeout: Optional[float] = None) -> None:
-        """Stop the service.
+        """Stop the service; new arrivals get 503 either way.
 
-        ``drain=True`` (graceful) answers everything already admitted
-        before the workers exit; ``drain=False`` flushes queued
-        requests as 503 and cancels in-flight budgets so workers
-        return degraded answers immediately.
+        ``drain=True`` (graceful) answers every waiting and running
+        request.  ``drain=False`` (fast) refuses the waiting ones with
+        503 and cancels the running ones' budgets, so their fetches
+        time out at once and they return degraded answers.  Returns
+        once nothing waits or runs, or when ``timeout`` expires.
         """
-        self._stopped = True
-        self.pool.shutdown(drain=drain, timeout=timeout)
+        with self._seats:
+            self._closing = True
+            if not drain:
+                self._waiting.clear()
+                for budget in self._running.values():
+                    budget.cancel("service shutdown")
+            self._seats.notify_all()
+            self._seats.wait_for(
+                lambda: not self._waiting and not self._running, timeout
+            )
 
     def __enter__(self) -> "AnnodaService":
-        return self.start()
+        return self
 
     def __exit__(self, *exc_info: Any) -> None:
         self.shutdown(drain=True)
 
     # -- admission -----------------------------------------------------------
 
-    def submit(self, request: ServiceRequest) -> Ticket:
-        """Admit (or immediately shed) one request.
+    def ask(self, request: ServiceRequest) -> ServiceResponse:
+        """Admit one request and answer it on the calling thread.
 
-        Always returns a ticket; a shed or shutdown rejection comes
-        back already resolved, so ``ticket.result()`` never blocks on
-        a request the service declined.  The request's deadline budget
-        starts *here* — time spent queued counts against it.
+        It runs at once when a seat is free and nobody waits; it waits
+        for a seat when the wait line has room; otherwise it is shed
+        at once with 429.  The deadline budget starts on arrival, so
+        time spent waiting counts against it.
         """
         self.metrics.add("requests_received")
         deadline = request.deadline
         if deadline is None:
             deadline = self.config.default_deadline
-        ticket = Ticket(
-            request, self._allocate_id(), RequestBudget(deadline=deadline)
-        )
-        if self.queue.offer(ticket):
+        budget = RequestBudget(deadline=deadline)
+        with self._seats:
+            self._next_id += 1
+            request_id = self._next_id
+            depth = len(self._waiting)
+            if self._closing:
+                refusal: Optional[str] = "shutdown"
+            elif depth >= self.config.queue_capacity:
+                refusal = "shed"
+            else:
+                refusal = None
+                self._waiting.append(request_id)
+        if refusal is None:
             self.metrics.add("requests_admitted")
-            self.metrics.observe_queue_depth(len(self.queue))
-            return ticket
-        if self.queue.closed:
-            response = ServiceResponse(
-                status=STATUS_SHUTTING_DOWN,
+            self.metrics.observe_queue_depth(depth + 1)
+            if not self._take_seat(request_id, budget=budget):
+                refusal = "shutdown"
+        if refusal is not None:
+            return self._refuse(request, request_id, refusal, budget=budget)
+        try:
+            return self._handle(request, request_id, budget=budget)
+        except Exception as exc:  # a handler bug must not drop the client
+            return ServiceResponse(
+                status=STATUS_ERROR,
                 body=self._envelope(
-                    ticket, outcome="shutdown",
-                    error="service is shutting down",
+                    request, request_id, outcome="error",
+                    error=str(exc) or type(exc).__name__, budget=budget,
                 ),
             )
-        else:
+        finally:
+            with self._seats:
+                del self._running[request_id]
+                self._seats.notify_all()
+
+    def _take_seat(self, request_id: int, budget: RequestBudget) -> bool:
+        """Wait until ``request_id`` heads the wait line and a seat is
+        free, then seat it; ``False`` if a fast shutdown refused it
+        first."""
+        with self._seats:
+            while request_id in self._waiting:
+                if (
+                    self._waiting[0] == request_id
+                    and len(self._running) < self.config.workers
+                ):
+                    self._waiting.popleft()
+                    self._running[request_id] = budget
+                    if self._waiting:
+                        # The next in line may have a free seat too.
+                        self._seats.notify_all()
+                    return True
+                self._seats.wait()
+            return False
+
+    def _refuse(self, request: ServiceRequest, request_id: int,
+                outcome: str, budget: RequestBudget) -> ServiceResponse:
+        """Answer a request the gate turned away, on arrival or while
+        it waited: 429 ``shed`` (wait line full) or 503 ``shutdown``."""
+        if outcome == "shed":
             self.metrics.add("requests_shed")
             body = self._envelope(
-                ticket, outcome="shed",
+                request, request_id, outcome="shed",
                 error=(
                     f"admission queue full "
-                    f"({self.queue.capacity} seats)"
+                    f"({self.config.queue_capacity} seats)"
                 ),
+                budget=budget,
             )
             # The HTTP Retry-After header is integer delta-seconds;
             # the body carries the precise sub-second hint.
@@ -160,29 +220,26 @@ class AnnodaService:
                 body=body,
                 retry_after=self.config.retry_after,
             )
-        self._finish(ticket, response)
-        ticket.resolve(response)
-        return ticket
+        else:
+            response = ServiceResponse(
+                status=STATUS_SHUTTING_DOWN,
+                body=self._envelope(
+                    request, request_id, outcome="shutdown",
+                    error="service is shutting down", budget=budget,
+                ),
+            )
+        self._finish(request, request_id, response, budget=budget)
+        return response
 
-    def ask(self, request: ServiceRequest,
-            timeout: Optional[float] = None) -> ServiceResponse:
-        """Submit and wait: the blocking one-call client API."""
-        return self.submit(request).result(timeout)
+    # -- execution -----------------------------------------------------------
 
-    def _allocate_id(self) -> int:
-        with self._ids_lock:
-            self._next_id += 1
-            return self._next_id
-
-    # -- execution (worker side) ---------------------------------------------
-
-    def _handle(self, ticket: Ticket) -> ServiceResponse:
-        """Execute one admitted ticket (runs on a pool worker)."""
-        request = ticket.request
+    def _handle(self, request: ServiceRequest, request_id: int,
+                budget: RequestBudget) -> ServiceResponse:
+        """Execute one seated request."""
         try:
             question = self._resolve_question(request)
         except BadRequest as exc:
-            return self._reject(ticket, str(exc))
+            return self._reject(request, request_id, str(exc), budget=budget)
         recorder = None
         if request.trace:
             from repro.trace.recorder import TraceRecorder
@@ -194,34 +251,36 @@ class AnnodaService:
                 enrich_links=request.enrich_links,
                 use_cache=request.use_cache,
                 recorder=recorder,
-                budget=ticket.budget,
+                budget=budget,
             )
         except QueryError as exc:
             # The question itself cannot be evaluated (say, an 'under'
             # term the ontology does not hold): the client's mistake.
-            return self._reject(ticket, str(exc))
+            return self._reject(request, request_id, str(exc), budget=budget)
         except Exception as exc:
             self.metrics.add("requests_failed")
             response = ServiceResponse(
                 status=STATUS_ERROR,
                 body=self._envelope(
-                    ticket, outcome="error",
-                    error=str(exc) or type(exc).__name__,
+                    request, request_id, outcome="error",
+                    error=str(exc) or type(exc).__name__, budget=budget,
                 ),
             )
-            self._finish(ticket, response)
+            self._finish(request, request_id, response, budget=budget)
             return response
         degraded = sorted(result.report.degraded)
         outcome = "degraded" if degraded else "ok"
         self.metrics.add(
             "requests_degraded" if degraded else "requests_ok"
         )
-        if ticket.budget.expired:
+        if budget.expired:
             self.metrics.add("deadline_expired")
         # A warm replay of a cached result did no new pipeline work:
         # the metrics fold each result object's stats in only once.
         self.metrics.observe_result(result)
-        body = self._envelope(ticket, outcome=outcome)
+        body = self._envelope(
+            request, request_id, outcome=outcome, budget=budget
+        )
         body["result"] = {
             "gene_count": len(result),
             "gene_ids": sorted(result.gene_ids()),
@@ -238,18 +297,22 @@ class AnnodaService:
         if recorder is not None and result.trace is not None:
             body["trace"] = trace_shape(result.trace)
         response = ServiceResponse(status=STATUS_OK, body=body)
-        self._finish(ticket, response)
+        self._finish(request, request_id, response, budget=budget)
         return response
 
-    def _reject(self, ticket: Ticket, error: str) -> ServiceResponse:
-        """Answer a client's mistake found by a worker: 400
+    def _reject(self, request: ServiceRequest, request_id: int, error: str,
+                budget: RequestBudget) -> ServiceResponse:
+        """Answer a client's mistake found once seated: 400
         ``bad-request``, counted in ``requests_rejected``."""
         self.metrics.add("requests_rejected")
         response = ServiceResponse(
             status=STATUS_BAD_REQUEST,
-            body=self._envelope(ticket, outcome="bad-request", error=error),
+            body=self._envelope(
+                request, request_id, outcome="bad-request", error=error,
+                budget=budget,
+            ),
         )
-        self._finish(ticket, response)
+        self._finish(request, request_id, response, budget=budget)
         return response
 
     def _resolve_question(self, request: ServiceRequest) -> Any:
@@ -287,37 +350,39 @@ class AnnodaService:
 
     # -- bookkeeping ---------------------------------------------------------
 
-    def _envelope(self, ticket: Ticket, outcome: str,
+    def _envelope(self, request: ServiceRequest, request_id: int,
+                  outcome: str, budget: RequestBudget,
                   error: Optional[str] = None) -> Dict[str, Any]:
         body: Dict[str, Any] = {
-            "request_id": ticket.request_id,
-            "kind": ticket.request.kind,
-            "question": ticket.request.describe(),
+            "request_id": request_id,
+            "kind": request.kind,
+            "question": request.describe(),
             "outcome": outcome,
-            "deadline": ticket.budget.deadline,
-            "deadline_expired": ticket.budget.expired,
-            "elapsed": ticket.budget.elapsed(),
+            "deadline": budget.deadline,
+            "deadline_expired": budget.expired,
+            "elapsed": budget.elapsed(),
         }
         if error is not None:
             body["error"] = error
         return body
 
-    def _finish(self, ticket: Ticket, response: ServiceResponse) -> None:
+    def _finish(self, request: ServiceRequest, request_id: int,
+                response: ServiceResponse, budget: RequestBudget) -> None:
         """Count completion and append the structured log record."""
         self.metrics.add("requests_completed")
         body = response.body
         result = body.get("result") or {}
         self.request_log.append({
-            "request_id": ticket.request_id,
-            "kind": ticket.request.kind,
-            "question": ticket.request.describe(),
+            "request_id": request_id,
+            "kind": request.kind,
+            "question": request.describe(),
             "http_status": response.status,
             "outcome": body.get("outcome"),
             "degraded_sources": result.get("degraded_sources", []),
-            "deadline": ticket.budget.deadline,
-            "deadline_expired": ticket.budget.expired,
+            "deadline": budget.deadline,
+            "deadline_expired": budget.expired,
             "gene_count": result.get("gene_count"),
-            "elapsed": ticket.budget.elapsed(),
+            "elapsed": budget.elapsed(),
             "error": body.get("error"),
             "trace": body.get("trace"),
         })
@@ -340,13 +405,14 @@ class AnnodaService:
         return snapshot
 
     def health(self) -> Dict[str, Any]:
-        return {
-            "status": "shutting-down" if self._stopped else "ok",
-            "queue_depth": len(self.queue),
-            "queue_capacity": self.queue.capacity,
-            "workers": self.pool.size,
-            "inflight": self.pool.inflight(),
-        }
+        with self._seats:
+            return {
+                "status": "shutting-down" if self._closing else "ok",
+                "queue_depth": len(self._waiting),
+                "queue_capacity": self.config.queue_capacity,
+                "workers": self.config.workers,
+                "inflight": len(self._running),
+            }
 
 
 class AnnodaHTTPHandler(BaseHTTPRequestHandler):
@@ -441,10 +507,8 @@ class AnnodaHTTPHandler(BaseHTTPRequestHandler):
 class AnnodaHTTPServer(ThreadingHTTPServer):
     """A threading HTTP server bound to one :class:`AnnodaService`.
 
-    Handler threads are non-daemon so ``server_close()`` joins them:
-    a request whose connection was accepted is fully answered before
-    the service behind it shuts down (every admitted ticket resolves,
-    so the join always terminates).
+    Each connection's handler thread runs its query.  Handler threads
+    are non-daemon, so ``server_close()`` joins them.
     """
 
     daemon_threads = False
@@ -454,16 +518,25 @@ class AnnodaHTTPServer(ThreadingHTTPServer):
         self.service = service
 
     def close(self, drain: bool = True) -> None:
-        """Stop accepting connections, then stop the service."""
+        """Stop accepting connections, then stop the service.
+
+        A graceful close joins the handler threads before it stops the
+        service, so every accepted connection is answered in full.  A
+        fast close stops the service first: joining first would run
+        every query in flight to its end before it could be cancelled.
+        """
         self.shutdown()
-        self.server_close()
-        self.service.shutdown(drain=drain)
+        if drain:
+            self.server_close()
+            self.service.shutdown(drain=True)
+        else:
+            self.service.shutdown(drain=False)
+            self.server_close()
 
 
 def serve(annoda: Any, host: str = "127.0.0.1", port: int = 8080,
           config: Optional[ServiceConfig] = None) -> AnnodaHTTPServer:
-    """Build and start the service around ``annoda``; returns the
-    bound HTTP server (call ``serve_forever()`` to block, ``close()``
-    to stop).  ``port=0`` binds an ephemeral port (tests)."""
-    service = AnnodaService(annoda, config=config).start()
-    return AnnodaHTTPServer((host, port), service)
+    """Build the service around ``annoda``; returns the bound HTTP
+    server (call ``serve_forever()`` to block, ``close()`` to stop).
+    ``port=0`` binds an ephemeral port (tests)."""
+    return AnnodaHTTPServer((host, port), AnnodaService(annoda, config=config))

@@ -78,6 +78,7 @@ from typing import (
     TypeVar,
 )
 
+from repro.lorel.coerce import _as_bool, _as_number, compare, like
 from repro.util.errors import DataFormatError, QueryError
 from repro.util.locks import make_counters, new_lock
 
@@ -108,14 +109,14 @@ _current_tally: "contextvars.ContextVar[Optional[Dict[str, int]]]" = (
 
 
 def new_tally() -> Dict[str, int]:
-    """An empty request-scoped fetch tally: the fetch-path counters of
-    :meth:`DataSource.fetch_stats` plus ``replica_failovers``, which a
+    """An empty request-scoped fetch tally: the counters of
+    :meth:`DataSource.fetch_stats` a fetch moves (all but the
+    load-time ``index_adoptions``) plus ``replica_failovers``, which a
     :class:`~repro.mediator.replicas.ReplicaSet` adds."""
     return {
         "index_hits": 0,
         "scan_queries": 0,
         "index_builds": 0,
-        "index_adoptions": 0,
         "replica_failovers": 0,
     }
 
@@ -521,7 +522,9 @@ class DataSource:
             "fields": fields,
             "unindexable": unindexable,
         }
-        self._count_locked("index_adoptions", len(fields))
+        # A store adopts while it loads, never inside a fetch, so only
+        # its cumulative count moves (no fetch tally carries it).
+        self._fetchpath_counters()["index_adoptions"] += len(fields)
         return True
 
     def _adopt_or_warn(self, index_state: Optional[Dict[str, Any]]) -> None:
@@ -617,24 +620,23 @@ class DataSource:
 
 
 def _evaluate(value: Any, condition: NativeCondition) -> bool:
-    """Evaluate one native condition against one field value."""
-    from repro.lorel.coerce import compare, like
-
+    """Evaluate one native condition against one field value; a list
+    value satisfies it when any of its items does."""
     if value is None:
         return False
-    values = value if isinstance(value, (list, tuple)) else [value]
+    if isinstance(value, (list, tuple)):
+        return any(_evaluate_item(item, condition) for item in value)
+    return _evaluate_item(value, condition)
+
+
+def _evaluate_item(item: Any, condition: NativeCondition) -> bool:
     if condition.op == "contains":
-        needle = str(condition.value).lower()
-        return any(needle in str(item).lower() for item in values)
+        return str(condition.value).lower() in str(item).lower()
     if condition.op == "like":
-        return any(like(str(item), str(condition.value)) for item in values)
+        return like(str(item), str(condition.value))
     if condition.op == "in":
-        return any(
-            compare("=", item, candidate)
-            for item in values
-            for candidate in condition.value
-        )
-    return any(compare(condition.op, item, condition.value) for item in values)
+        return any(compare("=", item, candidate) for candidate in condition.value)
+    return compare(condition.op, item, condition.value)
 
 
 # -- index key normalization --------------------------------------------------
@@ -653,8 +655,6 @@ def _evaluate(value: Any, condition: NativeCondition) -> bool:
 
 def _index_keys(value: Any) -> List[Tuple[str, Any]]:
     """The index keys one stored field item is filed under."""
-    from repro.lorel.coerce import _as_bool, _as_number
-
     if isinstance(value, bool):
         return [("bool", value)]
     if isinstance(value, (int, float)):
@@ -680,8 +680,6 @@ def _index_keys(value: Any) -> List[Tuple[str, Any]]:
 
 def _probe_keys(value: Any) -> List[Tuple[str, Any]]:
     """The index keys a query value must probe."""
-    from repro.lorel.coerce import _as_bool, _as_number
-
     if isinstance(value, bool):
         return [("bool", value), ("numbool", value), ("strbool", value)]
     if isinstance(value, (int, float)):

@@ -12,11 +12,6 @@ compose across both tools.
 """
 
 from repro.tools.flow import rules as _rules  # noqa: F401  (registers rules)
-from repro.tools.flow.baseline import (
-    load_baseline,
-    partition,
-    save_baseline,
-)
 from repro.tools.flow.graph import (
     CallSite,
     ClassInfo,
@@ -39,7 +34,4 @@ __all__ = [
     "analyze_paths",
     "analyze_texts",
     "interprocedural_codes",
-    "load_baseline",
-    "partition",
-    "save_baseline",
 ]

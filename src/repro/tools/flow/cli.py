@@ -1,7 +1,7 @@
 """Command line front end: ``python -m repro.tools.flow [paths...]``.
 
-Exit codes match the per-file lint: 0 clean (or all findings
-baselined), 1 new findings reported, 2 usage error.
+Exit codes match the per-file lint: 0 clean, 1 findings reported,
+2 usage error.
 """
 
 from __future__ import annotations
@@ -10,11 +10,6 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from repro.tools.flow.baseline import (
-    load_baseline,
-    partition,
-    save_baseline,
-)
 from repro.tools.flow.runner import (
     analyze_paths,
     interprocedural_codes,
@@ -51,18 +46,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="print the interprocedural rules and exit",
     )
     parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="suppress findings recorded in FILE; fail only on new "
-             "ones (a missing FILE is an empty baseline)",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite --baseline FILE with the current findings and "
-             "exit 0",
-    )
-    parser.add_argument(
         "--include-fixtures",
         action="store_true",
         help=(
@@ -90,12 +73,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if options.list_rules:
         print(_list_rules())
         return 0
-    if options.update_baseline and not options.baseline:
-        print(
-            "error: --update-baseline requires --baseline FILE",
-            file=sys.stderr,
-        )
-        return 2
 
     flow_codes = interprocedural_codes()
     select = None
@@ -129,30 +106,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         select=select,
         include_fixtures=options.include_fixtures,
     )
-
-    if options.update_baseline:
-        count = save_baseline(options.baseline, diagnostics)
-        plural = "ies" if count != 1 else "y"
-        print(
-            f"baseline {options.baseline} rewritten with {count} "
-            f"entr{plural}",
-            file=sys.stderr,
-        )
-        return 0
-
-    if options.baseline:
-        try:
-            baseline = load_baseline(options.baseline)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        diagnostics, stale = partition(diagnostics, baseline)
-        for path, code, message in stale:
-            print(
-                f"note: stale baseline entry (fixed): "
-                f"{path}: {code} {message}",
-                file=sys.stderr,
-            )
 
     for diagnostic in diagnostics:
         print(diagnostic.render())

@@ -539,17 +539,17 @@ class DroppedCounterRule(Rule):
         "each counter declared in a metrics registry must be counted "
         "(incr / set_counter) somewhere in the project, a counter "
         "counted inside repro modules must be declared in a registry "
-        "(registered AND counted, never half-wired), and each "
-        "fetch-path counter key must be folded in by the module that "
-        "defines ExecutionReport."
+        "(registered AND counted, never half-wired), and each key of "
+        "a fetch's tally (new_tally) must be folded in by the module "
+        "that defines ExecutionReport."
     )
 
     def finish(self, project: Project) -> List[Diagnostic]:
-        findings = self._check_fetchpath_keys(project)
+        findings = self._check_tally_keys(project)
         findings.extend(self._check_registered_metrics(project))
         return findings
 
-    def _check_fetchpath_keys(
+    def _check_tally_keys(
         self, project: Project
     ) -> List[Diagnostic]:
         report_literals: Set[str] = set()
@@ -572,7 +572,7 @@ class DroppedCounterRule(Rule):
             return []
         findings = []
         for module in project.modules:
-            for key, line, col in self._fetchpath_counter_keys(
+            for key, line, col in self._tally_keys(
                 module.tree
             ):
                 if key not in report_literals:
@@ -582,7 +582,7 @@ class DroppedCounterRule(Rule):
                             line,
                             col,
                             self.code,
-                            f"fetch-path counter {key!r} is not folded "
+                            f"fetch tally key {key!r} is not folded "
                             "in by the ExecutionReport module (the "
                             "execution report would drop it)",
                         )
@@ -728,14 +728,14 @@ class DroppedCounterRule(Rule):
         return sites
 
     @staticmethod
-    def _fetchpath_counter_keys(
+    def _tally_keys(
         tree: ast.Module,
     ) -> List[Tuple[str, int, int]]:
         keys = []
         for node in ast.walk(tree):
             if (
                 isinstance(node, ast.FunctionDef)
-                and node.name == "_fetchpath_counters"
+                and node.name == "new_tally"
             ):
                 for sub in ast.walk(node):
                     if isinstance(sub, ast.Dict):

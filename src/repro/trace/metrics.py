@@ -145,10 +145,6 @@ METRICS.register(
     description="equality indexes (re)built by scanning this execution",
 )
 METRICS.register(
-    "indexes_adopted", stage="execute",
-    description="equality indexes adopted from a persisted snapshot",
-)
-METRICS.register(
     "replica_failovers", stage="execute",
     description="fetches a replica set answered from a sibling after "
                 "a replica failed",

@@ -1,8 +1,8 @@
 """Per-answer fetch-path counters count the answer's own work.
 
-``index_hits``, ``scan_fetches``, ``indexes_rebuilt``,
-``indexes_adopted`` and ``replica_failovers`` of one answer are summed
-from the request-scoped tallies its own fetches carry, so executions
+``index_hits``, ``scan_fetches``, ``indexes_rebuilt`` and
+``replica_failovers`` of one answer are summed from the
+request-scoped tallies its own fetches carry, so executions
 running side by side on one mediator never count each other's native
 queries or failovers.  Pinned here: the six catalog questions asked
 concurrently report exactly the counters they report asked one after
@@ -26,7 +26,6 @@ COUNTERS = (
     "index_hits",
     "scan_fetches",
     "indexes_rebuilt",
-    "indexes_adopted",
     "replica_failovers",
 )
 

@@ -100,11 +100,6 @@ class TestMdsmCorrespondences:
         with pytest.raises(IntegrationError):
             module.register_wrapper(LocusLinkWrapper(corpus.locuslink))
 
-    def test_sources_providing(self, mediator):
-        providers = mediator.mapping_module.sources_providing("Definition")
-        assert set(providers) == {"LocusLink", "GO", "OMIM"}
-        assert mediator.mapping_module.sources_providing("Journal") == []
-
 
 class TestTranslation:
     def test_record_rekeyed_to_global(self, corpus):

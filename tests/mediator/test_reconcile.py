@@ -96,47 +96,27 @@ class TestDiseaseValidation:
         assert report.count("dangling_disease") == 1
 
 
-class TestSymbolMatching:
-    def test_exact(self):
-        matched, via = Reconciler().symbol_match("FOSB", [], "FOSB")
-        assert matched and via == "exact"
-
-    def test_case_variant(self):
-        matched, via = Reconciler().symbol_match("FOSB", [], "fosb")
-        assert matched and via == "case"
-
-    def test_alias(self):
-        matched, via = Reconciler().symbol_match(
-            "FOSB", ["FOSB-ALT1"], "FOSB-ALT1"
-        )
-        assert matched and via == "alias"
-
-    def test_alias_case_variant(self):
-        matched, via = Reconciler().symbol_match(
-            "FOSB", ["FOSB-ALT1"], "fosb-alt1"
-        )
-        assert matched and via == "alias"
-
-    def test_unrelated(self):
-        matched, via = Reconciler().symbol_match("FOSB", [], "BRCA2")
-        assert not matched and via == "none"
-
-    def test_naive_policy_exact_only(self):
-        reconciler = Reconciler(ReconciliationPolicy.naive())
-        assert not reconciler.symbol_match("FOSB", [], "fosb")[0]
-        assert not reconciler.symbol_match("FOSB", ["X1"], "X1")[0]
-
-
 class TestSymbolJoin:
     def test_reconciled_join_finds_all_variants(self, omim_wrapper):
         report = ReconciliationReport()
         found = Reconciler().disease_ids_via_symbols(
             1, "FOSB", ["FOSB-ALT1"], omim_wrapper, report
         )
+        # The exact symbol, its case variant and the alias; never the
+        # unrelated OTHER1.
         assert found == {100100, 100200, 100300}
         # Two repairs: the case variant and the alias.
         assert report.count("symbol_case") == 1
         assert report.count("symbol_alias") == 1
+
+        # An alias OMIM lists in another case is an alias repair.
+        report = ReconciliationReport()
+        found = Reconciler().disease_ids_via_symbols(
+            2, "BRCA2", ["fosb-alt1"], omim_wrapper, report
+        )
+        assert found == {100300}
+        assert report.count("symbol_alias") == 1
+        assert report.count() == 1
 
     def test_naive_join_finds_exact_only(self, omim_wrapper):
         report = ReconciliationReport()
@@ -145,34 +125,11 @@ class TestSymbolJoin:
             1, "FOSB", ["FOSB-ALT1"], omim_wrapper, report
         )
         assert found == {100100}
+        # Neither an alias nor a case variant of one matches.
+        assert reconciler.disease_ids_via_symbols(
+            2, "BRCA2", ["fosb-alt1", "FOSB-ALT1"], omim_wrapper, report
+        ) == set()
         assert report.count() == 0
-
-
-class TestValueMerging:
-    def test_trusted_source_wins(self):
-        winner, source, conflicting = Reconciler.merge_values(
-            {"LocusLink": "19q13.32", "OMIM": "19q13"},
-            trusted_order=("LocusLink", "OMIM"),
-        )
-        assert winner == "19q13.32"
-        assert source == "LocusLink"
-        assert conflicting == [("OMIM", "19q13")]
-
-    def test_agreeing_sources_report_no_conflict(self):
-        _, _, conflicting = Reconciler.merge_values(
-            {"A": "x", "B": "x"}, trusted_order=("A",)
-        )
-        assert conflicting == []
-
-    def test_untrusted_sources_fall_back_alphabetical(self):
-        winner, source, _ = Reconciler.merge_values(
-            {"Z": 1, "B": 2}, trusted_order=()
-        )
-        assert source == "B"
-        assert winner == 2
-
-    def test_empty_input(self):
-        assert Reconciler.merge_values({}, ()) == (None, None, [])
 
 
 class TestReport:

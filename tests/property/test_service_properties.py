@@ -2,12 +2,12 @@
 
 Concurrency never changes a service answer: Hypothesis draws small
 mixed workloads of catalog requests; each workload runs twice against
-equivalent federations — once serially on a single worker, once
-submitted all at once to a multi-worker service.  For every request
-the serialized ``result`` payload (gene count, the sorted gene ids,
-degraded sources) must be byte-identical between the two runs: worker
-scheduling, queue order and shared-federation locking are invisible in
-the answers.
+equivalent federations — once serially through a single seat, once
+sent all at once, one client thread per request, to a service with
+four seats.  For every request the serialized ``result`` payload (gene
+count, the sorted gene ids, degraded sources) must be byte-identical
+between the two runs: thread scheduling, seating order and
+shared-federation locking are invisible in the answers.
 
 Request bodies are untrusted: any decoded JSON value makes
 ``ServiceRequest.from_dict`` return a request or raise
@@ -28,7 +28,7 @@ from hypothesis import given, settings, strategies as st
 from repro.service import ServiceConfig, AnnodaService, ServiceRequest, serve
 from repro.service.types import BadRequest, CATALOG_PARAMS
 
-from tests.service.conftest import build_annoda
+from tests.service.conftest import build_annoda, send
 
 #: Seconds one body may take to be answered.
 TIME_BOUND = 30.0
@@ -55,20 +55,20 @@ def run_workload(workload, workers):
     service = AnnodaService(
         build_annoda(),
         ServiceConfig(queue_capacity=len(workload), workers=workers),
-    ).start()
+    )
     try:
         if workers == 1:
             # Serial reference: one at a time, in order.
             responses = [
-                service.ask(REQUEST_POOL[index], timeout=60)
-                for index in workload
+                service.ask(REQUEST_POOL[index]) for index in workload
             ]
         else:
-            # Concurrent run: submit everything, then collect.
-            tickets = [
-                service.submit(REQUEST_POOL[index]) for index in workload
+            # Concurrent run: one client thread per request, then
+            # collect.
+            clients = [
+                send(service, REQUEST_POOL[index]) for index in workload
             ]
-            responses = [ticket.result(timeout=60) for ticket in tickets]
+            responses = [client.result(timeout=60) for client in clients]
     finally:
         service.shutdown(drain=True, timeout=60)
     for response in responses:

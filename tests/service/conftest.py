@@ -8,6 +8,7 @@ answer partial, never a 500.
 """
 
 import threading
+from concurrent.futures import Future
 
 import pytest
 
@@ -25,8 +26,8 @@ PARAMETERS = dict(loci=60, go_terms=40, omim_entries=25)
 class GateWrapper:
     """A wrapper proxy whose every fetch parks until a gate opens.
 
-    Lets tests hold worker threads busy deterministically (fill the
-    admission queue, then open the gate) without sleeping.
+    Lets tests hold requests in their seats deterministically (fill
+    the seats and the wait line, then open the gate) without sleeping.
     """
 
     def __init__(self, wrapper, gate):
@@ -71,10 +72,10 @@ def build_annoda(seed=SEED, policy=None, config=None, flaky=None,
 
 def make_service(annoda=None, queue_capacity=8, workers=2,
                  default_deadline=None, **annoda_kwargs):
-    """A started service over a fresh (or given) federation."""
+    """A service over a fresh (or given) federation."""
     if annoda is None:
         annoda = build_annoda(**annoda_kwargs)
-    service = AnnodaService(
+    return AnnodaService(
         annoda,
         ServiceConfig(
             queue_capacity=queue_capacity,
@@ -82,13 +83,41 @@ def make_service(annoda=None, queue_capacity=8, workers=2,
             default_deadline=default_deadline,
         ),
     )
-    return service.start()
+
+
+def send(service, request):
+    """``service.ask(request)`` from a client thread of its own; returns
+    a :class:`~concurrent.futures.Future` of the response."""
+    future = Future()
+
+    def client():
+        try:
+            future.set_result(service.ask(request))
+        except Exception as exc:  # surface it in future.result()
+            future.set_exception(exc)
+
+    threading.Thread(target=client, daemon=True).start()
+    return future
+
+
+def wait_for_health(service, **counts):
+    """Wait until ``service.health()`` reports at least ``counts``
+    (say ``inflight=1, queue_depth=2``); returns that health.  The
+    bound is generous: under the racecheck plugin every lock is
+    instrumented, and client threads take far longer to arrive."""
+    pause = threading.Event()
+    for _ in range(3000):
+        health = service.health()
+        if all(health[name] >= count for name, count in counts.items()):
+            return health
+        pause.wait(0.01)
+    pytest.fail(f"service never reached {counts}: {health}")
 
 
 @pytest.fixture
 def gate():
     """An initially closed gate; tests must open it before exiting so
-    parked worker threads always run to completion."""
+    parked requests always run to completion."""
     event = threading.Event()
     yield event
     event.set()

@@ -131,7 +131,6 @@ class TestUnparseableText:
         try:
             response = service.ask(
                 ServiceRequest(text="genes with no known phrase at all"),
-                timeout=30,
             )
             assert response.status == 400
             assert service.metrics.value("requests_rejected") == 1
@@ -161,7 +160,6 @@ class TestUnknownTerm:
                     question="genes_under_term",
                     params={"go_id": "not-a-go-id"},
                 ),
-                timeout=30,
             )
             assert response.status == 400
             assert service.metrics.value("requests_rejected") == 1

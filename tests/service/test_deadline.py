@@ -1,4 +1,4 @@
-"""Per-request deadlines: expiry degrades, never hangs a worker.
+"""Per-request deadlines: expiry degrades, never hangs a request.
 
 Covers the cooperative cancellation seam end to end: the
 :class:`~repro.util.cancel.RequestBudget` unit semantics (against a
@@ -20,7 +20,12 @@ from repro.service import ServiceRequest
 from repro.util.cancel import RequestBudget
 from repro.util.clock import FakeClock
 
-from tests.service.conftest import build_annoda, make_service
+from tests.service.conftest import (
+    build_annoda,
+    make_service,
+    send,
+    wait_for_health,
+)
 
 #: The acceptance bar's "one scheduling quantum": generous enough for
 #: a loaded CI box, tiny against the seconds an undegraded execution
@@ -145,7 +150,6 @@ class TestServiceDeadlines:
                 ServiceRequest(
                     question="figure5b", deadline=deadline, use_cache=False
                 ),
-                timeout=30,
             )
             elapsed = time.perf_counter() - started
             assert response.status == 200
@@ -157,22 +161,26 @@ class TestServiceDeadlines:
             service.shutdown(drain=True, timeout=30)
 
     def test_deadline_spent_in_queue_counts(self, gate):
-        """Queue wait burns the budget: a request that waited out its
-        whole deadline degrades immediately once a worker frees up."""
+        """Waiting burns the budget: a request that waited out its
+        whole deadline for a seat degrades immediately once it gets
+        one."""
         service = make_service(gate=gate, workers=1, queue_capacity=4)
         try:
-            blocker = service.submit(
-                ServiceRequest(question="figure5b", use_cache=False)
+            blocker = send(
+                service, ServiceRequest(question="figure5b", use_cache=False)
             )
-            waiter = service.submit(
+            wait_for_health(service, inflight=1)
+            waiter = send(
+                service,
                 ServiceRequest(
                     question="disease_genes",
                     deadline=0.02,
                     use_cache=False,
-                )
+                ),
             )
+            wait_for_health(service, queue_depth=1)
             # Park long enough that the waiter's budget is gone before
-            # the gate opens and the worker reaches it.
+            # the gate opens and the seat frees up.
             time.sleep(0.1)
             gate.set()
             response = waiter.result(timeout=30)
@@ -194,7 +202,6 @@ class TestServiceDeadlines:
         try:
             response = service.ask(
                 ServiceRequest(question="figure5b", use_cache=False),
-                timeout=30,
             )
             assert response.status == 200
             assert response.body["deadline"] == pytest.approx(0.03)
@@ -207,7 +214,6 @@ class TestServiceDeadlines:
         try:
             response = service.ask(
                 ServiceRequest(question="figure5b", deadline=60.0),
-                timeout=30,
             )
             assert response.status == 200
             assert response.body["outcome"] == "ok"

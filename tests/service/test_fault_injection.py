@@ -43,8 +43,7 @@ class TestDegradedAnswers:
         service = make_service(annoda=annoda, workers=2)
         try:
             response = service.ask(
-                ServiceRequest(question="disease_genes", use_cache=False),
-                timeout=30,
+                ServiceRequest(question="disease_genes", use_cache=False)
             )
             assert response.status == 200
             assert response.body["outcome"] == "degraded"
@@ -64,8 +63,7 @@ class TestDegradedAnswers:
         service = make_service(annoda=annoda, workers=1)
         try:
             response = service.ask(
-                ServiceRequest(question="figure5b", use_cache=False),
-                timeout=30,
+                ServiceRequest(question="figure5b", use_cache=False)
             )
             assert response.status == 200
             assert response.body["outcome"] == "ok"
@@ -82,8 +80,7 @@ class TestDegradedAnswers:
         service = make_service(annoda=annoda, workers=2)
         try:
             response = service.ask(
-                ServiceRequest(question="figure5b", use_cache=False),
-                timeout=30,
+                ServiceRequest(question="figure5b", use_cache=False)
             )
             assert response.status == 200
             assert "GO" in response.body["result"]["degraded_sources"]
@@ -108,16 +105,14 @@ class TestCachesNeverPoisoned:
         try:
             omim.blackout = True
             dark = service.ask(
-                ServiceRequest(question="disease_genes", use_cache=False),
-                timeout=30,
+                ServiceRequest(question="disease_genes", use_cache=False)
             )
             assert dark.body["outcome"] == "degraded"
             assert dark.body["result"]["gene_ids"] != expected
 
             omim.blackout = False
             healthy = service.ask(
-                ServiceRequest(question="disease_genes", use_cache=False),
-                timeout=30,
+                ServiceRequest(question="disease_genes", use_cache=False)
             )
             assert healthy.status == 200
             assert healthy.body["outcome"] == "ok"
@@ -138,14 +133,11 @@ class TestCachesNeverPoisoned:
         service = make_service(annoda=annoda, workers=1)
         try:
             truncated = service.ask(
-                ServiceRequest(question="figure5b", deadline=0.02),
-                timeout=30,
+                ServiceRequest(question="figure5b", deadline=0.02)
             )
             assert truncated.body["outcome"] == "degraded"
 
-            full = service.ask(
-                ServiceRequest(question="figure5b"), timeout=60
-            )
+            full = service.ask(ServiceRequest(question="figure5b"))
             assert full.status == 200
             assert full.body["outcome"] == "ok"
             assert (
@@ -164,14 +156,10 @@ class TestCachesNeverPoisoned:
         omim.blackout = True
         service = make_service(annoda=annoda, workers=1)
         try:
-            first = service.ask(
-                ServiceRequest(question="disease_genes"), timeout=30
-            )
+            first = service.ask(ServiceRequest(question="disease_genes"))
             assert first.body["outcome"] == "degraded"
             rows_after_first = service.metrics.snapshot()["pipeline"]["rows"]
-            second = service.ask(
-                ServiceRequest(question="disease_genes"), timeout=30
-            )
+            second = service.ask(ServiceRequest(question="disease_genes"))
             assert second.body["outcome"] == "degraded"
             assert second.body["result"] == first.body["result"]
             # The repeat was a result-cache hit: no new pipeline work.
@@ -188,13 +176,9 @@ class TestCachesNeverPoisoned:
         second identical request does zero new fetching)."""
         service = make_service(workers=1)
         try:
-            first = service.ask(
-                ServiceRequest(question="figure5b"), timeout=30
-            )
+            first = service.ask(ServiceRequest(question="figure5b"))
             rows_after_first = service.metrics.snapshot()["pipeline"]["rows"]
-            second = service.ask(
-                ServiceRequest(question="figure5b"), timeout=30
-            )
+            second = service.ask(ServiceRequest(question="figure5b"))
             rows_after_second = (
                 service.metrics.snapshot()["pipeline"]["rows"]
             )

@@ -18,13 +18,13 @@ import pytest
 
 from repro.service import ServiceConfig, serve
 
-from tests.service.conftest import build_annoda
+from tests.service.conftest import build_annoda, wait_for_health
 
 
 @pytest.fixture
 def server(gate):
     """An HTTP server over a small gated federation (the gate starts
-    open; tests close it to park workers)."""
+    open; tests close it to park requests in their seats)."""
     gate.set()
     http_server = serve(
         build_annoda(gate=gate),
@@ -159,9 +159,9 @@ class TestRoutes:
 
 class TestSheddingOverHTTP:
     def test_queue_full_is_429_with_retry_after(self, server, gate):
-        gate.clear()  # park the worker on its next fetch
+        gate.clear()  # park the seated request on its next fetch
         background = []
-        # Saturate the single worker plus both queue seats with
+        # Saturate the single seat plus the two-place wait line with
         # background clients (they park behind the gate), then make
         # one more request — it must shed immediately.
         clients = [
@@ -204,6 +204,45 @@ class TestSheddingOverHTTP:
             for thread in clients:
                 thread.join(timeout=60)
         assert sorted(s for s, _h, _b in background) == [200, 200, 200]
+
+
+class TestFastClose:
+    def test_fast_close_cancels_the_request_in_flight(self):
+        """``close(drain=False)`` cancels the query a handler thread is
+        running: its client gets a degraded 200 whose budget was
+        cancelled, not the answer run to its end."""
+        annoda = build_annoda(flaky={
+            name: {"latency": 0.3} for name in ("LocusLink", "GO", "OMIM")
+        })
+        http_server = serve(
+            annoda,
+            port=0,
+            config=ServiceConfig(queue_capacity=2, workers=1),
+        )
+        loop = threading.Thread(
+            target=http_server.serve_forever, daemon=True
+        )
+        loop.start()
+        replies = []
+        client = threading.Thread(
+            target=lambda: replies.append(_post(
+                http_server, {"question": "figure5b", "use_cache": False}
+            )),
+            daemon=True,
+        )
+        client.start()
+        wait_for_health(http_server.service, inflight=1)
+        http_server.close(drain=False)
+        loop.join(timeout=30)
+        client.join(timeout=60)
+        assert not client.is_alive()
+        [(status, _headers, body)] = replies
+        assert status == 200
+        assert body["outcome"] == "degraded"
+        assert body["result"]["degraded_sources"]
+        # No deadline was set, so only a cancel expires the budget.
+        assert body["deadline"] is None
+        assert body["deadline_expired"] is True
 
 
 class TestCliServe:

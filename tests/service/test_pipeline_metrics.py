@@ -73,8 +73,7 @@ class TestGridCountersReachMetrics:
         service = make_service(annoda=_dead_primary_federation(), workers=1)
         try:
             response = service.ask(
-                ServiceRequest(question="figure5b", use_cache=False),
-                timeout=30,
+                ServiceRequest(question="figure5b", use_cache=False)
             )
             # The sibling answered: failover, not degradation.
             assert response.status == 200
@@ -105,14 +104,12 @@ class TestMissAccounting:
         annoda.ask = ask_then_replay
         service = make_service(annoda=annoda, workers=1)
         try:
-            response = service.ask(
-                ServiceRequest(question="figure5b"), timeout=30
-            )
+            response = service.ask(ServiceRequest(question="figure5b"))
             assert response.status == 200
             snapshot = service.metrics.snapshot()
             assert snapshot["pipeline"]["rows"] > 0
             assert snapshot["service"]["result_cache_hits"] == 0
-            service.ask(ServiceRequest(question="figure5b"), timeout=30)
+            service.ask(ServiceRequest(question="figure5b"))
             again = service.metrics.snapshot()
             assert again["pipeline"] == snapshot["pipeline"]
             assert again["service"]["result_cache_hits"] == 1

@@ -76,9 +76,9 @@ def run_service_request(name):
     fresh single-worker service."""
     service = AnnodaService(
         build_federation(), ServiceConfig(queue_capacity=4, workers=1)
-    ).start()
+    )
     try:
-        response = service.ask(REQUESTS[name], timeout=120)
+        response = service.ask(REQUESTS[name])
         record = service.request_log.last()
     finally:
         service.shutdown(drain=True, timeout=60)

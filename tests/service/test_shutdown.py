@@ -1,32 +1,62 @@
 """Shutdown semantics: graceful drain and fast cancellation.
 
-Graceful shutdown answers everything already admitted before the
-workers exit; fast shutdown flushes the still-queued backlog as 503
-and cancels in-flight budgets so workers finish their current request
-as a degraded partial answer.  Either way: no ticket is ever left
-unresolved, and the worker threads always join.
+Graceful shutdown answers every waiting and running request before it
+returns; fast shutdown refuses the waiting ones as 503 and cancels the
+running ones' budgets, so they finish as degraded partial answers.
+Either way every client gets a response, and a request refused at
+shutdown is logged and counted like one refused on arrival.
 """
 
 import threading
-import time
 
 from repro.service import AnnodaService, ServiceConfig, ServiceRequest
 
-from tests.service.conftest import build_annoda, make_service
+from tests.service.conftest import (
+    build_annoda,
+    make_service,
+    send,
+    wait_for_health,
+)
+
+
+def _wait_for_admissions(service, count):
+    """Wait until ``count`` requests are seated or waiting (a graceful
+    drain only answers the requests that have arrived)."""
+    pause = threading.Event()
+    for _ in range(3000):
+        if service.metrics.value("requests_admitted") >= count:
+            return
+        pause.wait(0.01)
+    raise AssertionError(f"fewer than {count} requests ever arrived")
+
+
+def _spy_on_budgets(annoda):
+    """Record the budget of every question ``annoda`` answers."""
+    budgets = []
+    ask = annoda.ask
+
+    def spying_ask(question, **kwargs):
+        budgets.append(kwargs["budget"])
+        return ask(question, **kwargs)
+
+    annoda.ask = spying_ask
+    return budgets
 
 
 class TestGracefulShutdown:
     def test_drains_admitted_requests_before_stopping(self):
         service = make_service(workers=2, queue_capacity=16)
-        tickets = [
-            service.submit(
-                ServiceRequest(question="figure5b", use_cache=False)
+        clients = [
+            send(
+                service,
+                ServiceRequest(question="figure5b", use_cache=False),
             )
             for _ in range(8)
         ]
+        _wait_for_admissions(service, len(clients))
         service.shutdown(drain=True, timeout=60)
-        for ticket in tickets:
-            response = ticket.result(timeout=1)
+        for client in clients:
+            response = client.result(timeout=30)
             assert response.status == 200
             assert response.body["outcome"] == "ok"
             assert response.body["result"]["gene_count"] > 0
@@ -34,9 +64,7 @@ class TestGracefulShutdown:
     def test_submissions_after_shutdown_get_503(self):
         service = make_service(workers=1)
         service.shutdown(drain=True, timeout=30)
-        response = service.ask(
-            ServiceRequest(question="figure5b"), timeout=1
-        )
+        response = service.ask(ServiceRequest(question="figure5b"))
         assert response.status == 503
         assert response.body["outcome"] == "shutdown"
 
@@ -50,114 +78,50 @@ class TestGracefulShutdown:
         with AnnodaService(
             annoda, ServiceConfig(queue_capacity=8, workers=2)
         ) as service:
-            tickets = [
-                service.submit(ServiceRequest(question="disease_genes"))
+            clients = [
+                send(service, ServiceRequest(question="disease_genes"))
                 for _ in range(4)
             ]
-        for ticket in tickets:
-            assert ticket.result(timeout=1).status == 200
-
-    def test_worker_threads_join(self):
-        service = make_service(workers=3)
-        service.ask(ServiceRequest(question="figure5b"), timeout=30)
-        service.shutdown(drain=True, timeout=30)
-        for thread in service.pool._threads:
-            assert not thread.is_alive()
+            _wait_for_admissions(service, len(clients))
+        for client in clients:
+            assert client.result(timeout=30).status == 200
 
 
 class TestFastShutdown:
     def test_flushes_queued_requests_as_503(self, gate):
         service = make_service(gate=gate, workers=1, queue_capacity=8)
-        # One request parks on the gate inside a worker; the rest wait
-        # in the queue and must be flushed, not executed.
-        tickets = [
-            service.submit(
-                ServiceRequest(question="figure5b", use_cache=False)
+        # One request parks on the gate in its seat; the rest wait for
+        # the seat and must be refused, not executed.
+        clients = [
+            send(
+                service,
+                ServiceRequest(question="figure5b", use_cache=False),
             )
             for _ in range(5)
         ]
-        # Let the worker pick up the first ticket.
-        for _ in range(100):
-            if service.pool.inflight() == 1:
-                break
-            time.sleep(0.01)
+        wait_for_health(service, inflight=1, queue_depth=4)
         stopper = threading.Thread(
             target=lambda: service.shutdown(drain=False, timeout=60),
             daemon=True,
         )
         stopper.start()
-        # The queued tickets resolve as 503 without the gate opening.
-        statuses = sorted(
-            ticket.result(timeout=10).status for ticket in tickets[1:]
+        # The waiters are answered 503 without the gate opening.
+        refused = [client.result(timeout=10) for client in clients[1:]]
+        assert [response.status for response in refused] == [503] * 4
+        assert all(
+            response.body["outcome"] == "shutdown" for response in refused
         )
-        assert statuses == [503, 503, 503, 503]
-        # The in-flight request finishes once the gate opens — its
+        # ... and logged and counted like any other answer.
+        assert service.metrics.value("requests_completed") == 4
+        assert [
+            record["outcome"] for record in service.request_log.records()
+        ] == ["shutdown"] * 4
+        # The running request finishes once the gate opens — its
         # budget was cancelled, so the answer degrades instead of
         # running the full pipeline.
         gate.set()
-        response = tickets[0].result(timeout=30)
+        response = clients[0].result(timeout=30)
         assert response.status == 200
-        stopper.join(timeout=30)
-        assert not stopper.is_alive()
-
-    def test_ticket_between_dequeue_and_registration_is_cancelled(self):
-        """The worker's take()-to-_inflight window: a fast shutdown in
-        that instant finds the ticket in neither the queue flush nor
-        the in-flight cancel sweep, so the worker itself must cancel
-        the budget when it registers the ticket."""
-        from repro.service.queue import AdmissionQueue, Ticket
-        from repro.service.types import STATUS_OK, ServiceResponse
-        from repro.service.workers import WorkerPool
-        from repro.util.cancel import RequestBudget
-
-        dequeued = threading.Event()
-        resume = threading.Event()
-
-        class ParkedTakeQueue(AdmissionQueue):
-            """Parks the worker right after the dequeue, before it can
-            register the ticket as in-flight."""
-
-            def take(self):
-                ticket = super().take()
-                if ticket is not None:
-                    dequeued.set()
-                    resume.wait(timeout=30)
-                return ticket
-
-        cancelled_when_handled = []
-
-        def handler(ticket):
-            cancelled_when_handled.append(ticket.budget.cancelled)
-            return ServiceResponse(status=STATUS_OK, body={"outcome": "ok"})
-
-        queue = ParkedTakeQueue(capacity=4)
-        pool = WorkerPool(queue, handler, workers=1)
-        pool.start()
-        ticket = Ticket(
-            ServiceRequest(question="figure5b"), 1, RequestBudget()
-        )
-        assert queue.offer(ticket)
-        assert dequeued.wait(timeout=10)
-        stopper = threading.Thread(
-            target=lambda: pool.shutdown(drain=False, timeout=30),
-            daemon=True,
-        )
-        stopper.start()
-        # Let shutdown finish its flush + sweep (both miss the ticket)
-        # before the worker proceeds.
-        for _ in range(500):
-            with pool._inflight_lock:
-                if pool._cancelling:
-                    break
-            time.sleep(0.01)
-        else:
-            assert False, "fast shutdown never flagged cancellation"
-        resume.set()
-        response = ticket.result(timeout=10)
-        assert response.status == 200
-        assert cancelled_when_handled == [True]
-        assert ticket.budget.cancelled
-        assert ticket.budget.reason == "service shutdown"
         stopper.join(timeout=30)
         assert not stopper.is_alive()
 
@@ -165,18 +129,17 @@ class TestFastShutdown:
         annoda = build_annoda(
             flaky={"LocusLink": {"latency": 0.3}},
         )
+        budgets = _spy_on_budgets(annoda)
         service = make_service(annoda=annoda, workers=1)
-        ticket = service.submit(
-            ServiceRequest(question="figure5b", use_cache=False)
+        client = send(
+            service, ServiceRequest(question="figure5b", use_cache=False)
         )
-        # Let the worker enter the slow fetch, then pull the plug.
-        for _ in range(100):
-            if service.pool.inflight() == 1:
-                break
-            time.sleep(0.01)
+        # Let the request enter the slow fetch, then pull the plug.
+        wait_for_health(service, inflight=1)
         service.shutdown(drain=False, timeout=60)
-        response = ticket.result(timeout=30)
+        response = client.result(timeout=30)
         assert response.status == 200
-        assert ticket.budget.cancelled
-        assert ticket.budget.reason == "service shutdown"
+        [budget] = budgets
+        assert budget.cancelled
+        assert budget.reason == "service shutdown"
         assert response.body["outcome"] == "degraded"

@@ -1,19 +1,8 @@
-"""Baseline semantics and the ``python -m repro.tools.flow`` CLI."""
+"""The ``python -m repro.tools.flow`` CLI."""
 
-import json
 from pathlib import Path
 
-import pytest
-
-from repro.tools.flow.baseline import (
-    BASELINE_VERSION,
-    fingerprint,
-    load_baseline,
-    partition,
-    save_baseline,
-)
 from repro.tools.flow.cli import main
-from repro.tools.lint.engine import Diagnostic
 
 FIXTURES = Path(__file__).parent / "fixtures"
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -21,39 +10,6 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 
 def fixture(name):
     return str(FIXTURES / name)
-
-
-def diag(path="a.py", line=3, code="ANN008", message="direct call"):
-    return Diagnostic(path, line, 0, code, message)
-
-
-class TestBaseline:
-    def test_fingerprint_ignores_the_line_number(self):
-        assert fingerprint(diag(line=3)) == fingerprint(diag(line=99))
-
-    def test_missing_file_is_an_empty_baseline(self, tmp_path):
-        assert load_baseline(str(tmp_path / "absent.json")) == set()
-
-    def test_save_then_load_round_trips(self, tmp_path):
-        path = str(tmp_path / "baseline.json")
-        count = save_baseline(path, [diag(), diag(line=99)])
-        assert count == 1  # same fingerprint, deduplicated
-        assert load_baseline(path) == {fingerprint(diag())}
-
-    def test_version_mismatch_is_rejected(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps({"version": 999, "findings": []}))
-        with pytest.raises(ValueError, match="version"):
-            load_baseline(str(path))
-
-    def test_partition_splits_new_from_stale(self):
-        known = diag(message="known finding")
-        fresh = diag(message="fresh finding")
-        stale_key = ("gone.py", "ANN009", "already fixed")
-        baseline = {fingerprint(known), stale_key}
-        new, stale = partition([known, fresh], baseline)
-        assert new == [fresh]
-        assert stale == [stale_key]
 
 
 class TestCli:
@@ -75,44 +31,6 @@ class TestCli:
         assert code == 0
         assert capsys.readouterr().out == ""
 
-    def test_update_baseline_then_gate_passes(self, tmp_path, capsys):
-        baseline = str(tmp_path / "baseline.json")
-        assert main([
-            fixture("ann008_bad.py"), "--include-fixtures",
-            "--select", "ANN008",
-            "--baseline", baseline, "--update-baseline",
-        ]) == 0
-        capsys.readouterr()
-        assert main([
-            fixture("ann008_bad.py"), "--include-fixtures",
-            "--select", "ANN008",
-            "--baseline", baseline,
-        ]) == 0
-
-    def test_stale_baseline_entries_are_reported(self, tmp_path, capsys):
-        baseline = str(tmp_path / "baseline.json")
-        save_baseline(
-            baseline,
-            [diag(path=fixture("ann008_good.py"), message="long gone")],
-        )
-        assert main([
-            fixture("ann008_good.py"), "--include-fixtures",
-            "--select", "ANN008",
-            "--baseline", baseline,
-        ]) == 0
-        err = capsys.readouterr().err
-        assert "stale baseline entry" in err
-        assert "long gone" in err
-
-    def test_new_findings_fail_despite_a_baseline(self, tmp_path, capsys):
-        baseline = str(tmp_path / "baseline.json")
-        save_baseline(baseline, [])
-        assert main([
-            fixture("ann008_bad.py"), "--include-fixtures",
-            "--select", "ANN008",
-            "--baseline", baseline,
-        ]) == 1
-
     def test_per_file_codes_are_rejected(self, capsys):
         assert main(["--select", "ANN001", fixture("ann008_good.py")]) == 2
         err = capsys.readouterr().err
@@ -122,9 +40,6 @@ class TestCli:
     def test_unknown_codes_are_rejected(self, capsys):
         assert main(["--select", "ANN999", fixture("ann008_good.py")]) == 2
         assert "unknown rule code" in capsys.readouterr().err
-
-    def test_update_baseline_requires_a_baseline_path(self, capsys):
-        assert main(["--update-baseline", fixture("ann008_good.py")]) == 2
 
     def test_no_files_is_a_usage_error(self, tmp_path, capsys):
         assert main([str(tmp_path)]) == 2
@@ -136,9 +51,5 @@ class TestCli:
             assert code in out
 
     def test_head_is_clean_with_an_empty_baseline(self):
-        # The acceptance gate CI runs: no findings (and no baseline
-        # entries needed) over the shipped source tree.
-        assert main([
-            str(REPO_ROOT / "src" / "repro"),
-            "--baseline", str(REPO_ROOT / ".flow-baseline.json"),
-        ]) == 0
+        # The gate CI runs: no findings over the shipped source tree.
+        assert main([str(REPO_ROOT / "src" / "repro")]) == 0

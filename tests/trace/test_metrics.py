@@ -56,7 +56,7 @@ class TestGlobalRegistry:
         "residual_evaluations", "concurrent_batches", "batched_fetches",
         "enrichment_cache_hits", "anchors_considered", "anchors_returned",
         "conflicts", "repaired", "index_hits", "scan_fetches",
-        "indexes_rebuilt", "indexes_adopted", "replica_failovers",
+        "indexes_rebuilt", "replica_failovers",
     }
 
     def test_registry_covers_every_execution_counter(self):
