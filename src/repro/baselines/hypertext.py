@@ -58,7 +58,7 @@ class HypertextNavigationSystem(IntegrationSystem):
         ):
             tokens = set()
             for value in record.values():
-                values = value if isinstance(value, list) else [value]
+                values = value if isinstance(value, (list, tuple)) else [value]
                 for item in values:
                     for token in str(item).lower().split():
                         tokens.add(token.strip(".,;"))

@@ -15,7 +15,9 @@ Corpus knobs (``--seed``, ``--loci``, ``--go-terms``,
 """
 
 import argparse
+import signal
 import sys
+import threading
 
 from repro.core.annoda import Annoda, AnnodaConfig
 from repro.sources.corpus import CorpusParameters
@@ -299,24 +301,32 @@ def _command_serve(args, out):
     server = serve_http(
         annoda, host=args.host, port=args.port, config=config
     )
-    host, port = server.server_address[:2]
-    print(f"annoda service listening on http://{host}:{port}", file=out)
-    print(
-        "endpoints: POST /query | GET /questions /metrics /requests "
-        "/healthz",
-        file=out,
-    )
+    # SIGINT and SIGTERM stop cleanly, even if SIGINT was ignored at spawn.
+    on_main = threading.current_thread() is threading.main_thread()
+    saved = {
+        signum: signal.signal(signum, signal.default_int_handler)
+        for signum in ((signal.SIGINT, signal.SIGTERM) if on_main else ())
+    }
     try:
+        host, port = server.server_address[:2]
+        print(f"annoda service listening on http://{host}:{port}", file=out)
+        print(
+            "endpoints: POST /query | GET /questions /metrics /requests "
+            "/healthz",
+            file=out,
+        )
         if args.max_requests is not None:
             for _ in range(args.max_requests):
                 server.handle_request()
         else:
             server.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - interactive stop
+    except KeyboardInterrupt:
         pass
     finally:
         server.server_close()
         server.service.shutdown(drain=True)
+        for signum, handler in saved.items():
+            signal.signal(signum, handler or signal.SIG_DFL)
     print("annoda service stopped", file=out)
 
 

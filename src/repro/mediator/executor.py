@@ -925,7 +925,7 @@ class Executor:
             ids = []
             if via_field is not None:
                 ids = record.get(via_field) or []
-                if not isinstance(ids, list):
+                if not isinstance(ids, (list, tuple)):
                     ids = [ids]
                 ids = (
                     list(ids)

@@ -31,22 +31,19 @@ def translate(record, steps):
     """``record`` re-keyed into global vocabulary by translation
     ``steps`` (:meth:`MappingModule.translation_steps`).
 
-    A step whose source field the record lacks is skipped.  List
-    values are copied, so a translated row never shares a list with
-    the source's extent.
+    A step whose source field the record lacks is skipped.  A
+    multi-valued value (the record's tuple, or a list) becomes a new
+    list, so answer rows hold lists and share none with the extent.
     """
     translated = {}
     for source_field, key, transform in steps:
         if source_field not in record:
             continue
         value = record[source_field]
-        if transform is not None:
-            if isinstance(value, list):
-                value = [transform(item) for item in value]
-            else:
-                value = transform(value)
-        elif isinstance(value, list):
-            value = list(value)
+        if isinstance(value, (list, tuple)):
+            value = list(value if transform is None else map(transform, value))
+        elif transform is not None:
+            value = transform(value)
         translated[key] = value
     return translated
 

@@ -106,8 +106,8 @@ class SymbolIndex:
 
         Defaults fit OMIM; the executor passes the mapped labels for
         other symbol-joined sources (e.g. the protein source's
-        ``Accession``/``GeneSymbol``).  Single-valued symbol fields are
-        normalized to one-element lists.  ``budget`` is the owning
+        ``Accession``/``GeneSymbol``).  A single-valued symbol field
+        counts as a one-symbol listing.  ``budget`` is the owning
         request's :class:`~repro.util.cancel.RequestBudget`: the index
         build is a full-vocabulary fetch, exactly the kind of work a
         deadline-expired request must not start.
@@ -125,7 +125,7 @@ class SymbolIndex:
         for record in wrapper.fetch(request):
             entry_id = record[key_field]
             value = record.get(symbol_field)
-            symbols = value if isinstance(value, list) else [value]
+            symbols = value if isinstance(value, (list, tuple)) else [value]
             for symbol in symbols:
                 if symbol:
                     index.add(symbol, entry_id)

@@ -44,8 +44,10 @@ hot loop depends on:
 
 Record contract: records crossing the wrapper boundary
 (``native_query``, so ``Wrapper.fetch``) are read-only mappings shared
-by every caller; ``dict(record)`` gives a mutable copy.  Content
-changes only through version-bumping store methods (``add``/``remove``).
+by every caller, and so are their values: each multi-valued field is
+its record object's own tuple.  ``dict(record)`` gives a mutable
+copy.  Content changes only through version-bumping store methods
+(``add``/``remove``).
 
 Concurrency contract (machine-checked by ``repro.tools``): all
 indexed-state mutation happens either under the per-source
@@ -304,7 +306,7 @@ class DataSource:
         return [record for _, record in sorted(self._records.items())]
 
     def records(self) -> List[Dict[str, Any]]:
-        """All records as fresh plain dicts, in key order (the extent
+        """Every record's ``as_dict()``, in key order (the extent
         builder).  ``sorted`` copies the dict's items in one step, so
         a concurrent ``add``/``remove`` cannot disturb the loop."""
         return [record.as_dict() for _, record in sorted(self._records.items())]
@@ -430,11 +432,7 @@ class DataSource:
                     value = record.get(field)
                     if value is None:
                         continue
-                    items = (
-                        value
-                        if isinstance(value, (list, tuple))
-                        else [value]
-                    )
+                    items = value if isinstance(value, (list, tuple)) else (value,)
                     for item in items:
                         for key in _index_keys(item):
                             index.setdefault(key, []).append(position)

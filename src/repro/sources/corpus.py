@@ -180,7 +180,7 @@ class AnnotationCorpus:
                 1, min(parameters.max_go_per_locus, len(annotatable))
             )
             chosen = sorted(rng.sample(annotatable, count))
-            record.go_ids.extend(chosen)
+            record.go_ids += tuple(chosen)
             truth.go_by_locus[record.locus_id].update(chosen)
 
     @staticmethod
@@ -199,8 +199,8 @@ class AnnotationCorpus:
                 if record.symbol in entry.gene_symbols:
                     continue
                 if not rng.bernoulli(parameters.omim_only_rate):
-                    record.omim_ids.append(entry.mim_number)
-                entry.gene_symbols.append(record.symbol)
+                    record.omim_ids += (entry.mim_number,)
+                entry.gene_symbols += (record.symbol,)
                 if entry.title.startswith("PHENOTYPE ENTRY"):
                     omim_generator.retitle_for_symbol(entry, record.symbol)
                 truth.omim_by_locus[record.locus_id].add(entry.mim_number)
@@ -254,7 +254,8 @@ class AnnotationCorpus:
                 if not record.aliases:
                     return None
                 mangled = rng.choice(record.aliases)
-            entry.gene_symbols[index] = mangled
+            symbols = entry.gene_symbols
+            entry.gene_symbols = symbols[:index] + (mangled,) + symbols[index + 1:]
             return Conflict(
                 kind=kind,
                 locus_id=record.locus_id,
@@ -269,7 +270,7 @@ class AnnotationCorpus:
             stale = rng.choice(obsolete_ids)
             if stale in record.go_ids:
                 return None
-            record.go_ids.append(stale)
+            record.go_ids += (stale,)
             return Conflict(
                 kind=kind,
                 locus_id=record.locus_id,
@@ -279,7 +280,7 @@ class AnnotationCorpus:
             phantom = 999000 + rng.randint(1, 999)
             if phantom in entries_by_mim or phantom in record.omim_ids:
                 return None
-            record.omim_ids.append(phantom)
+            record.omim_ids += (phantom,)
             return Conflict(
                 kind=kind,
                 locus_id=record.locus_id,
@@ -308,7 +309,7 @@ class AnnotationCorpus:
                 if record is not None and citation.pmid not in (
                     record.pubmed_ids
                 ):
-                    pmids = [*record.pubmed_ids, citation.pmid]
+                    pmids = (*record.pubmed_ids, citation.pmid)
                     self.locuslink.remove(locus_id)
                     self.locuslink.add(replace(record, pubmed_ids=pmids))
         return CitationStore(citations)

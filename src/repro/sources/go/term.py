@@ -1,7 +1,7 @@
 """The GO term model."""
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.util.errors import DataFormatError
 
@@ -41,11 +41,12 @@ class GoTerm:
     name: str
     namespace: str
     definition: str = ""
-    is_a: list = field(default_factory=list)
-    synonyms: list = field(default_factory=list)
+    is_a: tuple = ()
+    synonyms: tuple = ()
     obsolete: bool = False
 
     def __post_init__(self):
+        self.is_a, self.synonyms = tuple(self.is_a), tuple(self.synonyms)
         if not _GO_ID.match(self.go_id):
             raise DataFormatError(
                 f"malformed GO accession {self.go_id!r} "
@@ -64,14 +65,14 @@ class GoTerm:
 
     def as_dict(self):
         """Plain-dict view for the :class:`~repro.sources.base.DataSource`
-        contract."""
+        contract; its multi-valued fields are the term's own tuples."""
         return {
             "GoID": self.go_id,
             "Name": self.name,
             "Namespace": self.namespace,
             "Definition": self.definition,
-            "IsA": list(self.is_a),
-            "Synonyms": list(self.synonyms),
+            "IsA": self.is_a,
+            "Synonyms": self.synonyms,
             "Obsolete": self.obsolete,
         }
 

@@ -6,7 +6,7 @@ the cross-reference fields the integrated query of Figure 5 needs
 (GO annotations, OMIM associations, PubMed citations).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.util.errors import DataFormatError
 
@@ -42,12 +42,14 @@ class LocusRecord:
     symbol: str
     description: str = ""
     position: str = ""
-    aliases: list = field(default_factory=list)
-    go_ids: list = field(default_factory=list)
-    omim_ids: list = field(default_factory=list)
-    pubmed_ids: list = field(default_factory=list)
+    aliases: tuple = ()
+    go_ids: tuple = ()
+    omim_ids: tuple = ()
+    pubmed_ids: tuple = ()
 
     def __post_init__(self):
+        for name in ("aliases", "go_ids", "omim_ids", "pubmed_ids"):
+            setattr(self, name, tuple(getattr(self, name)))
         if not isinstance(self.locus_id, int) or self.locus_id < 1:
             raise DataFormatError(
                 f"LocusID must be a positive integer, got {self.locus_id!r}"
@@ -63,15 +65,15 @@ class LocusRecord:
 
     def as_dict(self):
         """Plain-dict view used by the :class:`~repro.sources.base.DataSource`
-        contract (lists are copied so callers cannot mutate the record)."""
+        contract; its multi-valued fields are the record's own tuples."""
         return {
             "LocusID": self.locus_id,
             "Organism": self.organism,
             "Symbol": self.symbol,
             "Description": self.description,
             "Position": self.position,
-            "Aliases": list(self.aliases),
-            "GoIDs": list(self.go_ids),
-            "OmimIDs": list(self.omim_ids),
-            "PubmedIDs": list(self.pubmed_ids),
+            "Aliases": self.aliases,
+            "GoIDs": self.go_ids,
+            "OmimIDs": self.omim_ids,
+            "PubmedIDs": self.pubmed_ids,
         }

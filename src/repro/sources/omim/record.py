@@ -1,6 +1,6 @@
 """The OMIM record model."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.util.errors import DataFormatError
 
@@ -27,11 +27,12 @@ class OmimRecord:
 
     mim_number: int
     title: str
-    gene_symbols: list = field(default_factory=list)
+    gene_symbols: tuple = ()
     text: str = ""
     inheritance: str = ""
 
     def __post_init__(self):
+        self.gene_symbols = tuple(self.gene_symbols)
         if not isinstance(self.mim_number, int) or not (
             100000 <= self.mim_number <= 999999
         ):
@@ -47,7 +48,7 @@ class OmimRecord:
         return {
             "MimNumber": self.mim_number,
             "Title": self.title,
-            "GeneSymbols": list(self.gene_symbols),
+            "GeneSymbols": self.gene_symbols,
             "Text": self.text,
             "Inheritance": self.inheritance,
         }

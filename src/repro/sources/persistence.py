@@ -90,10 +90,6 @@ def write_atomic(path: pathlib.Path, data: bytes) -> None:
         tmp.unlink(missing_ok=True)
 
 
-#: Back-compat alias (pre-public name).
-_write_atomic = write_atomic
-
-
 def save_stores(
     stores: Iterable[Any],
     directory: PathLike,
@@ -121,13 +117,13 @@ def save_stores(
             )
         file_name, _store_class = _REGISTRY[store.name]
         data = store.dump().encode("utf-8")
-        _write_atomic(path / file_name, data)
+        write_atomic(path / file_name, data)
         entry: Dict[str, Any] = {"file": file_name, "records": store.count()}
         if indexes:
             envelope = store.export_index_state()
             blob = pickle.dumps(envelope, protocol=pickle.HIGHEST_PROTOCOL)
             index_name = file_name + INDEX_SUFFIX
-            _write_atomic(path / index_name, blob)
+            write_atomic(path / index_name, blob)
             entry["index"] = {
                 "file": index_name,
                 "schema": envelope["schema"],
@@ -136,7 +132,7 @@ def save_stores(
                 "data_digest": _sha256(data),
             }
         manifest["sources"][store.name] = entry
-    _write_atomic(
+    write_atomic(
         path / MANIFEST_NAME,
         json.dumps(manifest, indent=2, sort_keys=True).encode("utf-8"),
     )

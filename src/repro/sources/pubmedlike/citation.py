@@ -1,6 +1,6 @@
 """The citation record model of the PubMed-like source."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.util.errors import DataFormatError
 
@@ -28,9 +28,10 @@ class Citation:
     title: str
     journal: str
     year: int
-    locus_ids: list = field(default_factory=list)
+    locus_ids: tuple = ()
 
     def __post_init__(self):
+        self.locus_ids = tuple(self.locus_ids)
         if not isinstance(self.pmid, int) or self.pmid < 1:
             raise DataFormatError(f"PMID must be positive, got {self.pmid!r}")
         if not self.title:
@@ -46,5 +47,5 @@ class Citation:
             "Title": self.title,
             "Journal": self.journal,
             "Year": self.year,
-            "LocusIDs": list(self.locus_ids),
+            "LocusIDs": self.locus_ids,
         }

@@ -1,7 +1,7 @@
 """The protein record model of the SwissProt-like source."""
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.util.errors import DataFormatError
 
@@ -36,9 +36,10 @@ class ProteinRecord:
     gene_symbol: str = ""
     locus_id: int = 0
     sequence_length: int = 0
-    keywords: list = field(default_factory=list)
+    keywords: tuple = ()
 
     def __post_init__(self):
+        self.keywords = tuple(self.keywords)
         if not _ACCESSION.match(self.accession):
             raise DataFormatError(
                 f"malformed accession {self.accession!r} "
@@ -61,5 +62,5 @@ class ProteinRecord:
             "GeneSymbol": self.gene_symbol,
             "LocusID": self.locus_id,
             "SequenceLength": self.sequence_length,
-            "Keywords": list(self.keywords),
+            "Keywords": self.keywords,
         }

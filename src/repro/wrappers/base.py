@@ -187,9 +187,9 @@ class Wrapper(abc.ABC):
             self._specs().items()
         ):
             value = record.get(source_field)
-            if value in (None, "", []):
+            if value in (None, "", (), []):
                 continue
-            values = value if isinstance(value, list) else [value]
+            values = value if isinstance(value, (list, tuple)) else [value]
             if not multivalued and len(values) > 1:
                 values = values[:1]
             for item in values:
@@ -240,10 +240,10 @@ class Wrapper(abc.ABC):
     # -- schema export ----------------------------------------------------------------
 
     def schema_elements(self):
-        """Schema elements (with live samples) for the mapping module."""
-        return elements_from_mapping(
-            self.field_specs(), self.source.records()
-        )
+        """Schema elements (with live samples) for the mapping module,
+        read lazily from the record objects: no store is copied."""
+        records = (record.as_dict() for record in self.source.all_records())
+        return elements_from_mapping(self.field_specs(), records)
 
     def describe(self):
         """One-line description for the annotation-database registry."""

@@ -32,31 +32,23 @@ def elements_from_mapping(field_specs, records, sample_limit=5):
 
     ``field_specs`` is the wrapper's ordered mapping: OML label ->
     (source field, OEMType, multivalued, description).  Samples come
-    from the first records that populate each field.
+    from the first records that populate each field, in one pass over
+    the ``records`` iterable that stops once every field has enough.
     """
-    elements = []
-    for label, (source_field, oem_type, multivalued, description) in (
-        field_specs.items()
-    ):
-        samples = []
-        for record in records:
-            value = record.get(source_field)
-            if value in (None, "", []):
+    samples = {label: [] for label in field_specs}
+    hungry = dict(samples)
+    for record in records:
+        if not hungry:
+            break
+        for label, taken in list(hungry.items()):
+            value = record.get(field_specs[label][0])
+            if value in (None, "", (), []):
                 continue
-            values = value if isinstance(value, list) else [value]
-            for item in values:
-                samples.append(item)
-                if len(samples) >= sample_limit:
-                    break
-            if len(samples) >= sample_limit:
-                break
-        elements.append(
-            SchemaElement(
-                name=label,
-                oem_type=oem_type,
-                multivalued=multivalued,
-                description=description,
-                samples=tuple(samples),
-            )
-        )
-    return elements
+            values = value if isinstance(value, (list, tuple)) else [value]
+            taken.extend(values[: sample_limit - len(taken)])
+            if len(taken) >= sample_limit:
+                del hungry[label]
+    return [
+        SchemaElement(label, oem_type, multivalued, description, tuple(samples[label]))
+        for label, (_field, oem_type, multivalued, description) in field_specs.items()
+    ]

@@ -79,7 +79,7 @@ COMPARE = {
 
 def holds(record, source, condition):
     value = record.get(FIELDS[source][condition.attribute])
-    values = value if isinstance(value, list) else [value]
+    values = value if isinstance(value, (list, tuple)) else [value]
     if condition.op == "contains":
         needle = str(condition.value).lower()
         return any(needle in str(item).lower() for item in values)
@@ -163,7 +163,7 @@ class Oracle:
             }
         else:
             raw = record.get(FIELDS["LocusLink"][link.via]) or []
-            raw = raw if isinstance(raw, list) else [raw]
+            raw = raw if isinstance(raw, (list, tuple)) else [raw]
             ids |= self.validated(gene_id, raw, source, raised)
         if link.symbol_join:
             ids |= self.via_symbols(record, gene_id, source, raised)
@@ -226,7 +226,7 @@ class Oracle:
         listings = []
         for target in self.records[source]:
             symbols = target.get(FIELDS[source]["GeneSymbol"])
-            for symbol in symbols if isinstance(symbols, list) else [symbols]:
+            for symbol in symbols if isinstance(symbols, (list, tuple)) else [symbols]:
                 if symbol:
                     listings.append((symbol, target[key]))
 
@@ -483,7 +483,7 @@ def mutate(corpus, source, pick):
             dataclasses.replace(
                 record,
                 go_ids=[go_ids[pick % len(go_ids)], "GO:9999999"],
-                omim_ids=record.omim_ids[:1] + [999999],
+                omim_ids=list(record.omim_ids[:1]) + [999999],
             )
         )
     elif source == "GO":

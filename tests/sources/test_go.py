@@ -96,7 +96,7 @@ class TestObo:
             "namespace: molecular_function\nis_a: GO:0000001 ! root\n"
         )
         terms = parse_obo(text)
-        assert terms[1].is_a == ["GO:0000001"]
+        assert terms[1].is_a == ("GO:0000001",)
 
     def test_escaped_quotes_in_def(self):
         term = GoTerm(

@@ -45,10 +45,12 @@ class TestRecord:
         assert url.endswith("LocRpt.cgi?l=2354")
         assert resolve_url(url) == ("LocusLink", 2354)
 
-    def test_as_dict_copies_lists(self, fosb):
+    def test_as_dict_shares_the_record_tuples(self, fosb):
         view = fosb.as_dict()
-        view["GoIDs"].append("GO:9999999")
-        assert fosb.go_ids == ["GO:0003700"]
+        assert fosb.go_ids == ("GO:0003700",)
+        assert view["GoIDs"] is fosb.go_ids
+        with pytest.raises(AttributeError):
+            view["GoIDs"].append("GO:9999999")
 
 
 class TestFormat:

@@ -60,7 +60,7 @@ class TestFormat:
     def test_round_trip_generated(self):
         records = OmimGenerator(DeterministicRng(2)).generate(40)
         for index, record in enumerate(records):
-            record.gene_symbols = [f"SYM{index}"]
+            record.gene_symbols = (f"SYM{index}",)
         assert parse_omim_txt(write_omim_txt(records)) == records
 
     def test_title_prefix_stripped(self):

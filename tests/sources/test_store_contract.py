@@ -3,9 +3,13 @@
 Each of the five stores is only its declarations, so one parametrized
 suite checks the behaviour they all inherit: duplicate keys, version
 bumps, key order, the flat-file round trip, and that a version-keyed
-equality index never outlives the version it was built at.  GO adds
-its is_a graph, which must follow ``remove`` too.
+equality index never outlives the version it was built at, and that
+a fetched record is read-only all the way down.  GO adds its is_a
+graph, which must follow ``remove`` too.
 """
+
+import copy
+import gc
 
 import pytest
 
@@ -24,6 +28,21 @@ SOURCES = {
     "OMIM": CORPUS.omim,
     "PubMed": CORPUS.make_citation_store(count=12),
     "SwissProt": CORPUS.make_protein_store(),
+}
+
+
+#: Each store's multi-valued fields: record field -> record attribute.
+MULTI_VALUED = {
+    "LocusLink": {
+        "Aliases": "aliases",
+        "GoIDs": "go_ids",
+        "OmimIDs": "omim_ids",
+        "PubmedIDs": "pubmed_ids",
+    },
+    "GO": {"IsA": "is_a", "Synonyms": "synonyms"},
+    "OMIM": {"GeneSymbols": "gene_symbols"},
+    "PubMed": {"LocusIDs": "locus_ids"},
+    "SwissProt": {"Keywords": "keywords"},
 }
 
 
@@ -98,6 +117,49 @@ class TestStoreContract:
         store.add(extra)
         assert store.native_query(probe, use_index=True) == [extra.as_dict()]
         assert store.fetch_stats()["index_builds"] > builds
+
+
+class TestDeepReadOnlyRecords:
+    """A fetched record's multi-valued values are its record object's
+    own tuples: no caller can change them in place, and the collector
+    stops tracking them."""
+
+    def test_values_are_the_record_objects_own_tuples(self, name):
+        store = SOURCES[name]
+        key_field = store.FIELDS[0]
+        for fetched in store.native_query():
+            record = store.get(fetched[key_field])
+            for field, attribute in MULTI_VALUED[name].items():
+                assert type(fetched[field]) is tuple
+                assert fetched[field] is getattr(record, attribute)
+
+    def test_append_raises_and_later_fetches_are_unchanged(self, name):
+        source = SOURCES[name]
+        store = type(source)(source.all_records())
+        key_field = store.FIELDS[0]
+        before = copy.deepcopy([dict(record) for record in store.native_query()])
+        for field in MULTI_VALUED[name]:
+            fetched = next(
+                record for record in store.native_query() if record[field]
+            )
+            with pytest.raises(AttributeError):
+                fetched[field].append(fetched[field][0])
+            [hit] = store.native_query(
+                [NativeCondition(key_field, "=", fetched[key_field])],
+                use_index=True,
+            )
+            assert dict(hit) == next(
+                record for record in before
+                if record[key_field] == fetched[key_field]
+            )
+        assert [dict(record) for record in store.native_query()] == before
+
+    def test_values_are_untracked_after_a_collection(self, name):
+        fetched = SOURCES[name].native_query()
+        gc.collect()
+        for record in fetched:
+            for field in MULTI_VALUED[name]:
+                assert not gc.is_tracked(record[field])
 
 
 class TestGoGraphFollowsRemove:
